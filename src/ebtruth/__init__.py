@@ -80,6 +80,7 @@ from .errors import (
     NonPositiveVarianceError,
     ParseError,
     RequestTooLargeError,
+    UnreachableFloorError,
     ValidationError,
     ZeroNormInputError,
 )
@@ -100,7 +101,7 @@ from .model import (
     validate_matrix,
     validate_variances,
 )
-from .pipelines import eb_blue, eb_wrap, eb_wrap_alpha, estimate_alpha_star
+from .pipelines import eb_blue, eb_wrap, eb_wrap_alpha, estimate_alpha_star, shrink_aggregate
 from .variance import (
     Constant,
     HeuristicH,

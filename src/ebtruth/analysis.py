@@ -10,21 +10,18 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .baselines import TdAlgorithm, run_td_batch
+from .baselines import TdAlgorithm, blue, run_td_batch
 from .data import (
     ROLE_GT,
     ROLE_SIGMA,
-    ConstantGT,
     Dataset,
-    GaussianSqSigmas,
     GtSpec,
     SigmaSpec,
     SyntheticSpec,
-    draw_ground_truth,
-    draw_worker_variances,
     gen_synthetic,
     stream,
     subsample,
@@ -35,8 +32,9 @@ from .errors import (
     LengthMismatchError,
     NonPositiveVarianceError,
 )
-from .estimators import shrink_batch
-from .variance import Constant, HeuristicH, OracleReduced, SampleScaled, VarianceEstimator
+from .estimators import shrink_batch, stein
+from .pipelines import shrink_aggregate
+from .variance import VarianceEstimator
 
 SUM_SQUARED = "sum"
 MEAN_SQUARED = "mean"
@@ -68,18 +66,19 @@ class ConditionReport:
     std_errors: tuple = ()
 
 
-def loss(estimate, mu, convention: str = SUM_SQUARED) -> float:
-    """Squared Euclidean error, summed or averaged over questions."""
+def loss(estimate, mu, convention: str = SUM_SQUARED):
+    """Squared Euclidean error over the last axis, summed or averaged over
+    questions: a float for one answer vector, one value per row for a batch."""
     estimate = np.asarray(estimate, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if estimate.shape != mu.shape:
         raise LengthMismatchError(f"estimate shape {estimate.shape} != truth shape {mu.shape}")
-    total = float(((estimate - mu) ** 2).sum())
-    if convention == SUM_SQUARED:
-        return total
+    total = ((estimate - mu) ** 2).sum(axis=-1)
     if convention == MEAN_SQUARED:
-        return total / mu.shape[0]
-    raise ValueError(f"unknown loss convention {convention!r}")
+        total = total / mu.shape[-1]
+    elif convention != SUM_SQUARED:
+        raise ValueError(f"unknown loss convention {convention!r}")
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -99,36 +98,17 @@ class AwgGenerator:
     fresh_sigmas: bool = False
 
 
-def _draw_gt_batch(gt: GtSpec, r: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(gt, ConstantGT):
-        return np.full((r, m), float(gt.value))
-    return rng.normal(gt.mean, np.sqrt(gt.variance), size=(r, m))
-
-
-def _draw_sigmas_batch(spec: SigmaSpec, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec, GaussianSqSigmas):
-        sig2 = rng.normal(spec.mean, np.sqrt(spec.variance), size=(r, n))
-        while np.any(sig2 < spec.floor):
-            low = sig2 < spec.floor
-            sig2[low] = rng.normal(spec.mean, np.sqrt(spec.variance), size=int(low.sum()))
-        return sig2
-    return np.broadcast_to(draw_worker_variances(spec, n, rng), (r, n)).copy()
-
-
 def iter_replicates(gen: AwgGenerator, replicates: int, seed: int):
     """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) chunks, deterministically."""
-    fixed_mu = None
-    fixed_sig2 = None
-    if not gen.fresh_gt:
-        fixed_mu = draw_ground_truth(gen.gt, gen.m, stream(seed, ROLE_GT, 0))
-    if not gen.fresh_sigmas:
-        fixed_sig2 = draw_worker_variances(gen.worker_sigmas, gen.n, stream(seed, ROLE_SIGMA, 0))
+    fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
+    fixed_sig2 = (None if gen.fresh_sigmas
+                  else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
     for chunk_index, start in enumerate(range(0, replicates, CHUNK)):
         r = min(CHUNK, replicates - start)
         rng = stream(seed, REPLICATE_ROLE, chunk_index)
-        mu = (_draw_gt_batch(gen.gt, r, gen.m, rng) if gen.fresh_gt
+        mu = (gen.gt.draw((r, gen.m), rng) if gen.fresh_gt
               else np.broadcast_to(fixed_mu, (r, gen.m)))
-        sig2 = (_draw_sigmas_batch(gen.worker_sigmas, r, gen.n, rng) if gen.fresh_sigmas
+        sig2 = (gen.worker_sigmas.draw((r, gen.n), rng) if gen.fresh_sigmas
                 else np.broadcast_to(fixed_sig2, (r, gen.n)))
         noise = rng.normal(size=(r, gen.n, gen.m))
         X = mu[:, None, :] + noise * np.sqrt(sig2)[:, :, None]
@@ -141,33 +121,14 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int):
 
 def psi_batch(psi: VarianceEstimator, Xb: np.ndarray, xa: np.ndarray) -> np.ndarray:
     """Evaluate a variance estimator across a (r, n, m) batch."""
-    r, n, m = Xb.shape
-    if isinstance(psi, HeuristicH):
-        return ((Xb - xa[:, None, :]) ** 2).sum(axis=(1, 2)) / (n * (m - 1))
-    if isinstance(psi, SampleScaled):
-        dev = xa - xa.mean(axis=1, keepdims=True)
-        return psi.c * (dev**2).sum(axis=1) / (m - 1)
-    if isinstance(psi, Constant):
-        return np.full(r, psi.c)
-    if isinstance(psi, OracleReduced):
-        return np.full(r, 1.0 / (1.0 / np.asarray(psi.guesses)).sum())
-    raise TypeError(f"no batch rule for {psi!r}")
+    return psi.evaluate(Xb, xa)
 
 
 def psi_derivative_dot_batch(psi: VarianceEstimator, Xb: np.ndarray,
                              xa: np.ndarray) -> np.ndarray:
     """sum_j dpsi/dxa_j * (xa_j - mean(xa)) per replicate (analytic forms)."""
-    r, n, m = Xb.shape
-    dev = xa - xa.mean(axis=1, keepdims=True)
-    if isinstance(psi, (Constant, OracleReduced)):
-        return np.zeros(r)
-    if isinstance(psi, SampleScaled):
-        return 2.0 * psi.c * (dev**2).sum(axis=1) / (m - 1)
-    if isinstance(psi, HeuristicH):
-        # dpsi/dxa_j = 2 (xa_j - column mean) / (m - 1), raw matrix held fixed
-        grad = 2.0 * (xa - Xb.mean(axis=1)) / (m - 1)
-        return (grad * dev).sum(axis=1)
-    raise TypeError(f"no batch derivative rule for {psi!r}")
+    dev = xa - xa.mean(axis=-1, keepdims=True)
+    return (psi.gradient(Xb, xa) * dev).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -181,40 +142,21 @@ class Pipeline:
         return self.fn(Xb, sig2b)
 
 
-def _blue_batch(Xb, sig2b):
-    w = 1.0 / sig2b
-    return np.einsum("rn,rnm->rm", w, Xb) / w.sum(axis=1, keepdims=True)
-
-
-def _agg_variance(sig2b):
-    return 1.0 / (1.0 / sig2b).sum(axis=1)
-
-
 def pipeline_blue() -> Pipeline:
-    return Pipeline("blue", _blue_batch)
+    return Pipeline("blue", lambda Xb, sig2b: blue(Xb, sig2b)[0])
 
 
 def pipeline_eb_blue(alpha: float | None = None, positive_part: bool = False) -> Pipeline:
     def fn(Xb, sig2b):
-        agg = _blue_batch(Xb, sig2b)
         a = (Xb.shape[2] - 3) if alpha is None else alpha
-        return shrink_batch(agg, _agg_variance(sig2b), a, positive_part)
+        return shrink_batch(*blue(Xb, sig2b), a, positive_part)
 
     name = "eb_blue" if alpha is None else f"eb_blue_alpha{alpha:g}"
     return Pipeline(name, fn)
 
 
 def pipeline_stein_blue() -> Pipeline:
-    def fn(Xb, sig2b):
-        agg = _blue_batch(Xb, sig2b)
-        m = agg.shape[1]
-        if m <= 2:
-            return agg
-        norm2 = (agg**2).sum(axis=1, keepdims=True)
-        factor = 1.0 - (m - 2) * _agg_variance(sig2b)[:, None] / norm2
-        return factor * agg
-
-    return Pipeline("stein_blue", fn)
+    return Pipeline("stein_blue", lambda Xb, sig2b: stein(*blue(Xb, sig2b)).estimate)
 
 
 def pipeline_base(base: TdAlgorithm, name: str | None = None) -> Pipeline:
@@ -227,11 +169,7 @@ def pipeline_eb_wrap(base: TdAlgorithm, psi: VarianceEstimator,
                      name: str | None = None) -> Pipeline:
     def fn(Xb, sig2b):
         xa = run_td_batch(base, Xb)
-        sigma2_hat = psi_batch(psi, Xb, xa)
-        a = (Xb.shape[2] - 3) if alpha is None else alpha
-        safe = np.where(sigma2_hat > 0, sigma2_hat, 1.0)
-        shrunk = shrink_batch(xa, safe, a, positive_part)
-        return np.where((sigma2_hat > 0)[:, None], shrunk, xa)
+        return shrink_aggregate(xa, psi_batch(psi, Xb, xa), alpha, positive_part)
 
     return Pipeline(name or f"eb_{type(base).__name__.lower()}", fn)
 
@@ -253,7 +191,7 @@ class McResult:
     def diff(self, a: str, b: str) -> tuple[float, float]:
         """Mean and standard error of the paired loss difference a - b."""
         d = self.losses[a] - self.losses[b]
-        return float(d.mean()), float(d.std(ddof=1) / np.sqrt(d.shape[0]))
+        return float(d.mean()), _std_error(d)
 
 
 def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
@@ -267,22 +205,11 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     for X, mu, sig2 in iter_replicates(gen, replicates, seed):
         r = X.shape[0]
         for p in pipelines:
-            est = p(X, sig2)
-            l = ((est - mu) ** 2).sum(axis=1)
-            if convention == MEAN_SQUARED:
-                l = l / gen.m
-            losses[p.name][pos:pos + r] = l
+            losses[p.name][pos:pos + r] = loss(p(X, sig2), mu, convention)
         pos += r
-    reports = {}
-    for name, l in losses.items():
-        reports[name] = RiskReport(
-            name=name,
-            mean_loss=float(l.mean()),
-            std_error=float(l.std(ddof=1) / np.sqrt(replicates)),
-            replicates=replicates,
-            seed=seed,
-            loss_convention=convention,
-        )
+    reports = {name: RiskReport(name=name, mean_loss=float(l.mean()), std_error=_std_error(l),
+                                replicates=replicates, seed=seed, loss_convention=convention)
+               for name, l in losses.items()}
     return McResult(reports=reports, losses=losses, seed=seed, convention=convention)
 
 
@@ -322,12 +249,17 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
                            mu=mus, seed=seed)
 
 
+def _std_error(x: np.ndarray) -> float:
+    return float(x.std(ddof=1) / np.sqrt(x.shape[0]))
+
+
 def _stream_parts(s: AggregateStream):
+    """Squared deviation norms and the per-replicate covariance term."""
     dev = s.aggregates - s.aggregates.mean(axis=1, keepdims=True)
     ss = (dev**2).sum(axis=1)
     if np.any(ss <= 0):
         raise InsufficientDataError("degenerate replicate with zero dispersion")
-    return dev, ss
+    return ss, ((s.aggregates - s.mu) * s.psis[:, None] * dev / ss[:, None]).sum(axis=1)
 
 
 def improvement_condition(s: AggregateStream) -> ConditionReport:
@@ -338,12 +270,11 @@ def improvement_condition(s: AggregateStream) -> ConditionReport:
     m = s.aggregates.shape[1]
     if m <= 3:
         raise InsufficientDataError("condition needs m > 3")
-    dev, ss = _stream_parts(s)
+    ss, cov_term = _stream_parts(s)
     alpha = m - 3
-    cov_term = ((s.aggregates - s.mu) * s.psis[:, None] * dev / ss[:, None]).sum(axis=1)
     quad_term = s.psis**2 / ss
     t = 2 * alpha * cov_term - alpha**2 * quad_term
-    se = float(t.std(ddof=1) / np.sqrt(t.shape[0]))
+    se = _std_error(t)
     lhs = float(t.mean())
     return ConditionReport(name="improvement_condition", lhs=lhs, rhs=0.0,
                            direction=">", satisfied=lhs > 0.0, std_errors=(se,))
@@ -360,18 +291,17 @@ def risk_decomposition(s: AggregateStream, sigma2: float) -> dict:
     if sigma2 <= 0:
         raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
     m = s.aggregates.shape[1]
-    dev, ss = _stream_parts(s)
+    ss, cov_term = _stream_parts(s)
     alpha = m - 3
     s2 = ss / (m - 1)
     # paired per-replicate gap via the exact algebraic expansion of the loss
-    cov_term = ((s.aggregates - s.mu) * s.psis[:, None] * dev / ss[:, None]).sum(axis=1)
     lhs_r = -2 * alpha * cov_term + alpha**2 * s.psis**2 / ss
     rhs_r = (alpha**2 / (m - 1)) * (
         s.psis**2 / s2
         - 2 * sigma2 * (s.psis / s2 + s.derivative_dots / (alpha * s2))
     )
     resid = lhs_r - rhs_r
-    se = float(resid.std(ddof=1) / np.sqrt(resid.shape[0]))
+    se = _std_error(resid)
     return {
         "lhs_gap": float(lhs_r.mean()),
         "rhs_formula": float(rhs_r.mean()),
@@ -390,7 +320,7 @@ def sufficient_conditions(s: AggregateStream, sigma2: float, psi: VarianceEstima
     of the supplied estimator and check the closed-form brackets.
     """
     m = s.aggregates.shape[1]
-    dev, ss = _stream_parts(s)
+    ss, _ = _stream_parts(s)
     s2 = ss / (m - 1)
     reports = []
 
@@ -398,9 +328,7 @@ def sufficient_conditions(s: AggregateStream, sigma2: float, psi: VarianceEstima
     e_psi = s.psis / s2
     e_dot = s.derivative_dots / ((m - 3) * s2)
 
-    def se(x):
-        return float(np.asarray(x).std(ddof=1) / np.sqrt(len(x)))
-
+    se = _std_error
     denom6 = float(e_psi.mean() + e_dot.mean())
     lhs6 = float(e_psi2.mean() / denom6) if denom6 != 0 else float("inf")
     reports.append(ConditionReport(
@@ -413,7 +341,7 @@ def sufficient_conditions(s: AggregateStream, sigma2: float, psi: VarianceEstima
         name="mean_adjusted_ratio_condition", lhs=lhs7, rhs=2 * sigma2, direction="<",
         satisfied=lhs7 < 2 * sigma2, std_errors=(se(e_psi2), se(e_psi))))
 
-    if isinstance(psi, (Constant, OracleReduced)):
+    if getattr(psi, "data_independent", False):
         guess = float(s.psis[0])
         reports.append(ConditionReport(
             name="constant_guess_condition", lhs=guess, rhs=2 * sigma2, direction="<",
@@ -481,25 +409,18 @@ def improvement_ratio(source, base: TdAlgorithm, psi: VarianceEstimator,
             raise InsufficientDataError(
                 f"cannot draw {n}x{m} samples from a "
                 f"{source.matrix.n_workers}x{source.matrix.n_questions} dataset")
-        for i in range(samples):
-            sub = subsample(source, n, m, seed, index=i)
-            Xb[i] = sub.matrix.values
-            mub[i] = sub.ground_truth
+        draw = partial(subsample, source, n, m, seed)
     else:
-        gt_spec, sigma_spec = source
-        for i in range(samples):
-            ds = gen_synthetic(SyntheticSpec(gt=gt_spec, worker_sigmas=sigma_spec,
-                                             n=n, m=m, seed=seed), index=i)
-            Xb[i] = ds.matrix.values
-            mub[i] = ds.ground_truth
+        draw = partial(gen_synthetic,
+                       SyntheticSpec(gt=source[0], worker_sigmas=source[1], n=n, m=m, seed=seed))
+    for i in range(samples):
+        ds = draw(index=i)
+        Xb[i] = ds.matrix.values
+        mub[i] = ds.ground_truth
     xa = run_td_batch(base, Xb)
-    sigma2_hat = psi_batch(psi, Xb, xa)
-    a = (m - 3) if alpha is None else alpha
-    safe = np.where(sigma2_hat > 0, sigma2_hat, 1.0)
-    eb = np.where((sigma2_hat > 0)[:, None],
-                  shrink_batch(xa, safe, a, positive_part), xa)
-    base_risk = float(((xa - mub) ** 2).sum(axis=1).mean())
-    eb_risk = float(((eb - mub) ** 2).sum(axis=1).mean())
+    eb = shrink_aggregate(xa, psi_batch(psi, Xb, xa), alpha, positive_part)
+    base_risk = float(loss(xa, mub).mean())
+    eb_risk = float(loss(eb, mub).mean())
     if base_risk == 0.0:
         raise InsufficientDataError("base risk is zero; ratio undefined")
     return IrResult(improvement_ratio=eb_risk / base_risk, base_risk=base_risk,
@@ -519,11 +440,7 @@ def report_record(obj) -> dict:
 
 def write_reports_csv(path_or_file, records: list[dict]) -> None:
     """Flat CSV: union of record keys, in first-seen order."""
-    fields: list[str] = []
-    for rec in records:
-        for k in rec:
-            if k not in fields:
-                fields.append(k)
+    fields = list(dict.fromkeys(k for rec in records for k in rec))
 
     def _emit(fh):
         writer = csv.DictWriter(fh, fieldnames=fields)

@@ -1,8 +1,7 @@
 """Black-box truth-discovery baselines producing one aggregated answer vector.
 
-All baselines also have a batch form operating on a (replicates, n, m) stack,
-which the Monte Carlo layers use; the single-matrix form is the batch form at
-batch size 1.
+Each baseline's ``aggregate`` method maps a (replicates, n, m) stack to
+(replicates, m); the single-matrix form is that method at batch size 1.
 """
 
 from __future__ import annotations
@@ -29,6 +28,36 @@ DEFAULT_MAX_ITERATIONS = 14
 DEFAULT_CONVERGENCE_TOL = 1e-8
 
 
+def blue(values: np.ndarray, sigma2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BLUE kernel: values (..., n, m) and worker variances (..., n) give the
+    inverse-variance-weighted answers (..., m) and the aggregated-worker
+    variance (...), the reciprocal of the summed reciprocal variances."""
+    if sigma2s.shape[-1] != values.shape[-2]:
+        raise LengthMismatchError(f"{sigma2s.shape[-1]} variances for {values.shape[-2]} workers")
+    w = 1.0 / sigma2s
+    return _weighted_mean(values, w), 1.0 / w.sum(axis=-1)
+
+
+def _weighted_mean(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # values: (..., n, m); w: (..., n)
+    return np.einsum("...n,...nm->...m", w, values) / w.sum(axis=-1, keepdims=True)
+
+
+def _iterate_batch(Xb: np.ndarray, weight_rule, alg) -> np.ndarray:
+    t = Xb.mean(axis=1)
+    w_prev = None
+    for _ in range(alg.max_iterations):
+        d = ((Xb - t[:, None, :]) ** 2).sum(axis=2) + DISTANCE_EPS
+        w = weight_rule(d)
+        if not np.all(np.isfinite(w)):
+            raise IterationDivergenceError("non-finite weight during iteration")
+        t = _weighted_mean(Xb, w)
+        if w_prev is not None and np.max(np.abs(w - w_prev)) < alg.convergence_tol:
+            break
+        w_prev = w
+    return t
+
+
 @dataclass(frozen=True)
 class Blue:
     """Inverse-variance-weighted mean; requires the true worker variances."""
@@ -40,15 +69,24 @@ class Blue:
             self, "variances", tuple(float(v) for v in validate_variances(variances))
         )
 
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        return blue(Xb, np.asarray(self.variances))[0]
+
 
 @dataclass(frozen=True)
 class Mean:
-    pass
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        return Xb.mean(axis=1)
+
+    def aggregated_variance(self, sigma2s: np.ndarray) -> float:
+        """Variance of the mean answer of workers with these variances."""
+        return float(sigma2s.sum() / sigma2s.shape[0] ** 2)
 
 
 @dataclass(frozen=True)
 class Median:
-    pass
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        return np.median(Xb, axis=1)
 
 
 @dataclass(frozen=True)
@@ -57,6 +95,9 @@ class CRH:
 
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
+
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        return _iterate_batch(Xb, lambda d: -np.log(d / d.sum(axis=1, keepdims=True)), self)
 
 
 @dataclass(frozen=True)
@@ -67,10 +108,26 @@ class CATD:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        quantile = stats.chi2.ppf(self.confidence, df=Xb.shape[2])
+        return _iterate_batch(Xb, lambda d: quantile / d, self)
+
 
 @dataclass(frozen=True)
 class DistanceWeighted:
     """Single-pass weights from average pairwise distance between workers."""
+
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        r, n, m = Xb.shape
+        if n == 1:
+            return Xb[:, 0, :]
+        # d[r, i] = mean over other workers of the mean squared disagreement,
+        # via the Gram-matrix expansion to avoid an (r, n, n, m) intermediate.
+        rowsq = (Xb**2).sum(axis=2)
+        gram = Xb @ Xb.transpose(0, 2, 1)
+        pairsq = np.maximum(rowsq[:, :, None] + rowsq[:, None, :] - 2.0 * gram, 0.0)
+        d = pairsq.sum(axis=2) / ((n - 1) * m) + DISTANCE_EPS
+        return _weighted_mean(Xb, 1.0 / d)
 
 
 @dataclass(frozen=True)
@@ -82,86 +139,29 @@ class External:
     def __init__(self, answers):
         object.__setattr__(self, "answers", tuple(float(a) for a in as_answer_vector(answers)))
 
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        r, _, m = Xb.shape
+        answers = np.asarray(self.answers)
+        if answers.shape[0] != m:
+            raise LengthMismatchError(f"{answers.shape[0]} answers for {m} questions")
+        return np.broadcast_to(answers, (r, m)).copy()
+
 
 TdAlgorithm = Blue | Mean | Median | CRH | CATD | DistanceWeighted | External
 
 
 def blue_aggregate(X: ObservationMatrix, sigma2s) -> tuple[np.ndarray, float]:
     """Inverse-variance-weighted answers and the aggregated-worker variance."""
-    sigma2s = validate_variances(sigma2s)
-    values = X.values
-    if sigma2s.shape[0] != values.shape[0]:
-        raise LengthMismatchError(
-            f"{sigma2s.shape[0]} variances for {values.shape[0]} workers"
-        )
-    w = 1.0 / sigma2s
-    aggregated_variance = float(1.0 / w.sum())
-    answers = (w @ values) * aggregated_variance
-    return answers, aggregated_variance
-
-
-def _weighted_columns_batch(Xb: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # Xb: (r, n, m); weights: (r, n)
-    return np.einsum("rn,rnm->rm", weights, Xb) / weights.sum(axis=1, keepdims=True)
-
-
-def _iterate_batch(Xb: np.ndarray, weight_rule, max_iterations: int, tol: float) -> np.ndarray:
-    t = Xb.mean(axis=1)
-    w_prev = None
-    for _ in range(max_iterations):
-        d = ((Xb - t[:, None, :]) ** 2).sum(axis=2) + DISTANCE_EPS
-        w = weight_rule(d)
-        if not np.all(np.isfinite(w)):
-            raise IterationDivergenceError("non-finite weight during iteration")
-        t = _weighted_columns_batch(Xb, w)
-        if w_prev is not None and np.max(np.abs(w - w_prev)) < tol:
-            break
-        w_prev = w
-    return t
+    answers, aggregated_variance = blue(X.values, validate_variances(sigma2s))
+    return answers, float(aggregated_variance)
 
 
 def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray) -> np.ndarray:
     """Run a baseline on a (replicates, n, m) stack, returning (replicates, m)."""
     Xb = np.asarray(Xb, dtype=float)
-    r, n, m = Xb.shape
-    if isinstance(alg, Blue):
-        sigma2s = np.asarray(alg.variances)
-        if sigma2s.shape[0] != n:
-            raise LengthMismatchError(f"{sigma2s.shape[0]} variances for {n} workers")
-        w = 1.0 / sigma2s
-        return np.einsum("n,rnm->rm", w, Xb) / w.sum()
-    if isinstance(alg, Mean):
-        return Xb.mean(axis=1)
-    if isinstance(alg, Median):
-        return np.median(Xb, axis=1)
-    if isinstance(alg, CRH):
-        def crh_weights(d):
-            return -np.log(d / d.sum(axis=1, keepdims=True))
-
-        return _iterate_batch(Xb, crh_weights, alg.max_iterations, alg.convergence_tol)
-    if isinstance(alg, CATD):
-        quantile = stats.chi2.ppf(alg.confidence, df=m)
-
-        def catd_weights(d):
-            return quantile / d
-
-        return _iterate_batch(Xb, catd_weights, alg.max_iterations, alg.convergence_tol)
-    if isinstance(alg, DistanceWeighted):
-        if n == 1:
-            return Xb[:, 0, :]
-        # d[r, i] = mean over other workers of the mean squared disagreement,
-        # via the Gram-matrix expansion to avoid an (r, n, n, m) intermediate.
-        rowsq = (Xb**2).sum(axis=2)
-        gram = Xb @ Xb.transpose(0, 2, 1)
-        pairsq = np.maximum(rowsq[:, :, None] + rowsq[:, None, :] - 2.0 * gram, 0.0)
-        d = pairsq.sum(axis=2) / ((n - 1) * m) + DISTANCE_EPS
-        return _weighted_columns_batch(Xb, 1.0 / d)
-    if isinstance(alg, External):
-        answers = np.asarray(alg.answers)
-        if answers.shape[0] != m:
-            raise LengthMismatchError(f"{answers.shape[0]} answers for {m} questions")
-        return np.broadcast_to(answers, (r, m)).copy()
-    raise TypeError(f"unknown algorithm {alg!r}")
+    if Xb.ndim != 3:
+        raise ValueError(f"expected a (replicates, n, m) stack, got shape {Xb.shape}")
+    return alg.aggregate(Xb)
 
 
 def run_td(alg: TdAlgorithm, X: ObservationMatrix) -> np.ndarray:

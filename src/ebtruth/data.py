@@ -2,13 +2,16 @@
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, role, index), so every generated artifact is bit-reproducible
-regardless of evaluation order or thread count.
+regardless of evaluation order or thread count.  Each spec draws with
+``draw(shape, rng)``: shape (m,) or (r, m) for truths, (n,) or (r, n) for
+worker variances, so one vector and a batch share the code.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,9 +19,12 @@ import numpy as np
 from .errors import (
     DuplicateGroundTruthError,
     EmptyMatrixError,
+    LengthMismatchError,
     NoGroundTruthError,
+    NonPositiveVarianceError,
     ParseError,
     RequestTooLargeError,
+    UnreachableFloorError,
 )
 from .model import ObservationMatrix, as_answer_vector, dispersion, validate_variances
 
@@ -31,7 +37,11 @@ ROLE_GT = 0
 ROLE_SIGMA = 1
 ROLE_OBS = 2
 ROLE_SUBSAMPLE = 3
-ROLE_REPLICATE = 4
+
+# GaussianSqSigmas: the least Normal mass above the floor, and the most redraw
+# rounds; at that mass a value stays low for all rounds with odds ~exp(-100).
+MIN_FLOOR_TAIL_MASS = 1e-3
+MAX_REDRAW_ROUNDS = 100_000
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -44,16 +54,25 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 class ConstantGT:
     value: float = 2.0
 
+    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        return np.full(shape, float(self.value))
+
 
 @dataclass(frozen=True)
 class GaussianGT:
     mean: float = 2.0
     variance: float = 1.0
 
+    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(self.mean, np.sqrt(self.variance), size=shape)
+
 
 @dataclass(frozen=True)
 class IndexedSigmas:
     """Worker i (1-based) has standard deviation i."""
+
+    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        return np.broadcast_to(np.arange(1, shape[-1] + 1, dtype=float) ** 2, shape).copy()
 
 
 @dataclass(frozen=True)
@@ -62,12 +81,45 @@ class GaussianSqSigmas:
 
     The Normal can go nonpositive, so draws below ``floor`` are replaced;
     redraws are counted and logged.  ``variance`` is the variance of the
-    Normal (not its standard deviation).
+    Normal (not its standard deviation).  A spec that leaves less than
+    MIN_FLOOR_TAIL_MASS of the Normal above the floor is rejected.
     """
 
     mean: float = 1.0
     variance: float = 0.5
     floor: float = 0.05
+
+    def __post_init__(self):
+        if self.variance < 0:
+            raise NonPositiveVarianceError(f"variance must be >= 0, got {self.variance}")
+        sd = math.sqrt(self.variance)
+        tail = (0.5 * math.erfc((self.floor - self.mean) / (sd * math.sqrt(2.0))) if sd > 0
+                else float(self.mean >= self.floor))
+        if not tail >= MIN_FLOOR_TAIL_MASS:
+            raise UnreachableFloorError(
+                f"N({self.mean:g}, {self.variance:g}) puts {tail:.3g} of its mass above "
+                f"the floor {self.floor:g}; at least {MIN_FLOOR_TAIL_MASS:g} is needed")
+
+    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        sd = np.sqrt(self.variance)
+        sig2 = rng.normal(self.mean, sd, size=shape)
+        flat = sig2.reshape(-1)
+        # redraw the low values in index order, as boolean-mask assignment would
+        low = np.flatnonzero(flat < self.floor)
+        redraws = rounds = 0
+        while low.size:
+            if rounds == MAX_REDRAW_ROUNDS:
+                raise UnreachableFloorError(
+                    f"{low.size} worker variances still below the floor {self.floor:g} "
+                    f"after {rounds} redraw rounds")
+            rounds += 1
+            redraws += low.size
+            fresh = rng.normal(self.mean, sd, size=low.size)
+            flat[low] = fresh
+            low = low[fresh < self.floor]
+        if redraws:
+            log.debug("redrew %d worker variances below floor %g", redraws, self.floor)
+        return sig2
 
 
 @dataclass(frozen=True)
@@ -78,6 +130,12 @@ class ExplicitSigmas:
         object.__setattr__(
             self, "variances", tuple(float(v) for v in validate_variances(variances))
         )
+
+    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        if len(self.variances) != shape[-1]:
+            raise LengthMismatchError(
+                f"{len(self.variances)} explicit variances for {shape[-1]} workers")
+        return np.broadcast_to(np.asarray(self.variances), shape).copy()
 
 
 GtSpec = ConstantGT | GaussianGT
@@ -107,38 +165,9 @@ class Dataset:
         if self.ground_truth is not None:
             gt = as_answer_vector(self.ground_truth)
             if gt.shape[0] != self.matrix.n_questions:
-                raise EmptyMatrixError("ground truth length != question count")
+                raise LengthMismatchError("ground truth length != question count")
             gt.setflags(write=False)
             object.__setattr__(self, "ground_truth", gt)
-
-
-def draw_ground_truth(gt: GtSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(gt, ConstantGT):
-        return np.full(m, float(gt.value))
-    if isinstance(gt, GaussianGT):
-        return rng.normal(gt.mean, np.sqrt(gt.variance), size=m)
-    raise TypeError(f"unknown ground-truth spec {gt!r}")
-
-
-def draw_worker_variances(spec: SigmaSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec, IndexedSigmas):
-        return np.arange(1, n + 1, dtype=float) ** 2
-    if isinstance(spec, ExplicitSigmas):
-        variances = np.asarray(spec.variances)
-        if variances.shape[0] != n:
-            raise EmptyMatrixError(f"{variances.shape[0]} explicit variances for {n} workers")
-        return variances.copy()
-    if isinstance(spec, GaussianSqSigmas):
-        sig2 = rng.normal(spec.mean, np.sqrt(spec.variance), size=n)
-        redraws = 0
-        while np.any(sig2 < spec.floor):
-            low = sig2 < spec.floor
-            redraws += int(low.sum())
-            sig2[low] = rng.normal(spec.mean, np.sqrt(spec.variance), size=int(low.sum()))
-        if redraws:
-            log.debug("redrew %d worker variances below floor %g", redraws, spec.floor)
-        return sig2
-    raise TypeError(f"unknown worker-sigma spec {spec!r}")
 
 
 def gen_synthetic(spec: SyntheticSpec, index: int = 0) -> Dataset:
@@ -147,8 +176,8 @@ def gen_synthetic(spec: SyntheticSpec, index: int = 0) -> Dataset:
     ``index`` addresses independent repetitions of the same spec (stream key
     component), used when a protocol draws many datasets from one config.
     """
-    mu = draw_ground_truth(spec.gt, spec.m, stream(spec.seed, ROLE_GT, index))
-    sig2 = draw_worker_variances(spec.worker_sigmas, spec.n, stream(spec.seed, ROLE_SIGMA, index))
+    mu = spec.gt.draw((spec.m,), stream(spec.seed, ROLE_GT, index))
+    sig2 = spec.worker_sigmas.draw((spec.n,), stream(spec.seed, ROLE_SIGMA, index))
     noise = stream(spec.seed, ROLE_OBS, index).normal(size=(spec.n, spec.m))
     values = mu[None, :] + noise * np.sqrt(sig2)[:, None]
     matrix = ObservationMatrix(values)
@@ -231,7 +260,7 @@ def subsample(ds: Dataset, n: int, m: int, seed: int, index: int = 0) -> Dataset
 def concat_questions(a: Dataset, b: Dataset) -> Dataset:
     """Join two datasets with the same workers along the question axis."""
     if a.matrix.n_workers != b.matrix.n_workers:
-        raise EmptyMatrixError("question concat requires equal worker counts")
+        raise LengthMismatchError("question concat requires equal worker counts")
     values = np.hstack([a.matrix.values, b.matrix.values])
     qids = [f"a{q}" for q in a.matrix.question_ids] + [f"b{q}" for q in b.matrix.question_ids]
     matrix = ObservationMatrix(values, a.matrix.worker_ids, qids)

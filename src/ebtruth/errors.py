@@ -52,6 +52,10 @@ class RequestTooLargeError(ValidationError):
     pass
 
 
+class UnreachableFloorError(ValidationError):
+    """A worker-variance spec whose floor the redraw loop cannot reach in time."""
+
+
 class NoGroundTruthError(ValidationError):
     pass
 

@@ -1,8 +1,9 @@
-"""Single-vector estimators: identity, shrink-toward-mean, Stein, Bayes posterior mean.
+"""Answer-vector estimators: identity, shrink-toward-mean, Stein, Bayes posterior mean.
 
 The shrink-toward-mean estimator pulls every coordinate of an answer vector
 toward the vector's own mean with a data-driven weight; its generalized form
-replaces the default (m-3) multiplier with an arbitrary alpha >= 0.
+replaces the default (m-3) multiplier with an arbitrary alpha >= 0.  Each
+works over the last axis: one answer vector or an (r, m) batch of them.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveVarianceError, ZeroNormInputError
-from .model import as_answer_vector
+from .errors import LengthMismatchError, NonPositiveVarianceError, ZeroNormInputError
+from .model import as_answer_vector, as_answers
 
 
 @dataclass(frozen=True)
@@ -22,66 +23,109 @@ class ShrinkageResult:
     ``shrink_factor`` is the bracketed weight 1 - alpha*sigma2/ss and may be
     negative unless the positive-part option clipped it.  ``degenerate`` marks
     the m <= 3 (identity) and ss = 0 (full shrink) fallback paths, where the
-    factor is not meaningful.
+    factor is not meaningful.  For an (r, m) batch both hold one entry per row.
     """
 
     estimate: np.ndarray
-    shrink_factor: float
-    degenerate: bool
+    shrink_factor: float | np.ndarray
+    degenerate: bool | np.ndarray
 
 
-def _check_sigma2(sigma2: float) -> float:
-    sigma2 = float(sigma2)
-    if sigma2 <= 0:
+def _check_sigma2(sigma2, v: np.ndarray) -> np.ndarray:
+    """Validated variances for v's rows (a scalar or one per row), shaped to broadcast."""
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if sigma2.ndim and sigma2.shape != v.shape[:-1]:
+        raise LengthMismatchError(f"{sigma2.shape} variances for answer rows {v.shape[:-1]}")
+    if (sigma2 <= 0).any():
         raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
-    return sigma2
+    return sigma2[..., None]
 
 
-def ebe_alpha(v, sigma2: float, alpha: float, positive_part: bool = False) -> ShrinkageResult:
+def _result(estimate, factor, degenerate) -> ShrinkageResult:
+    factor, degenerate = factor[..., 0], degenerate[..., 0]
+    if factor.ndim == 0:  # a single vector reports plain scalars
+        factor, degenerate = float(factor), bool(degenerate)
+    return ShrinkageResult(estimate=estimate, shrink_factor=factor, degenerate=degenerate)
+
+
+def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
+    """Shrink-toward-mean kernel over the last axis of a float array.
+
+    ``sigma2`` and ``alpha`` broadcast against (..., 1).  Returns the estimate
+    and the per-row weight and degenerate flag, both (..., 1).  For m <= 3
+    rows are returned unchanged (weight 1); a row with zero dispersion
+    collapses to its mean (weight 0).  The weight is clipped at zero only
+    with ``positive_part``: the risk identities hold for the unclipped form.
+
+    Numerical contract: a dispersion that float64 rounding has removed cannot
+    be restored.  [0, 0, 0, 1.56e-131] gets a weight near -1e262, but shifted
+    by 1 it is exactly [1, 1, 1, 1] and collapses to its mean, so shift
+    equivariance holds only where the shift keeps the spread.
+    """
+    m = v.shape[-1]
+    rows = v.shape[:-1] + (1,)
+    if m <= 3:
+        return v.copy(), np.ones(rows), np.ones(rows, dtype=bool)
+    mean = v.sum(axis=-1, keepdims=True) / m
+    dev = v - mean
+    ss = (dev**2).sum(axis=-1, keepdims=True)
+    flat = ss == 0.0
+    any_flat = flat.any()
+    factor = 1.0 - alpha * sigma2 / (np.where(flat, 1.0, ss) if any_flat else ss)
+    if positive_part:
+        factor = np.maximum(factor, 0.0)
+    estimate = mean + factor * dev
+    if any_flat:
+        estimate = np.where(flat, mean, estimate)
+        factor = np.where(flat, 0.0, factor)
+    return estimate, factor, flat
+
+
+def ebe_alpha(v, sigma2, alpha: float, positive_part: bool = False) -> ShrinkageResult:
     """Shrink v toward its mean with weight 1 - alpha*sigma2/ss.
 
-    For m <= 3 the estimator reduces to the identity (returned with
-    degenerate=True); a constant vector (ss = 0) is returned as-is, i.e. fully
-    shrunk to the shared mean.  The weight is not clipped at zero unless
-    ``positive_part`` is set: the risk identities hold for the unclipped form.
+    ``v`` is one answer vector or an (r, m) batch with one ``sigma2`` per
+    row.  For m <= 3 the estimator reduces to the identity (returned with
+    degenerate=True); a constant vector (ss = 0) is returned as-is, i.e.
+    fully shrunk to the shared mean.
     """
-    v = as_answer_vector(v)
-    sigma2 = _check_sigma2(sigma2)
+    v = as_answers(v)
     alpha = float(alpha)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    m = v.shape[0]
-    mean = v.mean()
-    dev = v - mean
-    ss = float((dev**2).sum())
-    if m <= 3:
-        return ShrinkageResult(estimate=v.copy(), shrink_factor=1.0, degenerate=True)
-    if ss == 0.0:
-        return ShrinkageResult(estimate=np.full(m, mean), shrink_factor=0.0, degenerate=True)
-    factor = 1.0 - alpha * sigma2 / ss
-    if positive_part:
-        factor = max(factor, 0.0)
-    return ShrinkageResult(estimate=mean + factor * dev, shrink_factor=factor, degenerate=False)
+    return _result(*_shrink(v, _check_sigma2(sigma2, v), alpha, positive_part))
 
 
-def ebe(v, sigma2: float, positive_part: bool = False) -> ShrinkageResult:
+def ebe(v, sigma2, positive_part: bool = False) -> ShrinkageResult:
     """Shrink-toward-mean with the default alpha = m - 3."""
-    v = as_answer_vector(v)
-    return ebe_alpha(v, sigma2, v.shape[0] - 3 if v.shape[0] > 3 else 0.0, positive_part)
+    v = as_answers(v)
+    return _result(*_shrink(v, _check_sigma2(sigma2, v), max(v.shape[-1] - 3, 0), positive_part))
 
 
-def stein(v, sigma2: float) -> ShrinkageResult:
-    """Shrink v toward the origin with weight 1 - (m-2)*sigma2/||v||^2."""
-    v = as_answer_vector(v)
-    sigma2 = _check_sigma2(sigma2)
-    m = v.shape[0]
+def shrink_batch(V, sigma2, alpha, positive_part: bool = False) -> np.ndarray:
+    """The shrink kernel on trusted (replicates, m) input, without validation.
+
+    ``sigma2`` and ``alpha`` are scalars or one value per row.
+    """
+    sigma2 = np.asarray(sigma2, dtype=float)[..., None]
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    return _shrink(np.asarray(V, dtype=float), sigma2, alpha, positive_part)[0]
+
+
+def stein(v, sigma2) -> ShrinkageResult:
+    """Shrink v (or each row of a batch) toward the origin with weight
+    1 - (m-2)*sigma2/||v||^2; identity for m <= 2, ZeroNormInputError on a zero row."""
+    v = as_answers(v)
+    sigma2 = _check_sigma2(sigma2, v)
+    m = v.shape[-1]
+    rows = v.shape[:-1] + (1,)
     if m <= 2:
-        return ShrinkageResult(estimate=v.copy(), shrink_factor=1.0, degenerate=True)
-    norm2 = float((v**2).sum())
-    if norm2 == 0.0:
+        return _result(v.copy(), np.ones(rows), np.ones(rows, dtype=bool))
+    norm2 = (v**2).sum(axis=-1, keepdims=True)
+    if not norm2.all():
         raise ZeroNormInputError("cannot shrink the zero vector toward the origin")
     factor = 1.0 - (m - 2) * sigma2 / norm2
-    return ShrinkageResult(estimate=factor * v, shrink_factor=factor, degenerate=False)
+    return _result(factor * v, factor, np.zeros(rows, dtype=bool))
 
 
 def identity(v) -> np.ndarray:
@@ -96,30 +140,9 @@ def bayes_posterior_mean(v, sigma2: float, mu0: float, sigma0_2: float) -> np.nd
     Bayes-risk-optimal estimator, used as a validation oracle.
     """
     v = as_answer_vector(v)
-    sigma2 = _check_sigma2(sigma2)
+    sigma2 = _check_sigma2(float(sigma2), v)
     sigma0_2 = float(sigma0_2)
     if sigma0_2 <= 0:
         raise NonPositiveVarianceError(f"sigma0_2 must be > 0, got {sigma0_2}")
     w = sigma0_2 / (sigma0_2 + sigma2)
     return w * v + (1.0 - w) * mu0
-
-
-def shrink_batch(V: np.ndarray, sigma2, alpha, positive_part: bool = False) -> np.ndarray:
-    """Vectorized shrink-toward-mean over a (replicates, m) batch.
-
-    ``sigma2`` and ``alpha`` broadcast per row.  Degenerate rules match the
-    scalar path: m <= 3 returns the input, ss = 0 rows collapse to their mean.
-    """
-    V = np.asarray(V, dtype=float)
-    m = V.shape[1]
-    if m <= 3:
-        return V.copy()
-    mean = V.mean(axis=1, keepdims=True)
-    dev = V - mean
-    ss = (dev**2).sum(axis=1, keepdims=True)
-    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (V.shape[0],)).reshape(-1, 1)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (V.shape[0],)).reshape(-1, 1)
-    factor = 1.0 - alpha * sigma2 / np.where(ss > 0, ss, 1.0)
-    if positive_part:
-        factor = np.maximum(factor, 0.0)
-    return np.where(ss > 0, mean + factor * dev, mean)

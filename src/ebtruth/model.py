@@ -31,21 +31,13 @@ class ObservationMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] == 0 or values.shape[1] == 0:
             raise EmptyMatrixError(f"expected a non-empty 2-D matrix, got shape {values.shape}")
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            raise NonFiniteError(int(bad[0, 0]), int(bad[0, 1]))
-        if self.worker_ids is None:
-            object.__setattr__(self, "worker_ids", tuple(range(values.shape[0])))
-        else:
-            object.__setattr__(self, "worker_ids", tuple(self.worker_ids))
-        if self.question_ids is None:
-            object.__setattr__(self, "question_ids", tuple(range(values.shape[1])))
-        else:
-            object.__setattr__(self, "question_ids", tuple(self.question_ids))
-        if len(self.worker_ids) != values.shape[0]:
-            raise LengthMismatchError("worker_ids length does not match row count")
-        if len(self.question_ids) != values.shape[1]:
-            raise LengthMismatchError("question_ids length does not match column count")
+        _check_finite(values)
+        for name, count in (("worker_ids", values.shape[0]), ("question_ids", values.shape[1])):
+            ids = getattr(self, name)
+            ids = tuple(range(count)) if ids is None else tuple(ids)
+            if len(ids) != count:
+                raise LengthMismatchError(f"{name} length {len(ids)} does not match {count}")
+            object.__setattr__(self, name, ids)
         values.setflags(write=False)
 
     @property
@@ -77,15 +69,29 @@ def validate_matrix(values, worker_ids=None, question_ids=None) -> ObservationMa
     return ObservationMatrix(np.asarray(values, dtype=float), worker_ids, question_ids)
 
 
+def _check_finite(values: np.ndarray) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        raise NonFiniteError(int(bad[0]) if values.ndim == 2 else 0, int(bad[-1]))
+
+
+def as_answers(values) -> np.ndarray:
+    """Coerce to finite answer vectors along the last axis: one (m,) vector
+    or an (r, m) batch of them."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise EmptyMatrixError(f"expected a non-empty vector or (r, m) batch, got shape {v.shape}")
+    _check_finite(v)
+    return v
+
+
 def as_answer_vector(values) -> np.ndarray:
     """Coerce to a finite 1-D float vector."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.shape[0] == 0:
+    if v.ndim != 1:
         raise EmptyMatrixError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    bad = np.argwhere(~np.isfinite(v))
-    if bad.size:
-        raise NonFiniteError(0, int(bad[0, 0]))
-    return v
+    return as_answers(v)
 
 
 def validate_variances(values) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The two aggregation pipelines and the optimal-alpha plug-in estimator."""
+"""The two aggregation pipelines, their wrap step, and the optimal-alpha plug-in."""
 
 from __future__ import annotations
 
@@ -22,29 +22,35 @@ def eb_blue(X: ObservationMatrix, sigma2s, positive_part: bool = False) -> np.nd
     return ebe(answers, aggregated_variance, positive_part=positive_part).estimate
 
 
+def shrink_aggregate(xa, sigma2_hat, alpha: float | None = None,
+                     positive_part: bool = False) -> np.ndarray:
+    """Aggregate in, shrunk aggregate out, for one aggregate or an (r, m)
+    batch with one ``sigma2_hat`` per row; alpha=None means m - 3.  A zero
+    variance estimate (legitimate on unanimous data) or alpha = 0 leaves the
+    aggregate unchanged rather than erroring."""
+    keep = np.asarray(sigma2_hat) == 0.0
+    if alpha == 0.0 or keep.all():
+        return xa
+    any_kept = keep.any()
+    if any_kept:
+        sigma2_hat = np.where(keep, 1.0, sigma2_hat)
+    shrunk = (ebe(xa, sigma2_hat, positive_part) if alpha is None
+              else ebe_alpha(xa, sigma2_hat, alpha, positive_part)).estimate
+    return np.where(keep[..., None], xa, shrunk) if any_kept else shrunk
+
+
 def eb_wrap(X: ObservationMatrix, base: TdAlgorithm, psi: VarianceEstimator,
             positive_part: bool = False) -> np.ndarray:
     """Estimated-competence pipeline: run the base algorithm, estimate the
-    aggregated variance with psi, then shrink.
-
-    A zero variance estimate (legitimate on unanimous data) leaves the base
-    output unchanged rather than erroring.
-    """
-    x_a = run_td(base, X)
-    sigma2_hat = psi_value(psi, X, x_a)
-    if sigma2_hat == 0.0:
-        return x_a
-    return ebe(x_a, sigma2_hat, positive_part=positive_part).estimate
+    aggregated variance with psi, then shrink."""
+    return eb_wrap_alpha(X, base, psi, None, positive_part)
 
 
 def eb_wrap_alpha(X: ObservationMatrix, base: TdAlgorithm, psi: VarianceEstimator,
-                  alpha: float, positive_part: bool = False) -> np.ndarray:
-    """eb_wrap with the (m-3) multiplier replaced by alpha."""
+                  alpha: float | None, positive_part: bool = False) -> np.ndarray:
+    """eb_wrap with the (m-3) multiplier replaced by alpha (None keeps m - 3)."""
     x_a = run_td(base, X)
-    sigma2_hat = psi_value(psi, X, x_a)
-    if sigma2_hat == 0.0 or alpha == 0.0:
-        return x_a
-    return ebe_alpha(x_a, sigma2_hat, alpha, positive_part=positive_part).estimate
+    return shrink_aggregate(x_a, psi_value(psi, X, x_a), alpha, positive_part)
 
 
 def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
@@ -56,6 +62,7 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     are taken around the truth).  The estimate is the ratio of the summed
     coordinate covariances to the mean of sigma-hat^4 over the squared
     deviation norm; the risk in alpha is a parabola maximized at that ratio.
+    Replicates with zero dispersion are left out.
     """
     aggregates = np.asarray(aggregates, dtype=float)
     sigma2_hats = np.asarray(sigma2_hats, dtype=float)
@@ -65,16 +72,15 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     r = aggregates.shape[0]
     if r < 30 or sigma2_hats.shape[0] != r:
         raise InsufficientReplicatesError(f"need >= 30 replicates, got {r}")
-    mean = aggregates.mean(axis=1, keepdims=True)
-    dev = aggregates - mean
+    dev = aggregates - aggregates.mean(axis=1, keepdims=True)
     ss = (dev**2).sum(axis=1)
     ok = ss > 0
     if not np.any(ok) or np.all(sigma2_hats == 0.0):
         raise InsufficientSignalError("no dispersion or identically zero variance estimates")
+    aggregates, sigma2_hats, dev, ss = aggregates[ok], sigma2_hats[ok], dev[ok], ss[ok]
     # E[(X_j - mu_j) g_j] is the covariance when the truth is known exactly.
-    numerator = ((aggregates - mu) * sigma2_hats[:, None] * dev
-                 / np.where(ok, ss, 1.0)[:, None]).sum(axis=1)[ok].mean()
-    denominator = (sigma2_hats**2 / ss)[ok].mean()
+    numerator = ((aggregates - mu) * sigma2_hats[:, None] * dev / ss[:, None]).sum(axis=1).mean()
+    denominator = (sigma2_hats**2 / ss).mean()
     if denominator == 0.0:
         raise InsufficientSignalError("zero denominator in alpha-star estimate")
     return float(numerator / denominator)

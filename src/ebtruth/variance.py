@@ -1,8 +1,10 @@
-"""Pluggable scalar variance estimators for the wrap-and-shrink pipeline.
+"""Pluggable variance estimators for the wrap-and-shrink pipeline.
 
-Each estimator maps (observations, aggregated answers) to a single
-sigma-hat^2 >= 0, and exposes a directional derivative with respect to a
-coordinate of the aggregated vector, which the risk-condition checks need.
+Each built-in estimator has one kernel, ``evaluate(values, xa)``, mapping
+observations (..., n, m) and aggregates (..., m) to a sigma-hat^2 >= 0 per
+aggregate, and its analytic ``gradient`` with respect to the aggregate, which
+the risk-condition checks need.  ``value(X, x_a)`` is the validated
+single-matrix entry, and all a custom estimator has to provide.
 """
 
 from __future__ import annotations
@@ -15,9 +17,40 @@ from .errors import LengthMismatchError, NonPositiveVarianceError
 from .model import ObservationMatrix, as_answer_vector, validate_variances
 
 
+class _DataIndependent:
+    """A constant value and a zero derivative, whatever the data."""
+
+    data_independent = True
+
+    def evaluate(self, values, xa: np.ndarray) -> np.ndarray:
+        return np.full(xa.shape[:-1], self.value(values, xa))
+
+    def gradient(self, values, xa: np.ndarray) -> np.ndarray:
+        return np.zeros_like(xa)
+
+
 @dataclass(frozen=True)
 class HeuristicH:
     """Average of per-worker variance proxies, using the aggregate as truth proxy."""
+
+    def evaluate(self, values: np.ndarray, xa: np.ndarray) -> np.ndarray:
+        n, m = values.shape[-2:]
+        return ((values - xa[..., None, :]) ** 2).sum(axis=(-2, -1)) / (n * (m - 1))
+
+    def gradient(self, values, xa: np.ndarray) -> np.ndarray:
+        # the raw matrix is held fixed: the derivative runs through the aggregate only
+        if values is None:
+            raise LengthMismatchError("the residual heuristic needs the observation matrix")
+        return 2.0 * (xa - values.mean(axis=-2)) / (xa.shape[-1] - 1)
+
+    def value(self, X: ObservationMatrix, x_a) -> float:
+        x_a = as_answer_vector(x_a)
+        m = X.n_questions
+        if x_a.shape[0] != m:
+            raise LengthMismatchError(f"aggregate length {x_a.shape[0]} != question count {m}")
+        if m < 2:
+            raise LengthMismatchError("psi_h needs at least 2 questions")
+        return float(self.evaluate(X.values, x_a))
 
 
 @dataclass(frozen=True)
@@ -30,9 +63,22 @@ class SampleScaled:
         if self.c < 0:
             raise ValueError(f"scale must be >= 0, got {self.c}")
 
+    def evaluate(self, values, xa: np.ndarray) -> np.ndarray:
+        dev = xa - xa.mean(axis=-1, keepdims=True)
+        return self.c * (dev**2).sum(axis=-1) / (xa.shape[-1] - 1)
+
+    def gradient(self, values, xa: np.ndarray) -> np.ndarray:
+        return 2.0 * self.c * (xa - xa.mean(axis=-1, keepdims=True)) / (xa.shape[-1] - 1)
+
+    def value(self, X, x_a) -> float:
+        x_a = as_answer_vector(x_a)
+        if x_a.shape[0] < 2:
+            raise LengthMismatchError("psi_s needs at least 2 entries")
+        return float(self.evaluate(None, x_a))
+
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_DataIndependent):
     """A fixed guess, independent of the data."""
 
     c: float
@@ -41,9 +87,12 @@ class Constant:
         if self.c < 0:
             raise NonPositiveVarianceError(f"constant guess must be >= 0, got {self.c}")
 
+    def value(self, X, x_a) -> float:
+        return float(self.c)
+
 
 @dataclass(frozen=True)
-class OracleReduced:
+class OracleReduced(_DataIndependent):
     """Per-worker variance guesses reduced to one aggregated-worker variance.
 
     The guesses are treated as constants, so the reduction is the reciprocal
@@ -55,31 +104,21 @@ class OracleReduced:
     def __init__(self, guesses):
         object.__setattr__(self, "guesses", tuple(float(g) for g in validate_variances(guesses)))
 
+    def value(self, X, x_a) -> float:
+        return oracle_reduce(self.guesses)
+
 
 VarianceEstimator = HeuristicH | SampleScaled | Constant | OracleReduced
 
 
 def psi_h(X: ObservationMatrix, x_a) -> float:
     """Per-worker squared residuals against the aggregate, averaged over workers."""
-    x_a = as_answer_vector(x_a)
-    values = X.values
-    n, m = values.shape
-    if x_a.shape[0] != m:
-        raise LengthMismatchError(f"aggregate length {x_a.shape[0]} != question count {m}")
-    if m < 2:
-        raise LengthMismatchError("psi_h needs at least 2 questions")
-    return float(((values - x_a) ** 2).sum() / (n * (m - 1)))
+    return HeuristicH().value(X, x_a)
 
 
 def psi_s(v, c: float) -> float:
     """c times the sample variance of v."""
-    v = as_answer_vector(v)
-    if c < 0:
-        raise ValueError(f"scale must be >= 0, got {c}")
-    m = v.shape[0]
-    if m < 2:
-        raise LengthMismatchError("psi_s needs at least 2 entries")
-    return float(c * ((v - v.mean()) ** 2).sum() / (m - 1))
+    return SampleScaled(c).value(None, v)
 
 
 def oracle_reduce(guesses) -> float:
@@ -89,47 +128,25 @@ def oracle_reduce(guesses) -> float:
 
 
 def psi_value(est: VarianceEstimator, X: ObservationMatrix, x_a) -> float:
-    """Evaluate the estimator on an observation matrix and its aggregate."""
-    if isinstance(est, HeuristicH):
-        return psi_h(X, x_a)
-    if isinstance(est, SampleScaled):
-        return psi_s(x_a, est.c)
-    if isinstance(est, Constant):
-        return est.c
-    if isinstance(est, OracleReduced):
-        return oracle_reduce(est.guesses)
-    return _custom_value(est, X, x_a)
-
-
-def _custom_value(est, X, x_a) -> float:
-    # Duck-typed extension point (used by tests for adversarial estimators).
-    value = est.value(X, x_a)
-    return float(value)
+    """Evaluate any estimator with a ``value(X, x_a)`` method on a matrix and its aggregate."""
+    return float(est.value(X, x_a))
 
 
 def psi_derivative(est: VarianceEstimator, v, j: int, X: ObservationMatrix | None = None) -> float:
     """d psi / d v_j, holding everything but coordinate j of the aggregate fixed.
 
-    Analytic where available; otherwise a central finite difference with a
-    step scaled to the coordinate magnitude (answer scales vary by orders of
-    magnitude across datasets).  For the residual-based heuristic the raw
-    matrix is held constant: the derivative is taken through the aggregate
-    only.
+    Analytic where the estimator has a ``gradient``; otherwise a central
+    finite difference with a step scaled to the coordinate magnitude (answer
+    scales vary by orders of magnitude across datasets).
     """
     v = as_answer_vector(v)
     m = v.shape[0]
     if not 0 <= j < m:
         raise IndexError(f"coordinate {j} out of range for length {m}")
-    if isinstance(est, (Constant, OracleReduced)):
-        return 0.0
-    if isinstance(est, SampleScaled):
-        return float(2.0 * est.c * (v[j] - v.mean()) / (m - 1))
-    if isinstance(est, HeuristicH):
-        if X is None:
-            raise LengthMismatchError("the residual heuristic needs the observation matrix")
-        column_mean = float(X.values[:, j].mean())
-        return float(2.0 * (v[j] - column_mean) / (m - 1))
-    return finite_difference(lambda u: psi_value(est, X, u), v, j)
+    gradient = getattr(est, "gradient", None)
+    if gradient is None:
+        return finite_difference(lambda u: psi_value(est, X, u), v, j)
+    return float(gradient(None if X is None else X.values, v)[j])
 
 
 def finite_difference(f, v, j: int, scale: float = 1e-5) -> float:

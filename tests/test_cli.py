@@ -1,9 +1,13 @@
 """CLI subcommands, exit codes, config handling, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ebtruth
 from ebtruth import ConstantGT, ExplicitSigmas, SyntheticSpec, gen_synthetic, save_csv
 from ebtruth.cli import (
     EXIT_ASSERTION,
@@ -152,3 +156,16 @@ class TestDeterminism:
                          "--out", str(out)]) == EXIT_OK
             blobs.append((out / "evaluate.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_unreachable_sigma_floor_exits_validation_promptly(tmp_path):
+    # a separate process, so that a regression to an endless redraw loop
+    # fails on the timeout instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ebtruth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ebtruth.cli", "conditions",
+         "--sigmas", "gaussian-sq:-5,0.01,0.05", "--sigma2", "1", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == EXIT_VALIDATION
+    assert "floor" in proc.stderr

@@ -12,16 +12,20 @@ from ebtruth import (
     GaussianGT,
     GaussianSqSigmas,
     IndexedSigmas,
+    LengthMismatchError,
     NoGroundTruthError,
     ParseError,
     RequestTooLargeError,
     SyntheticSpec,
+    UnreachableFloorError,
+    ValidationError,
     concat_questions,
     dispersion,
     gen_synthetic,
     load_csv,
     partition_questions,
     save_csv,
+    stream,
     subsample,
     validate_matrix,
 )
@@ -171,3 +175,35 @@ class TestPartition:
     def test_bucket_count_validated(self):
         with pytest.raises(ValueError):
             partition_questions(self._bimodal(), 0)
+
+
+def _ones_dataset(workers, questions, truth=None):
+    return Dataset(matrix=validate_matrix(np.ones((workers, questions))), ground_truth=truth)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _ones_dataset(2, 3, truth=[1.0, 2.0]),
+    lambda: gen_synthetic(_spec(worker_sigmas=ExplicitSigmas([1.0, 2.0]), n=3)),
+    lambda: concat_questions(_ones_dataset(2, 3), _ones_dataset(3, 3)),
+], ids=["ground-truth", "explicit-sigmas", "concat-questions"])
+def test_length_mismatches_raise_length_mismatch(make):
+    with pytest.raises(LengthMismatchError):
+        make()
+
+
+class TestSigmaFloor:
+    def test_unreachable_floor_rejected_at_construction(self):
+        with pytest.raises(UnreachableFloorError) as exc:
+            GaussianSqSigmas(-5.0, 0.01, 0.05)
+        assert isinstance(exc.value, ValidationError)
+
+    def test_redraw_rounds_are_capped(self, monkeypatch):
+        import ebtruth.data as data
+        spec = GaussianSqSigmas(0.0, 1.0, 1.0)  # about 16% of the mass above the floor
+        monkeypatch.setattr(data, "MAX_REDRAW_ROUNDS", 2)
+        with pytest.raises(UnreachableFloorError):
+            spec.draw((1000,), stream(0, 1, 0))
+
+    def test_reachable_floor_redraws_until_done(self):
+        sig2 = GaussianSqSigmas(0.0, 1.0, 1.0).draw((20, 50), stream(0, 1, 0))
+        assert sig2.shape == (20, 50) and np.all(sig2 >= 1.0)

