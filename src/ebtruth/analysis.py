@@ -1,8 +1,13 @@
 """Losses, Monte Carlo risk, the Improvement Ratio, and the risk-condition checks.
 
-Replicates are generated in fixed-size chunks, each from its own keyed
+Replicates are generated in chunks of ``CHUNK``, each from its own keyed
 counter-based stream, so every estimate is bit-reproducible from
-(seed, config) under any evaluation order.
+(seed, config) under any evaluation order.  ``CHUNK`` fixes the random
+streams; ``BLOCK_BYTES`` only bounds memory.  Each chunk's truths and worker
+variances are drawn first, (CHUNK, m) and (CHUNK, n), and its noise then
+follows from the same stream in blocks of at most ``BLOCK_BYTES``, built in
+place.  Splitting sequential draws changes no value, so the replicate tensor
+per worker thread stays bounded whatever n and m are.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import (
     LengthMismatchError,
     NonPositiveVarianceError,
 )
-from .estimators import shrink_batch, stein
+from .estimators import flat_rows, shrink_batch, stein
 from .pipelines import shrink_aggregate
 from .variance import VarianceEstimator
 
@@ -42,6 +47,9 @@ MEAN_SQUARED = "mean"
 # Chunk size is part of the algorithm definition (it fixes the RNG stream
 # layout), not a tuning knob.
 CHUNK = 20_000
+# Upper bound on one yielded (r, n, m) replicate block; it bounds memory and
+# changes no value.
+BLOCK_BYTES = 16 * 2**20
 
 REPLICATE_ROLE = 100  # stream role for Monte Carlo replicate chunks
 
@@ -98,8 +106,13 @@ class AwgGenerator:
     fresh_sigmas: bool = False
 
 
-def iter_replicates(gen: AwgGenerator, replicates: int, seed: int):
-    """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) chunks, deterministically."""
+def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool = False):
+    """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) blocks, deterministically.
+
+    A block holds at most ``BLOCK_BYTES`` of X (but at least one replicate),
+    or a whole chunk with ``whole_chunks``, for consumers whose result
+    depends on the batch they see.
+    """
     fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
     fixed_sig2 = (None if gen.fresh_sigmas
                   else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
@@ -110,9 +123,14 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int):
               else np.broadcast_to(fixed_mu, (r, gen.m)))
         sig2 = (gen.worker_sigmas.draw((r, gen.n), rng) if gen.fresh_sigmas
                 else np.broadcast_to(fixed_sig2, (r, gen.n)))
-        noise = rng.normal(size=(r, gen.n, gen.m))
-        X = mu[:, None, :] + noise * np.sqrt(sig2)[:, :, None]
-        yield X, mu, sig2
+        sd = np.sqrt(sig2)[:, :, None]
+        rows = r if whole_chunks else min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
+        for lo in range(0, r, rows):
+            hi = min(lo + rows, r)
+            X = rng.normal(size=(hi - lo, gen.n, gen.m))
+            X *= sd[lo:hi]
+            X += mu[lo:hi, None, :]
+            yield X, mu[lo:hi], sig2[lo:hi]
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +151,16 @@ def psi_derivative_dot_batch(psi: VarianceEstimator, Xb: np.ndarray,
 
 @dataclass(frozen=True)
 class Pipeline:
-    """A named map from replicate batches to estimate batches."""
+    """A named map from replicate batches to estimate batches.
+
+    ``batch_coupled`` marks a pipeline whose per-replicate answer depends on
+    the batch it runs in (the batch-wide stopping test of CRH and CATD); it
+    runs on whole chunks so that its numbers stay fixed.
+    """
 
     name: str
     fn: object  # callable (Xb, sig2b) -> (r, m)
+    batch_coupled: bool = False
 
     def __call__(self, Xb, sig2b):
         return self.fn(Xb, sig2b)
@@ -161,7 +185,8 @@ def pipeline_stein_blue() -> Pipeline:
 
 def pipeline_base(base: TdAlgorithm, name: str | None = None) -> Pipeline:
     return Pipeline(name or type(base).__name__.lower(),
-                    lambda Xb, sig2b: run_td_batch(base, Xb))
+                    lambda Xb, sig2b: run_td_batch(base, Xb),
+                    getattr(base, "batch_coupled", False))
 
 
 def pipeline_eb_wrap(base: TdAlgorithm, psi: VarianceEstimator,
@@ -171,7 +196,8 @@ def pipeline_eb_wrap(base: TdAlgorithm, psi: VarianceEstimator,
         xa = run_td_batch(base, Xb)
         return shrink_aggregate(xa, psi_batch(psi, Xb, xa), alpha, positive_part)
 
-    return Pipeline(name or f"eb_{type(base).__name__.lower()}", fn)
+    return Pipeline(name or f"eb_{type(base).__name__.lower()}", fn,
+                    getattr(base, "batch_coupled", False))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +228,8 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     pipelines = list(pipelines)
     losses = {p.name: np.empty(replicates) for p in pipelines}
     pos = 0
-    for X, mu, sig2 in iter_replicates(gen, replicates, seed):
+    coupled = any(p.batch_coupled for p in pipelines)
+    for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=coupled):
         r = X.shape[0]
         for p in pipelines:
             losses[p.name][pos:pos + r] = loss(p(X, sig2), mu, convention)
@@ -237,7 +264,8 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
     dots = np.empty(replicates)
     mus = np.empty((replicates, gen.m))
     pos = 0
-    for X, mu, sig2 in iter_replicates(gen, replicates, seed):
+    coupled = getattr(base, "batch_coupled", False)
+    for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=coupled):
         r = X.shape[0]
         xa = run_td_batch(base, X)
         aggregates[pos:pos + r] = xa
@@ -257,7 +285,7 @@ def _stream_parts(s: AggregateStream):
     """Squared deviation norms and the per-replicate covariance term."""
     dev = s.aggregates - s.aggregates.mean(axis=1, keepdims=True)
     ss = (dev**2).sum(axis=1)
-    if np.any(ss <= 0):
+    if flat_rows(s.aggregates).any() or np.any(ss == 0.0):
         raise InsufficientDataError("degenerate replicate with zero dispersion")
     return ss, ((s.aggregates - s.mu) * s.psis[:, None] * dev / ss[:, None]).sum(axis=1)
 

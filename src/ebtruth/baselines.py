@@ -93,6 +93,8 @@ class Median:
 class CRH:
     """Iterative log-ratio reweighting of per-worker squared deviations."""
 
+    batch_coupled = True  # the stopping test spans the whole batch
+
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
@@ -103,6 +105,8 @@ class CRH:
 @dataclass(frozen=True)
 class CATD:
     """Iterative reweighting by a chi-squared upper-confidence scaling."""
+
+    batch_coupled = True  # the stopping test spans the whole batch
 
     confidence: float = 0.975
     max_iterations: int = DEFAULT_MAX_ITERATIONS

@@ -22,8 +22,9 @@ class ShrinkageResult:
 
     ``shrink_factor`` is the bracketed weight 1 - alpha*sigma2/ss and may be
     negative unless the positive-part option clipped it.  ``degenerate`` marks
-    the m <= 3 (identity) and ss = 0 (full shrink) fallback paths, where the
-    factor is not meaningful.  For an (r, m) batch both hold one entry per row.
+    the m <= 3 (identity) path and the full-shrink path of a flat row or of
+    an overflowing alpha*sigma2/ss, where the factor is not meaningful.  For
+    an (r, m) batch both hold one entry per row.
     """
 
     estimate: np.ndarray
@@ -36,7 +37,7 @@ def _check_sigma2(sigma2, v: np.ndarray) -> np.ndarray:
     sigma2 = np.asarray(sigma2, dtype=float)
     if sigma2.ndim and sigma2.shape != v.shape[:-1]:
         raise LengthMismatchError(f"{sigma2.shape} variances for answer rows {v.shape[:-1]}")
-    if (sigma2 <= 0).any():
+    if np.count_nonzero(sigma2 <= 0):
         raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
     return sigma2[..., None]
 
@@ -48,19 +49,37 @@ def _result(estimate, factor, degenerate) -> ShrinkageResult:
     return ShrinkageResult(estimate=estimate, shrink_factor=factor, degenerate=degenerate)
 
 
+# Where ss > num * RATIO_GUARD, num / ss stays below a quarter of the largest
+# float64, so neither the weight nor weight * deviation can overflow.
+RATIO_GUARD = 4.0 / np.finfo(float).max
+
+
+def flat_rows(v: np.ndarray) -> np.ndarray:
+    """Rows whose values are all equal, as an (..., 1) mask.  The test is
+    exact: the rounded mean of a constant row can miss it by an ulp."""
+    return v.max(axis=-1, keepdims=True) == v.min(axis=-1, keepdims=True)
+
+
 def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
     """Shrink-toward-mean kernel over the last axis of a float array.
 
     ``sigma2`` and ``alpha`` broadcast against (..., 1).  Returns the estimate
     and the per-row weight and degenerate flag, both (..., 1).  For m <= 3
-    rows are returned unchanged (weight 1); a row with zero dispersion
-    collapses to its mean (weight 0).  The weight is clipped at zero only
-    with ``positive_part``: the risk identities hold for the unclipped form.
+    rows are returned unchanged (weight 1).  A flat row, all of whose values
+    are equal, is returned as it is (weight 0).  ``flat_rows`` tests this
+    exactly: a spurious ss near 1e-29 would give a weight near -1e29.  The
+    weight is clipped at zero only with ``positive_part``: the risk
+    identities hold for the unclipped form.
 
-    Numerical contract: a dispersion that float64 rounding has removed cannot
-    be restored.  [0, 0, 0, 1.56e-131] gets a weight near -1e262, but shifted
-    by 1 it is exactly [1, 1, 1, 1] and collapses to its mean, so shift
-    equivariance holds only where the shift keeps the spread.
+    Numerical contract: a finite row whose sum is finite never gets a
+    non-finite estimate.  Where alpha*sigma2/ss would pass a quarter of the
+    largest float64 (``RATIO_GUARD``: ss underflows to 0, or is as small as
+    for [0, 0, 0, 1e-160]) the row is treated as flat: it collapses to its
+    mean with weight 0 and is flagged degenerate.  A dispersion that float64
+    rounding has removed cannot be restored either: [0, 0, 0, 1.56e-131]
+    gets a weight near -1e262, but shifted by 1 it is exactly [1, 1, 1, 1]
+    and is returned as it is, so shift equivariance holds only where the
+    shift keeps the spread.
     """
     m = v.shape[-1]
     rows = v.shape[:-1] + (1,)
@@ -69,16 +88,19 @@ def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
     mean = v.sum(axis=-1, keepdims=True) / m
     dev = v - mean
     ss = (dev**2).sum(axis=-1, keepdims=True)
-    flat = ss == 0.0
-    any_flat = flat.any()
-    factor = 1.0 - alpha * sigma2 / (np.where(flat, 1.0, ss) if any_flat else ss)
+    num = alpha * sigma2
+    flat = flat_rows(v)
+    degenerate = flat | (ss <= num * RATIO_GUARD)
+    any_degenerate = np.count_nonzero(degenerate)
+    factor = 1.0 - num / (np.where(degenerate, 1.0, ss) if any_degenerate else ss)
+    if any_degenerate:
+        factor = np.where(degenerate, 0.0, factor)
     if positive_part:
         factor = np.maximum(factor, 0.0)
     estimate = mean + factor * dev
-    if any_flat:
-        estimate = np.where(flat, mean, estimate)
-        factor = np.where(flat, 0.0, factor)
-    return estimate, factor, flat
+    if any_degenerate:
+        estimate = np.where(flat, v, estimate)
+    return estimate, factor, degenerate
 
 
 def ebe_alpha(v, sigma2, alpha: float, positive_part: bool = False) -> ShrinkageResult:
@@ -86,8 +108,8 @@ def ebe_alpha(v, sigma2, alpha: float, positive_part: bool = False) -> Shrinkage
 
     ``v`` is one answer vector or an (r, m) batch with one ``sigma2`` per
     row.  For m <= 3 the estimator reduces to the identity (returned with
-    degenerate=True); a constant vector (ss = 0) is returned as-is, i.e.
-    fully shrunk to the shared mean.
+    degenerate=True); a constant vector is returned as-is, i.e. fully shrunk
+    to its shared value.
     """
     v = as_answers(v)
     alpha = float(alpha)
@@ -114,7 +136,12 @@ def shrink_batch(V, sigma2, alpha, positive_part: bool = False) -> np.ndarray:
 
 def stein(v, sigma2) -> ShrinkageResult:
     """Shrink v (or each row of a batch) toward the origin with weight
-    1 - (m-2)*sigma2/||v||^2; identity for m <= 2, ZeroNormInputError on a zero row."""
+    1 - (m-2)*sigma2/||v||^2; identity for m <= 2.
+
+    A row for which (m-2)*sigma2/||v||^2 would pass a quarter of the largest
+    float64 is treated like the zero vector, by the rule of ``_shrink``'s
+    numerical contract, and ZeroNormInputError is raised.
+    """
     v = as_answers(v)
     sigma2 = _check_sigma2(sigma2, v)
     m = v.shape[-1]
@@ -122,9 +149,11 @@ def stein(v, sigma2) -> ShrinkageResult:
     if m <= 2:
         return _result(v.copy(), np.ones(rows), np.ones(rows, dtype=bool))
     norm2 = (v**2).sum(axis=-1, keepdims=True)
-    if not norm2.all():
-        raise ZeroNormInputError("cannot shrink the zero vector toward the origin")
-    factor = 1.0 - (m - 2) * sigma2 / norm2
+    num = (m - 2) * sigma2
+    if np.count_nonzero(norm2 <= num * RATIO_GUARD):
+        raise ZeroNormInputError("cannot shrink a vector of (numerically) zero norm "
+                                 "toward the origin")
+    factor = 1.0 - num / norm2
     return _result(factor * v, factor, np.zeros(rows, dtype=bool))
 
 

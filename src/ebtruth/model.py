@@ -71,7 +71,7 @@ def validate_matrix(values, worker_ids=None, question_ids=None) -> ObservationMa
 
 def _check_finite(values: np.ndarray) -> None:
     finite = np.isfinite(values)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         bad = np.argwhere(~finite)[0]
         raise NonFiniteError(int(bad[0]) if values.ndim == 2 else 0, int(bad[-1]))
 
@@ -97,7 +97,7 @@ def as_answer_vector(values) -> np.ndarray:
 def validate_variances(values) -> np.ndarray:
     """Coerce to a strictly positive 1-D variance vector."""
     v = as_answer_vector(values)
-    if np.any(v <= 0):
+    if np.count_nonzero(v <= 0):
         raise NonPositiveVarianceError("all variances must be > 0")
     return v
 

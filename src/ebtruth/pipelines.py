@@ -6,7 +6,7 @@ import numpy as np
 
 from .baselines import TdAlgorithm, blue_aggregate, run_td
 from .errors import InsufficientReplicatesError, InsufficientSignalError
-from .estimators import ebe, ebe_alpha
+from .estimators import ebe, ebe_alpha, flat_rows
 from .model import ObservationMatrix
 from .variance import VarianceEstimator, psi_value
 
@@ -29,14 +29,14 @@ def shrink_aggregate(xa, sigma2_hat, alpha: float | None = None,
     variance estimate (legitimate on unanimous data) or alpha = 0 leaves the
     aggregate unchanged rather than erroring."""
     keep = np.asarray(sigma2_hat) == 0.0
-    if alpha == 0.0 or keep.all():
+    kept = np.count_nonzero(keep)
+    if alpha == 0.0 or kept == keep.size:
         return xa
-    any_kept = keep.any()
-    if any_kept:
+    if kept:
         sigma2_hat = np.where(keep, 1.0, sigma2_hat)
     shrunk = (ebe(xa, sigma2_hat, positive_part) if alpha is None
               else ebe_alpha(xa, sigma2_hat, alpha, positive_part)).estimate
-    return np.where(keep[..., None], xa, shrunk) if any_kept else shrunk
+    return np.where(keep[..., None], xa, shrunk) if kept else shrunk
 
 
 def eb_wrap(X: ObservationMatrix, base: TdAlgorithm, psi: VarianceEstimator,
@@ -62,7 +62,8 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     are taken around the truth).  The estimate is the ratio of the summed
     coordinate covariances to the mean of sigma-hat^4 over the squared
     deviation norm; the risk in alpha is a parabola maximized at that ratio.
-    Replicates with zero dispersion are left out.
+    Replicates with zero dispersion (flat, or whose ss underflows) are left
+    out.
     """
     aggregates = np.asarray(aggregates, dtype=float)
     sigma2_hats = np.asarray(sigma2_hats, dtype=float)
@@ -74,7 +75,7 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
         raise InsufficientReplicatesError(f"need >= 30 replicates, got {r}")
     dev = aggregates - aggregates.mean(axis=1, keepdims=True)
     ss = (dev**2).sum(axis=1)
-    ok = ss > 0
+    ok = ~flat_rows(aggregates)[:, 0] & (ss > 0)
     if not np.any(ok) or np.all(sigma2_hats == 0.0):
         raise InsufficientSignalError("no dispersion or identically zero variance estimates")
     aggregates, sigma2_hats, dev, ss = aggregates[ok], sigma2_hats[ok], dev[ok], ss[ok]

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from ebtruth import (
+    CATD,
+    CRH,
     AwgGenerator,
     Constant,
     ConstantGT,
     ExplicitSigmas,
     GaussianGT,
+    GaussianSqSigmas,
     HeuristicH,
     InsufficientDataError,
     InsufficientReplicatesError,
@@ -29,14 +32,19 @@ from ebtruth import (
     pipeline_base,
     pipeline_blue,
     pipeline_eb_blue,
+    pipeline_eb_wrap,
+    run_td_batch,
     sample_aggregate_stream,
+    stream,
     SyntheticSpec,
     improvement_condition,
     risk_decomposition,
     write_reports_csv,
     write_reports_jsonl,
 )
-from ebtruth.analysis import report_record
+from ebtruth import analysis
+from ebtruth.analysis import AggregateStream, psi_batch, report_record
+from ebtruth.data import ROLE_GT, ROLE_SIGMA
 
 
 class TestLoss:
@@ -84,6 +92,80 @@ class TestMcRisk:
             mc_risk(_gen(), [pipeline_blue()], 1, seed=0)
 
 
+def _reference_chunks(gen, replicates, seed):
+    """The single-chunk formula: each chunk's tensor built in one expression."""
+    fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
+    fixed_sig2 = (None if gen.fresh_sigmas
+                  else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
+    for index, start in enumerate(range(0, replicates, analysis.CHUNK)):
+        r = min(analysis.CHUNK, replicates - start)
+        rng = stream(seed, analysis.REPLICATE_ROLE, index)
+        mu = (gen.gt.draw((r, gen.m), rng) if gen.fresh_gt
+              else np.broadcast_to(fixed_mu, (r, gen.m)))
+        sig2 = (gen.worker_sigmas.draw((r, gen.n), rng) if gen.fresh_sigmas
+                else np.broadcast_to(fixed_sig2, (r, gen.n)))
+        noise = rng.normal(size=(r, gen.n, gen.m))
+        yield mu[:, None, :] + noise * np.sqrt(sig2)[:, :, None], mu, sig2
+
+
+# mean 0.5 and floor 0.4 send about 46 % of the worker variances to a redraw
+REDRAWN = GaussianSqSigmas(0.5, 1.0, 0.4)
+
+
+class TestReplicateBlocks:
+    """Blocks split each chunk's draws without changing a value."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(analysis, "CHUNK", 50)
+
+    @pytest.mark.parametrize("fresh_gt", [False, True])
+    @pytest.mark.parametrize("fresh_sigmas", [False, True])
+    def test_blocks_concatenate_to_the_single_chunk_formula(self, monkeypatch, fresh_gt,
+                                                            fresh_sigmas):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7,
+                           fresh_gt=fresh_gt, fresh_sigmas=fresh_sigmas)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
+        blocks = list(analysis.iter_replicates(gen, 130, seed=4))
+        assert [b[0].shape[0] for b in blocks] == [16, 16, 16, 2] * 2 + [16, 14]
+        want = list(_reference_chunks(gen, 130, seed=4))
+        for got, ref in zip(zip(*blocks), zip(*want)):
+            assert np.array_equal(np.concatenate(got), np.concatenate(ref))
+
+    @pytest.mark.parametrize("budget", [1000, 10])
+    def test_no_block_exceeds_the_budget(self, monkeypatch, budget):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=True)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+        one_replicate = 8 * 3 * 7
+        sizes = [X.nbytes for X, _, _ in analysis.iter_replicates(gen, 120, seed=1)]
+        assert sum(sizes) == 120 * one_replicate
+        assert max(sizes) <= max(budget, one_replicate)
+        whole = [X.shape[0] for X, _, _ in
+                 analysis.iter_replicates(gen, 120, seed=1, whole_chunks=True)]
+        assert whole == [50, 50, 20]
+
+    def test_batch_coupled_bases_still_see_whole_chunks(self, monkeypatch):
+        # at n=10, m=50, CRH run one replicate at a time stops at other
+        # iterations than on the whole chunk and moves by about 4e-9
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=10, m=50,
+                           fresh_gt=True, fresh_sigmas=True)
+        monkeypatch.setattr(analysis, "CHUNK", 100)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 1)
+        pipelines = [pipeline_base(CRH()), pipeline_eb_wrap(CATD(), HeuristicH())]
+        assert all(p.batch_coupled for p in pipelines)
+        assert not pipeline_blue().batch_coupled
+        chunks = list(_reference_chunks(gen, 200, seed=11))
+        res = mc_risk(gen, pipelines, 200, seed=11)
+        for p in pipelines:
+            want = np.concatenate([loss(p(X, sig2), mu) for X, mu, sig2 in chunks])
+            assert np.array_equal(res.losses[p.name], want)
+        s = sample_aggregate_stream(gen, CRH(), HeuristicH(), 200, seed=11)
+        xas = [run_td_batch(CRH(), X) for X, _, _ in chunks]
+        assert np.array_equal(s.aggregates, np.concatenate(xas))
+        assert np.array_equal(s.psis, np.concatenate(
+            [psi_batch(HeuristicH(), X, xa) for (X, _, _), xa in zip(chunks, xas)]))
+
+
 class TestConditions:
     def _stream(self, psi, m=10, sigma2=1.0, reps=30_000):
         gen = _gen(m=m, worker_sigmas=ExplicitSigmas([sigma2]))
@@ -99,6 +181,15 @@ class TestConditions:
     def test_small_m_rejected(self):
         with pytest.raises(InsufficientDataError):
             improvement_condition(self._stream(Constant(1.0), m=3, reps=100))
+
+    def test_flat_replicate_rejected_exactly(self):
+        # the rounded mean misses this constant row by an ulp, so ss ~ 1.9e-29
+        aggregates = np.arange(24.0).reshape(4, 6)
+        aggregates[2] = 13.691350663375637
+        s = AggregateStream(aggregates=aggregates, psis=np.ones(4), derivative_dots=np.zeros(4),
+                            mu=np.zeros((4, 6)), seed=0)
+        with pytest.raises(InsufficientDataError):
+            improvement_condition(s)
 
     def test_decomposition_agrees_for_scaled_sample_variance(self):
         d = risk_decomposition(self._stream(SampleScaled(0.5)), sigma2=1.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ebtruth import (
     NonPositiveVarianceError,
@@ -67,6 +67,7 @@ class TestShrinkTowardMean:
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=4, max_size=20),
            st.floats(min_value=-50, max_value=50),
            st.floats(min_value=0.01, max_value=10))
+    @example(xs=[0.0] * 5, shift=13.691350663375637, sigma2=1.0)
     def test_translation_equivariance(self, xs, shift, sigma2):
         from hypothesis import assume
         res = ebe(xs, sigma2)

@@ -16,6 +16,7 @@ from ebtruth import (
     SampleScaled,
     ZeroNormInputError,
     blue_aggregate,
+    eb_blue,
     ebe,
     ebe_alpha,
     estimate_alpha_star,
@@ -124,20 +125,50 @@ def test_shrink_degenerate_rows_flagged_per_row():
     assert np.array_equal(res.estimate[3], V[3])
 
 
+# a constant row whose rounded mean misses it by an ulp (ss ~ 1.6e-29 at m = 5)
+ULP_CONSTANT = 13.691350663375637
+# a finite row for which alpha*sigma2/ss overflows (ss ~ 7.5e-321)
+TINY_SPREAD = [0.0, 0.0, 0.0, 1e-160]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_stein_blue_rejects_a_zero_norm_row_like_stein():
+def test_flat_and_overflowing_rows_collapse_on_every_path():
+    rows = np.array([np.full(4, ULP_CONSTANT), TINY_SPREAD, [1.0, 2.0, 4.0, 8.0]])
+    want = np.array([rows[0], np.full(4, 1e-160 / 4), ebe(rows[2], 1.0).estimate])
+    for row, expected in zip(rows, want):
+        res = ebe(row, 1.0)
+        assert np.array_equal(res.estimate, expected)
+    res = ebe(rows, 1.0)
+    assert np.array_equal(res.estimate, want)
+    assert res.degenerate.tolist() == [True, True, False]
+    assert res.shrink_factor[:2].tolist() == [0.0, 0.0]
+    assert np.array_equal(shrink_batch(rows, 1.0, 1.0, True), want)
+    assert np.array_equal(ebe(np.full(5, ULP_CONSTANT), 1.0).estimate, np.full(5, ULP_CONSTANT))
+    for row in rows[:2]:
+        out = eb_blue(validate_matrix(np.tile(row, (3, 1))), [1.0, 1.0, 1.0])
+        assert np.isfinite(out).all() and out.max() == out.min()
+        assert out[0] == pytest.approx(row.mean(), rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", [np.zeros(9), np.r_[1e-160, 2e-160, 0.0, 1e-160, np.zeros(5)]],
+                         ids=["zero", "norm-underflow"])
+def test_stein_blue_rejects_a_zero_norm_row_like_stein(row):
     Xb = XB.copy()
-    Xb[4] = 0.0
+    Xb[4] = row
     with pytest.raises(ZeroNormInputError):
         pipeline_stein_blue()(Xb, SIG2B)
     with pytest.raises(ZeroNormInputError):
-        stein(np.zeros(5), 1.0)
+        stein(row, 1.0)
+    with pytest.raises(ZeroNormInputError):
+        stein(np.vstack([V[0], row]), 1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_alpha_star_leaves_out_flat_replicates_without_warning():
+@pytest.mark.parametrize("value", [2.0, ULP_CONSTANT])
+def test_alpha_star_leaves_out_flat_replicates_without_warning(value):
     aggregates = RNG.normal(size=(40, 6))
-    aggregates[[5, 17]] = 2.0
+    aggregates[[5, 17]] = value
     sigma2_hats = RNG.uniform(0.5, 1.5, size=40)
     keep = np.ones(40, dtype=bool)
     keep[[5, 17]] = False
