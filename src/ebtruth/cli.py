@@ -290,7 +290,12 @@ def cmd_evaluate(args) -> int:
             print(f"{label} base={base_name} IR={res.improvement_ratio:.6f}")
     os.makedirs(cfg["out"], exist_ok=True)
     out_path = os.path.join(cfg["out"], "evaluate.csv")
-    _write_csv(out_path, _config_header(cfg), records)
+    # the data is named by its content, not by the directory it was read
+    # from, so the same data gives the same report bytes wherever it lives
+    with open(cfg["data"], "rb") as fh:
+        data_sha256 = hashlib.sha256(fh.read()).hexdigest()
+    header_cfg = dict(cfg, data=os.path.basename(cfg["data"]), data_sha256=data_sha256)
+    _write_csv(out_path, _config_header(header_cfg), records)
     print(f"wrote {out_path} ({len(records)} rows)")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from ebtruth import (
     DistanceWeighted,
     EmptyMatrixError,
     External,
+    IterationDivergenceError,
     LengthMismatchError,
     Mean,
     Median,
@@ -21,6 +22,7 @@ from ebtruth import (
     run_td_batch,
     validate_matrix,
 )
+from ebtruth import baselines
 
 TABLE = [[20.0, 2.0, 3.0, 4.0], [10.0, 11.0, 18.0, 14.0],
          [8.0, 11.0, 23.0, 19.0], [6.0, 13.0, 7.0, 3.0]]
@@ -121,6 +123,66 @@ class TestIterativeBaselines:
     def test_single_worker_distance_weighted_is_identity(self):
         X = validate_matrix([[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(run_td(DistanceWeighted(), X), [1.0, 2.0, 3.0])
+
+
+def _unblocked_iterate(Xb, alg):
+    # The CRH/CATD loop over the whole batch at once, as it ran before the
+    # row blocks; returns the truths and the number of iterations run.
+    if isinstance(alg, CRH):
+        def weight_rule(d):
+            return -np.log(d / d.sum(axis=1, keepdims=True))
+    else:
+        q = stats.chi2.ppf(alg.confidence, df=Xb.shape[2])
+
+        def weight_rule(d):
+            return q / d
+    t = Xb.mean(axis=1)
+    w_prev = None
+    for iteration in range(alg.max_iterations):
+        d = ((Xb - t[:, None, :]) ** 2).sum(axis=2) + 1e-12
+        w = weight_rule(d)
+        t = np.einsum("...n,...nm->...m", w, Xb) / w.sum(axis=-1, keepdims=True)
+        if w_prev is not None and np.max(np.abs(w - w_prev)) < alg.convergence_tol:
+            return t, iteration + 1
+        w_prev = w
+    return t, alg.max_iterations
+
+
+class TestRowBlocks:
+    """CRH and CATD iterate in row blocks; the values must not notice."""
+
+    @pytest.mark.parametrize("alg", [CRH(), CATD()], ids=["crh", "catd"])
+    @pytest.mark.parametrize("replicates,block_rows", [(1, 1), (10, 3), (10, 4), (10, 10)])
+    def test_bit_parity_with_the_unblocked_loop(self, alg, replicates, block_rows,
+                                                monkeypatch):
+        rng = np.random.default_rng(8)
+        Xb = rng.normal(2.0, 1.0, size=(replicates, 5, 8))
+        Xb *= rng.uniform(0.5, 2.0, size=(replicates, 5, 1))
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", block_rows * Xb[0].nbytes)
+        expected, _ = _unblocked_iterate(Xb, alg)
+        assert np.array_equal(run_td_batch(alg, Xb), expected)
+
+    @pytest.mark.parametrize("alg", [CRH(max_iterations=200),
+                                     CATD(max_iterations=200, convergence_tol=1e-2)],
+                             ids=["crh", "catd"])
+    def test_batch_wide_stop_before_the_iteration_cap(self, alg, monkeypatch):
+        # rows converge at different iterations, so a block that stopped on
+        # its own weights would return different values
+        rng = np.random.default_rng(13)
+        Xb = rng.normal(size=(10, 5, 8)) * rng.uniform(0.5, 2.0, size=(10, 5, 1))
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 3 * Xb[0].nbytes)
+        expected, iterations = _unblocked_iterate(Xb, alg)
+        assert iterations < alg.max_iterations
+        assert np.array_equal(run_td_batch(alg, Xb), expected)
+
+    @pytest.mark.parametrize("alg", [CRH(), CATD()], ids=["crh", "catd"])
+    def test_divergence_in_the_last_block_raises(self, alg, monkeypatch):
+        rng = np.random.default_rng(9)
+        Xb = rng.normal(size=(10, 4, 6))
+        Xb[-1] *= 1e200
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 3 * Xb[0].nbytes)
+        with np.errstate(all="ignore"), pytest.raises(IterationDivergenceError):
+            run_td_batch(alg, Xb)
 
 
 class TestInvariances:

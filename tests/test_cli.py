@@ -157,6 +157,31 @@ class TestDeterminism:
             blobs.append((out / "evaluate.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_evaluate_header_names_the_data_by_content(self, tmp_path, dataset_csv):
+        def report(csv_path, out):
+            assert main(["evaluate", "--data", str(csv_path), "--bases", "mean",
+                         "--n", "4", "--m", "20", "--samples", "20",
+                         "--out", str(out)]) == EXIT_OK
+            return (out / "evaluate.csv").read_text()
+
+        text = open(dataset_csv, encoding="utf-8").read()
+        copies = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            copies.append(tmp_path / name / "ds.csv")
+            copies[-1].write_text(text, encoding="utf-8")
+        first = report(copies[0], tmp_path / "out_a")
+        assert report(copies[1], tmp_path / "out_b") == first
+        assert str(tmp_path) not in first
+
+        lines = text.splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[1] = repr(float(cells[1]) + 1.0)
+        lines[1] = ",".join(cells)
+        copies[1].write_text("".join(lines), encoding="utf-8")
+        changed = report(copies[1], tmp_path / "out_c")
+        assert changed.splitlines()[:2] != first.splitlines()[:2]
+
 
 def test_unreachable_sigma_floor_exits_validation_promptly(tmp_path):
     # a separate process, so that a regression to an endless redraw loop
