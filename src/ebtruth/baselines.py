@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     EmptyMatrixError,
@@ -61,8 +60,10 @@ def _iterate_batch(Xb: np.ndarray, weight_rule, alg) -> np.ndarray:
     block, so the block size changes no value.
     """
     r, n, m = Xb.shape
+    if r == 0:
+        return np.empty((0, m))
     rows = max(1, ITERATION_BLOCK_BYTES // max(1, Xb.itemsize * n * m))
-    blocks = [Xb[lo:lo + rows] for lo in range(0, r, rows)] or [Xb]
+    blocks = [Xb[lo:lo + rows] for lo in range(0, r, rows)]
     t = [Xk.mean(axis=1) for Xk in blocks]
     w_prev = [None] * len(blocks)
     for i in range(alg.max_iterations):
@@ -122,6 +123,10 @@ class CRH:
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
     def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        if Xb.shape[1] == 1:
+            # a lone worker's log-ratio weight is -log(1) = 0, which would
+            # leave 0/0 truths; its answers are the aggregate
+            return Xb[:, 0, :]
         return _iterate_batch(Xb, lambda d: -np.log(d / d.sum(axis=1, keepdims=True)), self)
 
 
@@ -142,7 +147,11 @@ class CATD:
 
 @functools.lru_cache(maxsize=256)
 def _chi2_quantile(confidence: float, df: int) -> float:
-    return stats.chi2.ppf(confidence, df=df)
+    # the expression scipy.stats.chi2.ppf evaluates, without importing
+    # scipy.stats (about a second and 70 MiB at start-up)
+    from scipy.special import gammaincinv
+
+    return 2.0 * gammaincinv(df / 2, confidence)
 
 
 @dataclass(frozen=True)
@@ -189,10 +198,17 @@ def blue_aggregate(X: ObservationMatrix, sigma2s) -> tuple[np.ndarray, float]:
 
 
 def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray) -> np.ndarray:
-    """Run a baseline on a (replicates, n, m) stack, returning (replicates, m)."""
+    """Run a baseline on a (replicates, n, m) stack, returning (replicates, m).
+
+    An empty batch (replicates = 0) gives an empty (0, m) result; no workers
+    or no questions (n = 0 or m = 0) raise ``EmptyMatrixError``, as an
+    ``ObservationMatrix`` does.
+    """
     Xb = np.asarray(Xb, dtype=float)
     if Xb.ndim != 3:
         raise ValueError(f"expected a (replicates, n, m) stack, got shape {Xb.shape}")
+    if Xb.shape[1] == 0 or Xb.shape[2] == 0:
+        raise EmptyMatrixError(f"expected workers and questions, got shape {Xb.shape}")
     return alg.aggregate(Xb)
 
 

@@ -247,9 +247,13 @@ def cmd_simulate(args) -> int:
         gen = AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
         # one independent seed per cell keeps results thread-order-free
         cells.append((gen, int(cfg["replicates"]), int(cfg["seed"]) * 100_003 + ci, convention))
+    # Largest cells (by n·m) start first, so the longest one does not run
+    # alone at the end (Graham's longest-processing-time-first rule); the
+    # sort is stable, and the rows go back into grid order before writing.
+    order = sorted(range(len(cells)), key=lambda ci: -cells[ci][0].n * cells[ci][0].m)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        per_cell = list(pool.map(_simulate_cell, cells))
-    records = [row for rows in per_cell for row in rows]
+        per_cell = dict(zip(order, pool.map(_simulate_cell, [cells[ci] for ci in order])))
+    records = [row for ci in range(len(cells)) for row in per_cell[ci]]
     os.makedirs(cfg["out"], exist_ok=True)
     out_path = os.path.join(cfg["out"], "simulate.csv")
     _write_csv(out_path, _config_header(cfg), records)

@@ -22,7 +22,9 @@ from ebtruth import (
     run_td_batch,
     validate_matrix,
 )
+from ebtruth import Constant, eb_wrap
 from ebtruth import baselines
+from ebtruth.baselines import _chi2_quantile
 
 TABLE = [[20.0, 2.0, 3.0, 4.0], [10.0, 11.0, 18.0, 14.0],
          [8.0, 11.0, 23.0, 19.0], [6.0, 13.0, 7.0, 3.0]]
@@ -123,6 +125,61 @@ class TestIterativeBaselines:
     def test_single_worker_distance_weighted_is_identity(self):
         X = validate_matrix([[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(run_td(DistanceWeighted(), X), [1.0, 2.0, 3.0])
+
+    def test_single_worker_crh_returns_the_worker(self):
+        # the lone worker's log-ratio weight is 0; the 1-D, batch and
+        # eb_wrap paths must all return its answers, not diverge on 0/0
+        row = [1.0, 2.0, 5.0, -3.0, 0.5, 4.0]
+        X = validate_matrix([row])
+        np.testing.assert_array_equal(run_td(CRH(), X), row)
+        Xb = np.random.default_rng(2).normal(size=(4, 1, 3))
+        np.testing.assert_array_equal(run_td_batch(CRH(), Xb), Xb[:, 0, :])
+        wrapped = eb_wrap(X, CRH(), Constant(1.0))
+        np.testing.assert_array_equal(wrapped, eb_wrap(X, Mean(), Constant(1.0)))
+        assert not np.array_equal(wrapped, row)
+
+
+ALL_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted(), Blue([1.0, 2.0]),
+             External([1.0, 2.0, 3.0])]
+BASE_IDS = ["mean", "median", "crh", "catd", "distance", "blue", "external"]
+
+
+class TestEmptyStacks:
+    @pytest.mark.parametrize("alg", ALL_BASES, ids=BASE_IDS)
+    def test_empty_batch_gives_an_empty_result(self, alg):
+        out = run_td_batch(alg, np.zeros((0, 2, 3)))
+        assert out.shape == (0, 3)
+
+    @pytest.mark.parametrize("alg", ALL_BASES, ids=BASE_IDS)
+    @pytest.mark.parametrize("shape", [(3, 0, 3), (3, 2, 0)], ids=["no-workers", "no-questions"])
+    def test_no_workers_or_questions_is_an_empty_matrix(self, alg, shape):
+        with pytest.raises(EmptyMatrixError):
+            run_td_batch(alg, np.zeros(shape))
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestChi2Quantile:
+    """CATD's quantile is computed without scipy.stats; it must equal it."""
+
+    def test_equals_scipy_stats_on_the_working_range(self):
+        for confidence in (0.5, 0.95, 0.975, 0.99):
+            for df in range(1, 2001):
+                assert _chi2_quantile(confidence, df) == stats.chi2.ppf(confidence, df=df), \
+                    (confidence, df)
+
+    @pytest.mark.parametrize("df", [1, 2, 7, 50, 2000])
+    def test_equals_scipy_stats_at_the_edges(self, df):
+        for confidence in (0.0, 1.0, 1e-300, 1 - 1e-16, -0.5, 1.5, float("nan")):
+            assert _same(_chi2_quantile(confidence, df), stats.chi2.ppf(confidence, df=df)), \
+                (confidence, df)
+
+    def test_zero_degrees_of_freedom_is_nan_in_both(self):
+        for confidence in (0.5, 0.95, 0.975, 0.99):
+            assert np.isnan(_chi2_quantile(confidence, 0))
+            assert np.isnan(stats.chi2.ppf(confidence, df=0))
 
 
 def _unblocked_iterate(Xb, alg):

@@ -147,6 +147,17 @@ class TestDeterminism:
             outs.append((out / "simulate.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_byte_identical_across_threads_when_largest_first_reorders(self, tmp_path):
+        # longest-first order here is (8,100), (8,5), (1,100), (1,5)
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"out{threads}"
+            assert main(["simulate", "--replicates", "300", "--n-grid", "1,8",
+                         "--m-grid", "5,100", "--seed", "4", "--out", str(out),
+                         "--threads", threads]) == EXIT_OK
+            outs.append((out / "simulate.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
     def test_evaluate_reruns_identical(self, tmp_path, dataset_csv):
         blobs = []
         for i in range(2):
@@ -181,6 +192,48 @@ class TestDeterminism:
         copies[1].write_text("".join(lines), encoding="utf-8")
         changed = report(copies[1], tmp_path / "out_c")
         assert changed.splitlines()[:2] != first.splitlines()[:2]
+
+
+def test_simulate_starts_the_largest_cells_first(tmp_path, monkeypatch):
+    import ebtruth.cli as cli
+    started = []
+    simulate_cell = cli._simulate_cell
+
+    def recording(cell):
+        started.append((cell[0].n, cell[0].m))
+        return simulate_cell(cell)
+
+    monkeypatch.setattr(cli, "_simulate_cell", recording)
+    out = tmp_path / "out"
+    assert main(["simulate", "--replicates", "200", "--n-grid", "1,2,4",
+                 "--m-grid", "5,25,10", "--out", str(out), "--threads", "1"]) == EXIT_OK
+    grid = [(n, m) for n in (1, 2, 4) for m in (5, 25, 10)]
+    # descending n·m; the tie (2, 5) / (1, 10) keeps grid order
+    assert started == sorted(grid, key=lambda c: -c[0] * c[1])
+    assert started[:3] == [(4, 25), (2, 25), (4, 10)]
+    rows = (out / "simulate.csv").read_text().splitlines()[3:]
+    cells = [tuple(int(v) for v in row.split(",")[:2]) for row in rows]
+    assert cells[::4] == grid
+
+
+def test_simulate_and_conditions_do_not_load_scipy_stats(tmp_path):
+    # a fresh interpreter, since the test process itself imports scipy.stats
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ebtruth.__file__)))
+    script = f"""
+import sys
+import ebtruth
+from ebtruth.cli import main
+assert main(["simulate", "--replicates", "200", "--n-grid", "1,2", "--m-grid", "5",
+             "--out", {str(tmp_path / "s")!r}]) == 0
+assert main(["conditions", "--base", "crh", "--psi", "h", "--n", "4", "--m", "10",
+             "--sigmas", "gaussian-sq", "--sigma2", "0.1", "--replicates", "500",
+             "--out", {str(tmp_path / "c")!r}]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_unreachable_sigma_floor_exits_validation_promptly(tmp_path):
