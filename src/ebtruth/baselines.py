@@ -148,7 +148,8 @@ class CATD:
 @functools.lru_cache(maxsize=256)
 def _chi2_quantile(confidence: float, df: int) -> float:
     # the expression scipy.stats.chi2.ppf evaluates, without importing
-    # scipy.stats (about a second and 70 MiB at start-up)
+    # scipy.stats, whose import costs more time and memory than the rest
+    # of the package together
     from scipy.special import gammaincinv
 
     return 2.0 * gammaincinv(df / 2, confidence)
