@@ -18,6 +18,7 @@ from .analysis import (
     RiskReport,
     SUM_SQUARED,
     bayes_risk_gap,
+    estimate_alpha_star,
     sufficient_conditions,
     improvement_ratio,
     loss,
@@ -101,7 +102,7 @@ from .model import (
     validate_matrix,
     validate_variances,
 )
-from .pipelines import eb_blue, eb_wrap, eb_wrap_alpha, estimate_alpha_star, shrink_aggregate
+from .pipelines import eb_blue, eb_wrap, eb_wrap_alpha, shrink_aggregate
 from .variance import (
     Constant,
     HeuristicH,

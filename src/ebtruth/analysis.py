@@ -1,4 +1,5 @@
-"""Losses, Monte Carlo risk, the Improvement Ratio, and the risk-condition checks.
+"""Losses, Monte Carlo risk, the Improvement Ratio, the risk-condition checks
+and the optimal-alpha plug-in.
 
 Replicates are generated in chunks of ``CHUNK``, each from its own keyed
 counter-based stream, so every estimate is bit-reproducible from
@@ -34,6 +35,7 @@ from .data import (
 from .errors import (
     InsufficientDataError,
     InsufficientReplicatesError,
+    InsufficientSignalError,
     LengthMismatchError,
     NonPositiveVarianceError,
 )
@@ -281,13 +283,63 @@ def _std_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / np.sqrt(x.shape[0]))
 
 
-def _stream_parts(s: AggregateStream):
-    """Squared deviation norms and the per-replicate covariance term."""
-    dev = s.aggregates - s.aggregates.mean(axis=1, keepdims=True)
+def stein_gap_terms(aggregates: np.ndarray, psis: np.ndarray, mu: np.ndarray):
+    """Per-replicate terms of the Stein gap between a base and its wrap.
+
+    ``aggregates`` and ``mu`` are (R, m) (``np.broadcast_to`` serves a truth
+    fixed across replicates) and ``psis`` is (R,).  Returns the mask of rows
+    with dispersion (a flat row, or one whose squared deviation norm ss
+    underflows to 0, has none) and, on those rows only, ss, the covariance
+    term sum_j (x_j - mu_j) psi (x_j - mean) / ss and the quadratic term
+    psi^2 / ss.
+    """
+    dev = aggregates - aggregates.mean(axis=1, keepdims=True)
     ss = (dev**2).sum(axis=1)
-    if flat_rows(s.aggregates).any() or np.any(ss == 0.0):
+    ok = ~flat_rows(aggregates)[:, 0] & (ss > 0)
+    if not ok.all():
+        aggregates, mu, dev, ss, psis = aggregates[ok], mu[ok], dev[ok], ss[ok], psis[ok]
+    cov = ((aggregates - mu) * psis[:, None] * dev / ss[:, None]).sum(axis=1)
+    return ok, ss, cov, psis**2 / ss
+
+
+def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
+                        mu: np.ndarray) -> float:
+    """Plug-in estimate of the risk-minimizing alpha from a replicate stream.
+
+    ``aggregates`` is (replicates, m), ``sigma2_hats`` is (replicates,), and
+    ``mu`` the known ground truth (synthetic benchmarks only: the covariances
+    are taken around the truth).  The estimate is the mean covariance term
+    over the mean quadratic term of ``stein_gap_terms``; the risk in alpha is
+    a parabola maximized at that ratio.  Replicates with zero dispersion
+    (flat, or whose ss underflows) are left out.
+    """
+    aggregates = np.asarray(aggregates, dtype=float)
+    sigma2_hats = np.asarray(sigma2_hats, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    if aggregates.ndim != 2 or aggregates.shape[1] != mu.shape[0]:
+        raise InsufficientReplicatesError("aggregates must be (replicates, m) matching mu")
+    r = aggregates.shape[0]
+    if r < 30 or sigma2_hats.shape[0] != r:
+        raise InsufficientReplicatesError(f"need >= 30 replicates, got {r}")
+    ok, _, cov, quad = stein_gap_terms(aggregates, sigma2_hats,
+                                       np.broadcast_to(mu, aggregates.shape))
+    if not np.any(ok) or quad.mean() == 0.0:
+        raise InsufficientSignalError("no dispersion or zero variance estimates")
+    return float(cov.mean() / quad.mean())
+
+
+def _stream_terms(s: AggregateStream):
+    """ss, covariance and quadratic terms of a stream all of whose replicates
+    have dispersion, and the s^2-normalised plug-ins psi^2/s^2, psi/s^2 and
+    dot/((m-3) s^2), with s^2 = ss/(m-1).  The checks need m > 3."""
+    m = s.aggregates.shape[1]
+    if m <= 3:
+        raise InsufficientDataError("condition needs m > 3")
+    ok, ss, cov, quad = stein_gap_terms(s.aggregates, s.psis, s.mu)
+    if not ok.all():
         raise InsufficientDataError("degenerate replicate with zero dispersion")
-    return ss, ((s.aggregates - s.mu) * s.psis[:, None] * dev / ss[:, None]).sum(axis=1)
+    s2 = ss / (m - 1)
+    return ss, cov, quad, (s.psis**2 / s2, s.psis / s2, s.derivative_dots / ((m - 3) * s2))
 
 
 def improvement_condition(s: AggregateStream) -> ConditionReport:
@@ -295,12 +347,8 @@ def improvement_condition(s: AggregateStream) -> ConditionReport:
     must outweigh the quadratic term.  The per-replicate statistic equals the
     paired loss difference base-minus-wrapped, so the sign doubles as a risk
     comparison."""
-    m = s.aggregates.shape[1]
-    if m <= 3:
-        raise InsufficientDataError("condition needs m > 3")
-    ss, cov_term = _stream_parts(s)
-    alpha = m - 3
-    quad_term = s.psis**2 / ss
+    _, cov_term, quad_term, _ = _stream_terms(s)
+    alpha = s.aggregates.shape[1] - 3
     t = 2 * alpha * cov_term - alpha**2 * quad_term
     se = _std_error(t)
     lhs = float(t.mean())
@@ -318,16 +366,12 @@ def risk_decomposition(s: AggregateStream, sigma2: float) -> dict:
     """
     if sigma2 <= 0:
         raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
+    ss, cov_term, _, (e_psi2, e_psi, e_dot) = _stream_terms(s)
     m = s.aggregates.shape[1]
-    ss, cov_term = _stream_parts(s)
     alpha = m - 3
-    s2 = ss / (m - 1)
     # paired per-replicate gap via the exact algebraic expansion of the loss
     lhs_r = -2 * alpha * cov_term + alpha**2 * s.psis**2 / ss
-    rhs_r = (alpha**2 / (m - 1)) * (
-        s.psis**2 / s2
-        - 2 * sigma2 * (s.psis / s2 + s.derivative_dots / (alpha * s2))
-    )
+    rhs_r = (alpha**2 / (m - 1)) * (e_psi2 - 2 * sigma2 * (e_psi + e_dot))
     resid = lhs_r - rhs_r
     se = _std_error(resid)
     return {
@@ -347,14 +391,8 @@ def sufficient_conditions(s: AggregateStream, sigma2: float, psi: VarianceEstima
     The deviation-bound conditions take eps/delta/bound as declared properties
     of the supplied estimator and check the closed-form brackets.
     """
-    m = s.aggregates.shape[1]
-    ss, _ = _stream_parts(s)
-    s2 = ss / (m - 1)
+    _, _, _, (e_psi2, e_psi, e_dot) = _stream_terms(s)
     reports = []
-
-    e_psi2 = s.psis**2 / s2
-    e_psi = s.psis / s2
-    e_dot = s.derivative_dots / ((m - 3) * s2)
 
     se = _std_error
     denom6 = float(e_psi.mean() + e_dot.mean())

@@ -19,6 +19,7 @@ from .errors import (
     IterationDivergenceError,
     LengthMismatchError,
     ParseError,
+    ValidationError,
 )
 from .model import ObservationMatrix, as_answer_vector, validate_variances
 
@@ -140,6 +141,10 @@ class CATD:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
+    def __post_init__(self):
+        if not 0 < self.confidence < 1:
+            raise ValidationError(f"confidence must be in (0, 1), got {self.confidence}")
+
     def aggregate(self, Xb: np.ndarray) -> np.ndarray:
         quantile = _chi2_quantile(self.confidence, Xb.shape[2])
         return _iterate_batch(Xb, lambda d: quantile / d, self)
@@ -232,6 +237,8 @@ def load_external_answers(path) -> External:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 1:
+                raise ParseError(lineno, f"expected 1 field, got {len(row)}")
             try:
                 answers.append(float(row[0]))
             except ValueError:

@@ -1,12 +1,11 @@
-"""The two aggregation pipelines, their wrap step, and the optimal-alpha plug-in."""
+"""The two aggregation pipelines and their wrap step."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .baselines import TdAlgorithm, blue_aggregate, run_td
-from .errors import InsufficientReplicatesError, InsufficientSignalError
-from .estimators import ebe, ebe_alpha, flat_rows
+from .estimators import ebe, ebe_alpha
 from .model import ObservationMatrix
 from .variance import VarianceEstimator, psi_value
 
@@ -51,37 +50,3 @@ def eb_wrap_alpha(X: ObservationMatrix, base: TdAlgorithm, psi: VarianceEstimato
     """eb_wrap with the (m-3) multiplier replaced by alpha (None keeps m - 3)."""
     x_a = run_td(base, X)
     return shrink_aggregate(x_a, psi_value(psi, X, x_a), alpha, positive_part)
-
-
-def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
-                        mu: np.ndarray) -> float:
-    """Plug-in estimate of the risk-minimizing alpha from a replicate stream.
-
-    ``aggregates`` is (replicates, m), ``sigma2_hats`` is (replicates,), and
-    ``mu`` the known ground truth (synthetic benchmarks only: the covariances
-    are taken around the truth).  The estimate is the ratio of the summed
-    coordinate covariances to the mean of sigma-hat^4 over the squared
-    deviation norm; the risk in alpha is a parabola maximized at that ratio.
-    Replicates with zero dispersion (flat, or whose ss underflows) are left
-    out.
-    """
-    aggregates = np.asarray(aggregates, dtype=float)
-    sigma2_hats = np.asarray(sigma2_hats, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if aggregates.ndim != 2 or aggregates.shape[1] != mu.shape[0]:
-        raise InsufficientReplicatesError("aggregates must be (replicates, m) matching mu")
-    r = aggregates.shape[0]
-    if r < 30 or sigma2_hats.shape[0] != r:
-        raise InsufficientReplicatesError(f"need >= 30 replicates, got {r}")
-    dev = aggregates - aggregates.mean(axis=1, keepdims=True)
-    ss = (dev**2).sum(axis=1)
-    ok = ~flat_rows(aggregates)[:, 0] & (ss > 0)
-    if not np.any(ok) or np.all(sigma2_hats == 0.0):
-        raise InsufficientSignalError("no dispersion or identically zero variance estimates")
-    aggregates, sigma2_hats, dev, ss = aggregates[ok], sigma2_hats[ok], dev[ok], ss[ok]
-    # E[(X_j - mu_j) g_j] is the covariance when the truth is known exactly.
-    numerator = ((aggregates - mu) * sigma2_hats[:, None] * dev / ss[:, None]).sum(axis=1).mean()
-    denominator = (sigma2_hats**2 / ss).mean()
-    if denominator == 0.0:
-        raise InsufficientSignalError("zero denominator in alpha-star estimate")
-    return float(numerator / denominator)

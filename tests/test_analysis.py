@@ -24,6 +24,7 @@ from ebtruth import (
     SampleScaled,
     SUM_SQUARED,
     bayes_risk_gap,
+    estimate_alpha_star,
     sufficient_conditions,
     gen_synthetic,
     improvement_ratio,
@@ -178,9 +179,16 @@ class TestConditions:
         assert good.satisfied and good.lhs > 3 * good.std_errors[0]
         assert not bad.satisfied and bad.lhs < -3 * bad.std_errors[0]
 
-    def test_small_m_rejected(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("check", [
+        improvement_condition,
+        lambda s: risk_decomposition(s, sigma2=1.0),
+        lambda s: sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0)),
+    ], ids=["improvement_condition", "risk_decomposition", "sufficient_conditions"])
+    def test_small_m_rejected(self, check, m):
         with pytest.raises(InsufficientDataError):
-            improvement_condition(self._stream(Constant(1.0), m=3, reps=100))
+            check(self._stream(Constant(1.0), m=m, reps=100))
 
     def test_flat_replicate_rejected_exactly(self):
         # the rounded mean misses this constant row by an ulp, so ss ~ 1.9e-29
@@ -190,6 +198,16 @@ class TestConditions:
                             mu=np.zeros((4, 6)), seed=0)
         with pytest.raises(InsufficientDataError):
             improvement_condition(s)
+
+    def test_alpha_star_golden(self):
+        # frozen from the release before the Stein-gap terms were shared; row 7
+        # is a constant whose rounded mean misses it by an ulp, and is left out
+        gen = _gen(gt=GaussianGT(2.0, 1.0))
+        s = sample_aggregate_stream(gen, Mean(), SampleScaled(0.5), 500, seed=9)
+        assert estimate_alpha_star(s.aggregates, s.psis, s.mu[0]) == 13.783151951119889
+        aggregates = s.aggregates.copy()
+        aggregates[7] = 13.691350663375637
+        assert estimate_alpha_star(aggregates, s.psis, s.mu[0]) == 13.777388688501187
 
     def test_decomposition_agrees_for_scaled_sample_variance(self):
         d = risk_decomposition(self._stream(SampleScaled(0.5)), sigma2=1.0)

@@ -16,6 +16,7 @@ from ebtruth import (
     Mean,
     Median,
     ParseError,
+    ValidationError,
     blue_aggregate,
     load_external_answers,
     run_td,
@@ -108,6 +109,11 @@ class TestIterativeBaselines:
 
         ref = _reference_iterative(X, catd_w)
         np.testing.assert_allclose(run_td(CATD(), validate_matrix(X)), ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_catd_rejects_a_confidence_outside_the_open_unit_interval(self, confidence):
+        with pytest.raises(ValidationError):
+            CATD(confidence=confidence)
 
     def test_distance_weighted_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -283,6 +289,13 @@ class TestExternalFile:
         with pytest.raises(ParseError) as exc:
             load_external_answers(p)
         assert exc.value.line == 3
+
+    def test_extra_field_with_line_number(self, tmp_path):
+        p = tmp_path / "bad3.csv"
+        p.write_text("answer\n1.0,junk\n2.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_external_answers(p)
+        assert exc.value.line == 2
 
     def test_empty(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -194,6 +194,42 @@ class TestDeterminism:
         assert changed.splitlines()[:2] != first.splitlines()[:2]
 
 
+# (lhs, rhs, std_errors) of every conditions.jsonl record at --replicates 2000,
+# frozen from the release before the Stein-gap terms were shared.  The seeds
+# are ones at which rewriting alpha**2 * psi**2 / ss as alpha**2 * (psi**2 / ss)
+# in risk_decomposition moves a last digit.
+CONDITIONS_GOLDENS = {
+    "crh_h": (["--base", "crh", "--psi", "h", "--n", "4", "--m", "10",
+               "--sigmas", "gaussian-sq", "--sigma2", "0.1", "--seed", "4"], {
+        "improvement_condition": (-12.481225455927987, 0.0, [0.46150974858129545]),
+        "general_ratio_condition": (1.132674080386452, 0.2, [
+            0.09357527540210982, 0.06554304088311412, 0.0011857883364870883]),
+        "mean_adjusted_ratio_condition": (1.1415527621779025, 0.2, [
+            0.09357527540210982, 0.06554304088311412]),
+        "risk_decomposition": (12.481225455927985, 22.68075661863746, [0.09475429052352073]),
+    }),
+    "s_eps_delta_bound": (["--psi", "s:0.5", "--m", "20", "--eps", "0.5", "--delta", "0.5",
+                           "--bound", "0.1", "--seed", "1"], {
+        "improvement_condition": (13.318172170259242, 0.0, [0.09804637351493754]),
+        "general_ratio_condition": (0.45146346339861837, 2.0, [
+            0.001857309169275985, 0.0, 2.5710792752817545e-19]),
+        "mean_adjusted_ratio_condition": (0.5045768120337499, 2.0, [
+            0.001857309169275985, 0.0]),
+        "probabilistic_bound_cap": (0.1, 1.0, []),
+        "probabilistic_eps_bracket": (0.5, 0.21359436211786553, []),
+        "risk_decomposition": (-13.31817217025924, -13.162560561111746, [0.126297023510767]),
+    }),
+}
+
+
+@pytest.mark.parametrize("config", CONDITIONS_GOLDENS)
+def test_conditions_records_match_goldens(tmp_path, config):
+    flags, goldens = CONDITIONS_GOLDENS[config]
+    out = tmp_path / "out"
+    assert main(["conditions", *flags, "--replicates", "2000", "--out", str(out)]) == EXIT_OK
+    records = [json.loads(l) for l in (out / "conditions.jsonl").read_text().splitlines()]
+    assert {r["name"]: (r["lhs"], r["rhs"], r["std_errors"]) for r in records} == goldens
+
 def test_simulate_starts_the_largest_cells_first(tmp_path, monkeypatch):
     import ebtruth.cli as cli
     started = []
