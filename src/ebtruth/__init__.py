@@ -21,6 +21,7 @@ from .analysis import (
     estimate_alpha_star,
     sufficient_conditions,
     improvement_ratio,
+    improvement_ratios,
     loss,
     mc_risk,
     pipeline_base,
@@ -66,6 +67,7 @@ from .data import (
     save_csv,
     stream,
     subsample,
+    subsample_indices,
 )
 from .errors import (
     DuplicateGroundTruthError,

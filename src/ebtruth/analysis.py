@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -30,9 +29,10 @@ from .data import (
     SyntheticSpec,
     gen_synthetic,
     stream,
-    subsample,
+    subsample_indices,
 )
 from .errors import (
+    EmptyMatrixError,
     InsufficientDataError,
     InsufficientReplicatesError,
     InsufficientSignalError,
@@ -464,33 +464,60 @@ def improvement_ratio(source, base: TdAlgorithm, psi: VarianceEstimator,
     per-worker variance proxy the unclipped weight can turn negative on
     many-worker aggregates and the overshoot swamps the comparison.
     """
+    return improvement_ratios(source, [base], psi, n, m, samples, seed, alpha, positive_part)[0]
+
+
+def improvement_ratios(source, bases, psi: VarianceEstimator, n: int, m: int,
+                       samples: int = 1000, seed: int = 0, alpha: float | None = None,
+                       positive_part: bool = True) -> list[IrResult]:
+    """``improvement_ratio`` of each base in turn, all scored on one sample batch.
+
+    The batch depends on (source, n, m, samples, seed) only, so each result
+    equals that base's own ``improvement_ratio``.
+    """
     if samples < 1:
         raise InsufficientDataError(f"need >= 1 samples, got {samples}")
-    Xb = np.empty((samples, n, m))
-    mub = np.empty((samples, m))
-    if isinstance(source, Dataset):
-        if source.ground_truth is None:
-            raise InsufficientDataError("improvement ratio needs ground truth")
-        if n > source.matrix.n_workers or m > source.matrix.n_questions:
-            raise InsufficientDataError(
-                f"cannot draw {n}x{m} samples from a "
-                f"{source.matrix.n_workers}x{source.matrix.n_questions} dataset")
-        draw = partial(subsample, source, n, m, seed)
-    else:
-        draw = partial(gen_synthetic,
-                       SyntheticSpec(gt=source[0], worker_sigmas=source[1], n=n, m=m, seed=seed))
+    if n < 1 or m < 1:
+        raise EmptyMatrixError(f"n and m must be >= 1, got n={n}, m={m}")
+    Xb, mub = _sample_batch(source, n, m, samples, seed)
+
+    def score(base) -> IrResult:
+        xa = run_td_batch(base, Xb)
+        eb = shrink_aggregate(xa, psi_batch(psi, Xb, xa), alpha, positive_part)
+        base_risk = float(loss(xa, mub).mean())
+        eb_risk = float(loss(eb, mub).mean())
+        if base_risk == 0.0:
+            raise InsufficientDataError("base risk is zero; ratio undefined")
+        return IrResult(improvement_ratio=eb_risk / base_risk, base_risk=base_risk,
+                        eb_risk=eb_risk, samples=samples, seed=seed)
+
+    # one call per base, so one base's aggregates are freed before the next runs
+    return [score(base) for base in bases]
+
+
+def _sample_batch(source, n: int, m: int, samples: int, seed: int):
+    """The (samples, n, m) observations and (samples, m) truths of sample
+    indices 0..samples-1: subsamples of a Dataset, or synthetic draws."""
+    if not isinstance(source, Dataset):
+        spec = SyntheticSpec(gt=source[0], worker_sigmas=source[1], n=n, m=m, seed=seed)
+        Xb = np.empty((samples, n, m))
+        mub = np.empty((samples, m))
+        for i in range(samples):
+            ds = gen_synthetic(spec, index=i)
+            Xb[i] = ds.matrix.values
+            mub[i] = ds.ground_truth
+        return Xb, mub
+    if source.ground_truth is None:
+        raise InsufficientDataError("improvement ratio needs ground truth")
+    rows, cols = source.matrix.values.shape
+    if n > rows or m > cols:
+        raise InsufficientDataError(f"cannot draw {n}x{m} samples from a {rows}x{cols} dataset")
+    # the source is already validated, so every sample is one gather from it
+    ri = np.empty((samples, n), dtype=np.intp)
+    ci = np.empty((samples, m), dtype=np.intp)
     for i in range(samples):
-        ds = draw(index=i)
-        Xb[i] = ds.matrix.values
-        mub[i] = ds.ground_truth
-    xa = run_td_batch(base, Xb)
-    eb = shrink_aggregate(xa, psi_batch(psi, Xb, xa), alpha, positive_part)
-    base_risk = float(loss(xa, mub).mean())
-    eb_risk = float(loss(eb, mub).mean())
-    if base_risk == 0.0:
-        raise InsufficientDataError("base risk is zero; ratio undefined")
-    return IrResult(improvement_ratio=eb_risk / base_risk, base_risk=base_risk,
-                    eb_risk=eb_risk, samples=samples, seed=seed)
+        ri[i], ci[i] = subsample_indices(rows, cols, n, m, seed, i)
+    return source.matrix.values[ri[:, :, None], ci[:, None, :]], source.ground_truth[ci]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .analysis import (
     AwgGenerator,
     MEAN_SQUARED,
     SUM_SQUARED,
-    improvement_ratio,
+    improvement_ratios,
     mc_risk,
     pipeline_blue,
     pipeline_eb_blue,
@@ -281,9 +281,10 @@ def cmd_evaluate(args) -> int:
         gt_var = (dispersion(part.ground_truth).sample_variance
                   if part.ground_truth is not None and part.ground_truth.shape[0] >= 2
                   else None)
-        for base, base_name in bases:
-            res = improvement_ratio(part, base, psi, n=int(cfg["n"]), m=int(cfg["m"]),
-                                    samples=int(cfg["samples"]), seed=int(cfg["seed"]))
+        results = improvement_ratios(part, [base for base, _ in bases], psi,
+                                     n=int(cfg["n"]), m=int(cfg["m"]),
+                                     samples=int(cfg["samples"]), seed=int(cfg["seed"]))
+        for (_, base_name), res in zip(bases, results):
             records.append({
                 "subset": label, "base": base_name,
                 "gt_sample_variance": gt_var,

@@ -240,14 +240,23 @@ def load_csv(path) -> Dataset:
     return Dataset(matrix=matrix, ground_truth=ground_truth)
 
 
-def subsample(ds: Dataset, n: int, m: int, seed: int, index: int = 0) -> Dataset:
-    """Uniform without-replacement sample of n workers and m questions."""
-    rows, cols = ds.matrix.values.shape
+def subsample_indices(rows: int, cols: int, n: int, m: int, seed: int,
+                      index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of sample ``index`` of n workers and m questions
+    from a rows x cols matrix: the first n of a permutation of the rows, then
+    the first m of a permutation of the columns, both from the
+    (seed, ROLE_SUBSAMPLE, index) stream."""
+    if n < 1 or m < 1:
+        raise EmptyMatrixError(f"n and m must be >= 1, got n={n}, m={m}")
     if n > rows or m > cols:
         raise RequestTooLargeError(f"requested {n}x{m} from a {rows}x{cols} dataset")
     rng = stream(seed, ROLE_SUBSAMPLE, index)
-    ri = rng.permutation(rows)[:n]
-    ci = rng.permutation(cols)[:m]
+    return rng.permutation(rows)[:n], rng.permutation(cols)[:m]
+
+
+def subsample(ds: Dataset, n: int, m: int, seed: int, index: int = 0) -> Dataset:
+    """Uniform without-replacement sample of n workers and m questions."""
+    ri, ci = subsample_indices(*ds.matrix.values.shape, n, m, seed, index)
     matrix = ObservationMatrix(
         ds.matrix.values[np.ix_(ri, ci)],
         [ds.matrix.worker_ids[i] for i in ri],

@@ -4,7 +4,9 @@ Each built-in estimator has one kernel, ``evaluate(values, xa)``, mapping
 observations (..., n, m) and aggregates (..., m) to a sigma-hat^2 >= 0 per
 aggregate, and its analytic ``gradient`` with respect to the aggregate, which
 the risk-condition checks need.  ``value(X, x_a)`` is the validated
-single-matrix entry, and all a custom estimator has to provide.
+single-matrix entry.  A custom estimator with only ``value`` serves the
+single-matrix paths; the batch paths (improvement ratios, Monte Carlo wrap
+pipelines) call ``evaluate`` and the condition checks call ``gradient``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ import numpy as np
 
 from .errors import LengthMismatchError, NonPositiveVarianceError
 from .model import ObservationMatrix, as_answer_vector, validate_variances
+
+
+def _dof(m: int, name: str) -> int:
+    """m - 1, the divisor of a sample variance over m answers; there is none
+    below 2, so every kernel of ``name`` rejects m < 2 the same way."""
+    if m < 2:
+        raise LengthMismatchError(f"{name} needs at least 2 questions, got {m}")
+    return m - 1
 
 
 class _DataIndependent:
@@ -35,21 +45,19 @@ class HeuristicH:
 
     def evaluate(self, values: np.ndarray, xa: np.ndarray) -> np.ndarray:
         n, m = values.shape[-2:]
-        return ((values - xa[..., None, :]) ** 2).sum(axis=(-2, -1)) / (n * (m - 1))
+        return ((values - xa[..., None, :]) ** 2).sum(axis=(-2, -1)) / (n * _dof(m, "psi_h"))
 
     def gradient(self, values, xa: np.ndarray) -> np.ndarray:
         # the raw matrix is held fixed: the derivative runs through the aggregate only
         if values is None:
             raise LengthMismatchError("the residual heuristic needs the observation matrix")
-        return 2.0 * (xa - values.mean(axis=-2)) / (xa.shape[-1] - 1)
+        return 2.0 * (xa - values.mean(axis=-2)) / _dof(xa.shape[-1], "psi_h")
 
     def value(self, X: ObservationMatrix, x_a) -> float:
         x_a = as_answer_vector(x_a)
         m = X.n_questions
         if x_a.shape[0] != m:
             raise LengthMismatchError(f"aggregate length {x_a.shape[0]} != question count {m}")
-        if m < 2:
-            raise LengthMismatchError("psi_h needs at least 2 questions")
         return float(self.evaluate(X.values, x_a))
 
 
@@ -65,16 +73,13 @@ class SampleScaled:
 
     def evaluate(self, values, xa: np.ndarray) -> np.ndarray:
         dev = xa - xa.mean(axis=-1, keepdims=True)
-        return self.c * (dev**2).sum(axis=-1) / (xa.shape[-1] - 1)
+        return self.c * (dev**2).sum(axis=-1) / _dof(xa.shape[-1], "psi_s")
 
     def gradient(self, values, xa: np.ndarray) -> np.ndarray:
-        return 2.0 * self.c * (xa - xa.mean(axis=-1, keepdims=True)) / (xa.shape[-1] - 1)
+        return 2.0 * self.c * (xa - xa.mean(axis=-1, keepdims=True)) / _dof(xa.shape[-1], "psi_s")
 
     def value(self, X, x_a) -> float:
-        x_a = as_answer_vector(x_a)
-        if x_a.shape[0] < 2:
-            raise LengthMismatchError("psi_s needs at least 2 entries")
-        return float(self.evaluate(None, x_a))
+        return float(self.evaluate(None, as_answer_vector(x_a)))
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,16 @@ from ebtruth import (
     CATD,
     CRH,
     AwgGenerator,
+    DistanceWeighted,
+    EmptyMatrixError,
+    Median,
     Constant,
     ConstantGT,
     ExplicitSigmas,
     GaussianGT,
     GaussianSqSigmas,
     HeuristicH,
+    IndexedSigmas,
     InsufficientDataError,
     InsufficientReplicatesError,
     LengthMismatchError,
@@ -28,6 +32,7 @@ from ebtruth import (
     sufficient_conditions,
     gen_synthetic,
     improvement_ratio,
+    improvement_ratios,
     loss,
     mc_risk,
     pipeline_base,
@@ -37,6 +42,7 @@ from ebtruth import (
     run_td_batch,
     sample_aggregate_stream,
     stream,
+    subsample,
     SyntheticSpec,
     improvement_condition,
     risk_decomposition,
@@ -44,7 +50,7 @@ from ebtruth import (
     write_reports_jsonl,
 )
 from ebtruth import analysis
-from ebtruth.analysis import AggregateStream, psi_batch, report_record
+from ebtruth.analysis import AggregateStream, psi_batch, report_record, shrink_aggregate
 from ebtruth.data import ROLE_GT, ROLE_SIGMA
 
 
@@ -91,6 +97,12 @@ class TestMcRisk:
     def test_replicate_guard(self):
         with pytest.raises(InsufficientReplicatesError):
             mc_risk(_gen(), [pipeline_blue()], 1, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("psi", [HeuristicH(), SampleScaled(1.0)], ids=["h", "s"])
+    def test_wrap_on_one_question_is_rejected_like_eb_wrap(self, psi):
+        with pytest.raises(LengthMismatchError):
+            mc_risk(_gen(m=1), [pipeline_eb_wrap(Mean(), psi)], 100, seed=0)
 
 
 def _reference_chunks(gen, replicates, seed):
@@ -289,6 +301,71 @@ class TestImprovementRatio:
         with pytest.raises(InsufficientDataError):
             improvement_ratio((ConstantGT(1.0), ExplicitSigmas([1.0])),
                               Mean(), HeuristicH(), n=1, m=5, samples=0)
+
+
+IR_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted()]
+
+
+def _ir_dataset():
+    return gen_synthetic(SyntheticSpec(gt=GaussianGT(2.0, 4.0), worker_sigmas=IndexedSigmas(),
+                                       n=8, m=40, seed=3))
+
+
+def _per_sample_subsample_ratio(ds, base, psi, n, m, samples, seed):
+    # the protocol as it stood before the batch gather: one Dataset per sample
+    Xb = np.empty((samples, n, m))
+    mub = np.empty((samples, m))
+    for i in range(samples):
+        sub = subsample(ds, n, m, seed, index=i)
+        Xb[i] = sub.matrix.values
+        mub[i] = sub.ground_truth
+    xa = run_td_batch(base, Xb)
+    eb = shrink_aggregate(xa, psi_batch(psi, Xb, xa), None, True)
+    base_risk = float(loss(xa, mub).mean())
+    eb_risk = float(loss(eb, mub).mean())
+    return eb_risk / base_risk, base_risk, eb_risk
+
+
+class TestImprovementRatios:
+    @pytest.mark.parametrize("source", [
+        _ir_dataset(), (GaussianGT(2.0, 4.0), GaussianSqSigmas())], ids=["dataset", "synthetic"])
+    def test_equal_to_one_call_per_base(self, source):
+        psi = HeuristicH()
+        batch = improvement_ratios(source, IR_BASES, psi, n=5, m=12, samples=60, seed=2)
+        assert batch == [improvement_ratio(source, base, psi, n=5, m=12, samples=60, seed=2)
+                         for base in IR_BASES]
+
+    def test_dataset_gather_equals_per_sample_subsamples(self):
+        ds = _ir_dataset()
+        psi = HeuristicH()
+        batch = improvement_ratios(ds, IR_BASES, psi, n=5, m=12, samples=60, seed=2)
+        assert [(r.improvement_ratio, r.base_risk, r.eb_risk) for r in batch] == [
+            _per_sample_subsample_ratio(ds, base, psi, 5, 12, 60, 2) for base in IR_BASES]
+
+    def test_draws_each_sample_once_for_all_bases(self, monkeypatch):
+        calls = []
+        draw = analysis.subsample_indices
+        monkeypatch.setattr(analysis, "subsample_indices",
+                            lambda *a: calls.append(a[-1]) or draw(*a))
+        improvement_ratios(_ir_dataset(), IR_BASES, HeuristicH(), n=5, m=12, samples=30)
+        assert calls == list(range(30))
+
+    @pytest.mark.parametrize("n, m", [(-1, 5), (4, -3), (0, 5), (4, 0)])
+    @pytest.mark.parametrize("source", [
+        _ir_dataset(), (ConstantGT(2.0), ExplicitSigmas([1.0] * 4))],
+        ids=["dataset", "synthetic"])
+    def test_nonpositive_sizes_are_typed_errors(self, source, n, m):
+        with pytest.raises(EmptyMatrixError):
+            improvement_ratios(source, IR_BASES, HeuristicH(), n=n, m=m, samples=10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("psi", [HeuristicH(), SampleScaled(1.0)], ids=["h", "s"])
+    @pytest.mark.parametrize("source", [
+        _ir_dataset(), (ConstantGT(2.0), ExplicitSigmas([1.0] * 4))],
+        ids=["dataset", "synthetic"])
+    def test_one_question_is_rejected_like_eb_wrap(self, source, psi):
+        with pytest.raises(LengthMismatchError):
+            improvement_ratio(source, Mean(), psi, n=4, m=1, samples=10)
 
 
 class TestSerialization:

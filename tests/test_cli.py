@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, config handling, and output determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,15 @@ import sys
 import pytest
 
 import ebtruth
-from ebtruth import ConstantGT, ExplicitSigmas, SyntheticSpec, gen_synthetic, save_csv
+from ebtruth import (
+    ConstantGT,
+    ExplicitSigmas,
+    GaussianGT,
+    IndexedSigmas,
+    SyntheticSpec,
+    gen_synthetic,
+    save_csv,
+)
 from ebtruth.cli import (
     EXIT_ASSERTION,
     EXIT_IO,
@@ -125,6 +134,13 @@ class TestOutputs:
                     (out / "conditions.jsonl").read_text().splitlines())}
         assert not records["improvement_condition"]["satisfied"]
         assert not records["constant_guess_condition"]["satisfied"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("psi", ["h", "s:1"])
+    def test_conditions_on_one_question_is_validation(self, tmp_path, psi):
+        code = main(["conditions", "--replicates", "200", "--m", "1", "--psi", psi,
+                     "--sigma2", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
 
     def test_evaluate_partition_matches_bucket_count(self, tmp_path, dataset_csv):
         out = tmp_path / "out"
@@ -283,3 +299,35 @@ def test_unreachable_sigma_floor_exits_validation_promptly(tmp_path):
         env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == EXIT_VALIDATION
     assert "floor" in proc.stderr
+
+
+# (improvement_ratio, base_risk, eb_risk) of every evaluate.csv row, frozen
+# from the release that still drew each base's samples on their own, one
+# Dataset per sample.
+EVALUATE_GOLDENS = {
+    ("bucket0", "mean"): (1.4519515455325391, 30.057025943598738, 43.641345272919814),
+    ("bucket0", "median"): (1.3944180209809822, 31.79756818157182, 44.33910209575522),
+    ("bucket0", "crh"): (1.8822387924221486, 24.5567172957242, 46.221605908556015),
+    ("bucket0", "catd"): (1.2240888493755577, 39.07975803385225, 47.837096045533414),
+    ("bucket0", "distance"): (1.7360034922892202, 26.002712305408977, 45.14079937118186),
+    ("bucket1", "mean"): (0.4045434385624492, 73.76493494837412, 29.841120429350646),
+    ("bucket1", "median"): (0.4735616445845917, 59.220726376406105, 28.044664576304985),
+    ("bucket1", "crh"): (0.6473189535724908, 42.64154721688205, 27.602681723144048),
+    ("bucket1", "catd"): (0.5610871156881319, 60.63453014709646, 34.021253631339434),
+    ("bucket1", "distance"): (0.512319267665658, 55.820797944748676, 28.59807032356631),
+}
+
+
+def test_evaluate_records_match_goldens(tmp_path):
+    ds = gen_synthetic(SyntheticSpec(gt=GaussianGT(2.0, 9.0), worker_sigmas=IndexedSigmas(),
+                                     n=7, m=36, seed=11))
+    save_csv(ds, tmp_path / "ds.csv")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--data", str(tmp_path / "ds.csv"), "--partition", "2",
+                 "--bases", "mean,median,crh,catd,distance", "--n", "4", "--m", "12",
+                 "--samples", "40", "--seed", "5", "--out", str(out)]) == EXIT_OK
+    lines = [l for l in (out / "evaluate.csv").read_text().splitlines() if not l.startswith("#")]
+    rows = list(csv.DictReader(lines))
+    assert {(r["subset"], r["base"]): (float(r["improvement_ratio"]), float(r["base_risk"]),
+                                       float(r["eb_risk"])) for r in rows} == EVALUATE_GOLDENS
+    assert [(r["subset"], r["base"]) for r in rows] == list(EVALUATE_GOLDENS)

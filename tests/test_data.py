@@ -27,6 +27,7 @@ from ebtruth import (
     save_csv,
     stream,
     subsample,
+    subsample_indices,
     validate_matrix,
 )
 
@@ -134,6 +135,23 @@ class TestSubsample:
         ds = gen_synthetic(_spec(n=2, m=5))
         with pytest.raises(RequestTooLargeError):
             subsample(ds, 3, 5, seed=0)
+
+    def test_nonpositive_request(self):
+        ds = gen_synthetic(_spec(n=2, m=5))
+        for n, m in ((-1, 5), (2, -3), (0, 5), (2, 0)):
+            with pytest.raises(EmptyMatrixError):
+                subsample(ds, n, m, seed=0)
+
+    def test_equals_the_index_gather(self):
+        ds = gen_synthetic(_spec(n=6, m=30))
+        for i in range(5):
+            sub = subsample(ds, 4, 10, seed=5, index=i)
+            ri, ci = subsample_indices(6, 30, 4, 10, 5, i)
+            np.testing.assert_array_equal(sub.matrix.values,
+                                          ds.matrix.values[ri[:, None], ci[None, :]])
+            np.testing.assert_array_equal(sub.ground_truth, ds.ground_truth[ci])
+            assert sub.matrix.worker_ids == tuple(ds.matrix.worker_ids[r] for r in ri)
+            assert sub.matrix.question_ids == tuple(ds.matrix.question_ids[c] for c in ci)
 
 
 class TestPartition:

@@ -75,6 +75,18 @@ class TestValues:
         with pytest.raises(LengthMismatchError):
             psi_s(np.array([1.0]), 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("est", [HeuristicH(), SampleScaled(1.0)], ids=["h", "s"])
+    @pytest.mark.parametrize("kernel", ["evaluate", "gradient"])
+    def test_batch_kernels_reject_one_question(self, est, kernel):
+        values = np.arange(6.0).reshape(3, 2, 1)
+        with pytest.raises(LengthMismatchError):
+            getattr(est, kernel)(values, values.mean(axis=-2))
+        with pytest.raises(LengthMismatchError):
+            getattr(est, kernel)(values[0], values[0].mean(axis=-2))
+        with pytest.raises(LengthMismatchError):
+            est.value(validate_matrix(values[0]), values[0].mean(axis=-2))
+
     def test_duck_typed_plugin(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
         assert psi_value(FlippedSampleScaled(), None, v) == pytest.approx(-np.var(v, ddof=1))
