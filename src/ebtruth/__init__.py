@@ -66,6 +66,8 @@ from .data import (
     partition_questions,
     save_csv,
     stream,
+    stream_keys,
+    streams,
     subsample,
     subsample_indices,
 )
@@ -80,6 +82,7 @@ from .errors import (
     LengthMismatchError,
     NoGroundTruthError,
     NonFiniteError,
+    NonFiniteParameterError,
     NonPositiveVarianceError,
     ParseError,
     RequestTooLargeError,

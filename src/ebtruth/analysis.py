@@ -38,6 +38,7 @@ from .errors import (
     InsufficientSignalError,
     LengthMismatchError,
     NonPositiveVarianceError,
+    RequestTooLargeError,
 )
 from .estimators import flat_rows, shrink_batch, stein
 from .pipelines import shrink_aggregate
@@ -54,6 +55,11 @@ CHUNK = 20_000
 BLOCK_BYTES = 16 * 2**20
 
 REPLICATE_ROLE = 100  # stream role for Monte Carlo replicate chunks
+
+# Largest sample batch ``improvement_ratios`` allocates (see ``batch_bytes``).
+# It is fixed, not read from the host, so a request's exit code does not
+# depend on the machine; a 1000-sample batch at n=10, m=50 is about 5 MB.
+MAX_BATCH_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -473,12 +479,18 @@ def improvement_ratios(source, bases, psi: VarianceEstimator, n: int, m: int,
     """``improvement_ratio`` of each base in turn, all scored on one sample batch.
 
     The batch depends on (source, n, m, samples, seed) only, so each result
-    equals that base's own ``improvement_ratio``.
+    equals that base's own ``improvement_ratio``.  A batch over
+    ``MAX_BATCH_BYTES`` raises RequestTooLargeError before anything is drawn.
     """
     if samples < 1:
         raise InsufficientDataError(f"need >= 1 samples, got {samples}")
     if n < 1 or m < 1:
         raise EmptyMatrixError(f"n and m must be >= 1, got n={n}, m={m}")
+    need = batch_bytes(n, m, samples)
+    if need > MAX_BATCH_BYTES:
+        raise RequestTooLargeError(
+            f"{samples} samples of {n}x{m} need {need} bytes, over the "
+            f"{MAX_BATCH_BYTES}-byte limit (analysis.MAX_BATCH_BYTES)")
     Xb, mub = _sample_batch(source, n, m, samples, seed)
 
     def score(base) -> IrResult:
@@ -495,17 +507,19 @@ def improvement_ratios(source, bases, psi: VarianceEstimator, n: int, m: int,
     return [score(base) for base in bases]
 
 
+def batch_bytes(n: int, m: int, samples: int) -> int:
+    """Bytes of the batch ``_sample_batch`` builds: per sample, 8 for each
+    observation and truth, for each worker variance or row index and column
+    index, and for the three (index, 2-word key) stream addresses."""
+    return 8 * samples * (n * m + n + 2 * m + 9)
+
+
 def _sample_batch(source, n: int, m: int, samples: int, seed: int):
     """The (samples, n, m) observations and (samples, m) truths of sample
     indices 0..samples-1: subsamples of a Dataset, or synthetic draws."""
     if not isinstance(source, Dataset):
         spec = SyntheticSpec(gt=source[0], worker_sigmas=source[1], n=n, m=m, seed=seed)
-        Xb = np.empty((samples, n, m))
-        mub = np.empty((samples, m))
-        for i in range(samples):
-            ds = gen_synthetic(spec, index=i)
-            Xb[i] = ds.matrix.values
-            mub[i] = ds.ground_truth
+        Xb, mub, _ = gen_synthetic(spec, samples=samples)
         return Xb, mub
     if source.ground_truth is None:
         raise InsufficientDataError("improvement ratio needs ground truth")
@@ -513,10 +527,7 @@ def _sample_batch(source, n: int, m: int, samples: int, seed: int):
     if n > rows or m > cols:
         raise InsufficientDataError(f"cannot draw {n}x{m} samples from a {rows}x{cols} dataset")
     # the source is already validated, so every sample is one gather from it
-    ri = np.empty((samples, n), dtype=np.intp)
-    ci = np.empty((samples, m), dtype=np.intp)
-    for i in range(samples):
-        ri[i], ci[i] = subsample_indices(rows, cols, n, m, seed, i)
+    ri, ci = subsample_indices(rows, cols, n, m, seed, samples=samples)
     return source.matrix.values[ri[:, :, None], ci[:, None, :]], source.ground_truth[ci]
 
 

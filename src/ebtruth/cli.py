@@ -75,14 +75,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+GT_FORMS = "'constant[:VALUE]' or 'gaussian[:MEAN,VARIANCE]'"
+SIGMA_FORMS = ("'indexed', 'gaussian-sq[:MEAN,VARIANCE,FLOOR]' "
+               "or 'explicit:VARIANCE[,VARIANCE...]'")
+PSI_FORMS = "'h', 's[:SCALE]' or 'const:VALUE'"
+
+
+def _numbers(text: str, rest: str, forms: str, count: int | None = None) -> list[float]:
+    """The comma-separated numbers after a spec's kind (``count`` of them if
+    given), or a ValidationError naming the spec and the forms it may take."""
+    parts = rest.split(",")
+    try:
+        if count is not None and len(parts) != count:
+            raise ValueError
+        return [float(x) for x in parts]
+    except ValueError:
+        raise ValidationError(f"bad spec {text!r}; expected {forms}") from None
+
+
 def _parse_gt(text: str):
     kind, _, rest = text.partition(":")
     if kind == "constant":
-        return ConstantGT(float(rest or 2.0))
+        return ConstantGT(*_numbers(text, rest or "2", GT_FORMS, 1))
     if kind == "gaussian":
-        mean, var = (rest or "2,1").split(",")
-        return GaussianGT(float(mean), float(var))
-    raise ValidationError(f"unknown ground-truth spec {text!r}")
+        return GaussianGT(*_numbers(text, rest or "2,1", GT_FORMS, 2))
+    raise ValidationError(f"unknown ground-truth spec {text!r}; expected {GT_FORMS}")
 
 
 def _parse_sigmas(text: str):
@@ -91,12 +108,11 @@ def _parse_sigmas(text: str):
         return IndexedSigmas()
     if kind == "gaussian-sq":
         if rest:
-            mean, var, floor = rest.split(",")
-            return GaussianSqSigmas(float(mean), float(var), float(floor))
+            return GaussianSqSigmas(*_numbers(text, rest, SIGMA_FORMS, 3))
         return GaussianSqSigmas()
     if kind == "explicit":
-        return ExplicitSigmas([float(x) for x in rest.split(",")])
-    raise ValidationError(f"unknown worker-sigma spec {text!r}")
+        return ExplicitSigmas(_numbers(text, rest, SIGMA_FORMS))
+    raise ValidationError(f"unknown worker-sigma spec {text!r}; expected {SIGMA_FORMS}")
 
 
 def _parse_psi(text: str):
@@ -104,10 +120,10 @@ def _parse_psi(text: str):
     if kind == "h":
         return HeuristicH()
     if kind == "s":
-        return SampleScaled(float(rest or 1.0))
+        return SampleScaled(*_numbers(text, rest or "1", PSI_FORMS, 1))
     if kind == "const":
-        return Constant(float(rest))
-    raise ValidationError(f"unknown variance estimator {text!r}")
+        return Constant(*_numbers(text, rest, PSI_FORMS, 1))
+    raise ValidationError(f"unknown variance estimator {text!r}; expected {PSI_FORMS}")
 
 
 BASES = {

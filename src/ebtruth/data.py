@@ -2,9 +2,13 @@
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, role, index), so every generated artifact is bit-reproducible
-regardless of evaluation order or thread count.  Each spec draws with
-``draw(shape, rng)``: shape (m,) or (r, m) for truths, (n,) or (r, n) for
-worker variances, so one vector and a batch share the code.
+regardless of evaluation order or thread count.  A Philox stream is its
+128-bit key and a zero counter, so a batch of samples derives the keys of
+all its indices at once (``stream_keys``, numpy's ``SeedSequence``
+arithmetic on arrays) and walks one generator through them (``streams``):
+each sample still draws from exactly ``stream(seed, role, index)``.  Each
+spec draws with ``draw(shape, rng)``: shape (m,) or (r, m) for truths, (n,)
+or (r, n) for worker variances, so one vector and a batch share the code.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,12 +25,19 @@ from .errors import (
     EmptyMatrixError,
     LengthMismatchError,
     NoGroundTruthError,
+    NonFiniteParameterError,
     NonPositiveVarianceError,
     ParseError,
     RequestTooLargeError,
     UnreachableFloorError,
 )
-from .model import ObservationMatrix, as_answer_vector, dispersion, validate_variances
+from .model import (
+    ObservationMatrix,
+    as_answer_vector,
+    as_answers,
+    dispersion,
+    validate_variances,
+)
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +61,116 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as SeedSequence reads an int: 32-bit words, least significant first."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _pool(entropy: list) -> list:
+    """SeedSequence's entropy pool.  Words are Python ints or uint32 arrays
+    (one entry per stream); the masks make both wrap at 32 bits."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def stream_keys(seed: int, role: int, indices) -> np.ndarray:
+    """The (k, 2) uint64 Philox keys of ``stream(seed, role, i)`` for the k
+    ``indices``: ``SeedSequence(seed, spawn_key=(role, i)).generate_state(2,
+    np.uint64)``, computed for all indices at once."""
+    indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    keys = np.empty((indices.size, 2), dtype=np.uint64)
+    head = _uint32_words(int(seed))
+    # a spawn key pads the seed's words to the pool size
+    head += [0] * (_POOL_SIZE - len(head)) + _uint32_words(int(role))
+    low = (indices & np.uint64(_MASK32)).astype(np.uint32)
+    high = (indices >> np.uint64(32)).astype(np.uint32)
+    # an index below 2**32 is one spawn-key word, a larger one two
+    for rows, tail in ((high == 0, [low]), (high != 0, [low, high])):
+        if not rows.any():
+            continue
+        pool = _pool(head + [word[rows] for word in tail])
+        hash_const = _INIT_B
+        state = []
+        for i in range(4):
+            value = pool[i % _POOL_SIZE] ^ hash_const
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            value = (value * hash_const) & _MASK32
+            state.append(np.asarray(value ^ (value >> 16), dtype=np.uint64))
+        keys[rows, 0] = state[0] | (state[1] << np.uint64(32))
+        keys[rows, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
+def streams(seed: int, role: int, indices):
+    """Yield a generator equal to ``stream(seed, role, i)`` for each i in
+    ``indices``, in order.  It is one Philox moved to each key in turn, so
+    each yielded generator is valid only until the next one is taken."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # a freshly seeded Philox: zero counter, empty buffer; the setter copies
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for key in stream_keys(seed, role, indices):
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield gen
+
+
+def _check_params(spec, variance_fields=()) -> None:
+    """Reject a spec whose numeric parameters are not all finite, or whose
+    ``variance_fields`` are negative."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not math.isfinite(value):
+            raise NonFiniteParameterError(
+                f"{type(spec).__name__}: {f.name} must be finite, got {value!r}")
+    for name in variance_fields:
+        if getattr(spec, name) < 0:
+            raise NonPositiveVarianceError(
+                f"{type(spec).__name__}: {name} must be >= 0, got {getattr(spec, name)!r}")
+
+
 @dataclass(frozen=True)
 class ConstantGT:
     value: float = 2.0
+
+    def __post_init__(self):
+        _check_params(self)
 
     def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
         return np.full(shape, float(self.value))
@@ -62,6 +180,9 @@ class ConstantGT:
 class GaussianGT:
     mean: float = 2.0
     variance: float = 1.0
+
+    def __post_init__(self):
+        _check_params(self, ("variance",))
 
     def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.mean, np.sqrt(self.variance), size=shape)
@@ -81,7 +202,8 @@ class GaussianSqSigmas:
 
     The Normal can go nonpositive, so draws below ``floor`` are replaced;
     redraws are counted and logged.  ``variance`` is the variance of the
-    Normal (not its standard deviation).  A spec that leaves less than
+    Normal (not its standard deviation).  The floor must be positive, so
+    every drawn variance is.  A spec that leaves less than
     MIN_FLOOR_TAIL_MASS of the Normal above the floor is rejected.
     """
 
@@ -90,8 +212,9 @@ class GaussianSqSigmas:
     floor: float = 0.05
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise NonPositiveVarianceError(f"variance must be >= 0, got {self.variance}")
+        _check_params(self, ("variance",))
+        if self.floor <= 0:
+            raise NonPositiveVarianceError(f"floor must be > 0, got {self.floor!r}")
         sd = math.sqrt(self.variance)
         tail = (0.5 * math.erfc((self.floor - self.mean) / (sd * math.sqrt(2.0))) if sd > 0
                 else float(self.mean >= self.floor))
@@ -170,19 +293,42 @@ class Dataset:
             object.__setattr__(self, "ground_truth", gt)
 
 
-def gen_synthetic(spec: SyntheticSpec, index: int = 0) -> Dataset:
+def gen_synthetic(spec: SyntheticSpec, index: int = 0, samples: int | None = None):
     """Draw one dataset: truths, worker variances, then cellwise Gaussian noise.
 
     ``index`` addresses independent repetitions of the same spec (stream key
     component), used when a protocol draws many datasets from one config.
+    With ``samples``, draw repetitions index..index+samples-1 at once and
+    return their arrays: observations (samples, n, m), truths (samples, m)
+    and worker variances (samples, n).  Sample i is bit-identical to the
+    Dataset of ``gen_synthetic(spec, index + i)``, and a non-finite entry
+    raises NonFiniteError on both paths.
     """
-    mu = spec.gt.draw((spec.m,), stream(spec.seed, ROLE_GT, index))
-    sig2 = spec.worker_sigmas.draw((spec.n,), stream(spec.seed, ROLE_SIGMA, index))
-    noise = stream(spec.seed, ROLE_OBS, index).normal(size=(spec.n, spec.m))
-    values = mu[None, :] + noise * np.sqrt(sig2)[:, None]
-    matrix = ObservationMatrix(values)
-    return Dataset(matrix=matrix, ground_truth=mu,
-                   metadata={"worker_variances": tuple(sig2), "seed": spec.seed})
+    if samples is not None:
+        return _synthetic_batch(spec, index, samples)
+    X, mu, sig2 = _synthetic_batch(spec, index, 1)
+    return Dataset(matrix=ObservationMatrix(X[0]), ground_truth=mu[0],
+                   metadata={"worker_variances": tuple(sig2[0]), "seed": spec.seed})
+
+
+def _synthetic_batch(spec: SyntheticSpec, index: int, samples: int):
+    n, m = spec.n, spec.m
+    X = np.empty((samples, n, m))
+    mu = np.empty((samples, m))
+    sig2 = np.empty((samples, n))
+    indices = np.arange(index, index + samples, dtype=np.uint64)
+    rngs = zip(streams(spec.seed, ROLE_GT, indices), streams(spec.seed, ROLE_SIGMA, indices),
+               streams(spec.seed, ROLE_OBS, indices))
+    for i, (gt_rng, sigma_rng, obs_rng) in enumerate(rngs):
+        mu[i] = spec.gt.draw((m,), gt_rng)
+        sig2[i] = spec.worker_sigmas.draw((n,), sigma_rng)
+        X[i] = obs_rng.normal(size=(n, m))
+    X *= np.sqrt(sig2)[:, :, None]
+    X += mu[:, None, :]
+    # a non-finite truth makes its column of X non-finite too; the error
+    # names the row among all samples' workers
+    as_answers(X.reshape(-1, m))
+    return X, mu, sig2
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -241,17 +387,24 @@ def load_csv(path) -> Dataset:
 
 
 def subsample_indices(rows: int, cols: int, n: int, m: int, seed: int,
-                      index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                      index: int = 0, samples: int | None = None):
     """Row and column indices of sample ``index`` of n workers and m questions
     from a rows x cols matrix: the first n of a permutation of the rows, then
     the first m of a permutation of the columns, both from the
-    (seed, ROLE_SUBSAMPLE, index) stream."""
+    (seed, ROLE_SUBSAMPLE, index) stream.  With ``samples``, those of samples
+    index..index+samples-1 at once, as (samples, n) and (samples, m) arrays."""
     if n < 1 or m < 1:
         raise EmptyMatrixError(f"n and m must be >= 1, got n={n}, m={m}")
     if n > rows or m > cols:
         raise RequestTooLargeError(f"requested {n}x{m} from a {rows}x{cols} dataset")
-    rng = stream(seed, ROLE_SUBSAMPLE, index)
-    return rng.permutation(rows)[:n], rng.permutation(cols)[:m]
+    count = 1 if samples is None else samples
+    ri = np.empty((count, n), dtype=np.intp)
+    ci = np.empty((count, m), dtype=np.intp)
+    indices = np.arange(index, index + count, dtype=np.uint64)
+    for i, rng in enumerate(streams(seed, ROLE_SUBSAMPLE, indices)):
+        ri[i] = rng.permutation(rows)[:n]
+        ci[i] = rng.permutation(cols)[:m]
+    return (ri[0], ci[0]) if samples is None else (ri, ci)
 
 
 def subsample(ds: Dataset, n: int, m: int, seed: int, index: int = 0) -> Dataset:

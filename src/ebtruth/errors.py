@@ -16,6 +16,10 @@ class NonFiniteError(ValidationError):
         super().__init__(f"non-finite entry at row {row}, col {col}")
 
 
+class NonFiniteParameterError(ValidationError):
+    """A generator spec with a NaN or infinite parameter."""
+
+
 class EmptyMatrixError(ValidationError):
     pass
 

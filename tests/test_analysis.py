@@ -24,7 +24,9 @@ from ebtruth import (
     LengthMismatchError,
     Mean,
     MEAN_SQUARED,
+    NonFiniteError,
     NonPositiveVarianceError,
+    RequestTooLargeError,
     SampleScaled,
     SUM_SQUARED,
     bayes_risk_gap,
@@ -342,13 +344,51 @@ class TestImprovementRatios:
         assert [(r.improvement_ratio, r.base_risk, r.eb_risk) for r in batch] == [
             _per_sample_subsample_ratio(ds, base, psi, 5, 12, 60, 2) for base in IR_BASES]
 
-    def test_draws_each_sample_once_for_all_bases(self, monkeypatch):
+    @pytest.mark.parametrize("source, drawer", [
+        (_ir_dataset(), "subsample_indices"),
+        ((GaussianGT(2.0, 4.0), GaussianSqSigmas()), "gen_synthetic")],
+        ids=["dataset", "synthetic"])
+    def test_draws_each_sample_once_for_all_bases(self, monkeypatch, source, drawer):
         calls = []
-        draw = analysis.subsample_indices
-        monkeypatch.setattr(analysis, "subsample_indices",
-                            lambda *a: calls.append(a[-1]) or draw(*a))
-        improvement_ratios(_ir_dataset(), IR_BASES, HeuristicH(), n=5, m=12, samples=30)
-        assert calls == list(range(30))
+        draw = getattr(analysis, drawer)
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("samples"))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, drawer, recording)
+        improvement_ratios(source, IR_BASES, HeuristicH(), n=5, m=12, samples=30)
+        # one call draws indices 0..29, and every base is scored on that batch
+        assert calls == [30]
+
+    @pytest.mark.parametrize("source", [
+        _ir_dataset(), (GaussianGT(2.0, 4.0), GaussianSqSigmas())], ids=["dataset", "synthetic"])
+    def test_batch_bound_is_checked_before_drawing(self, monkeypatch, source):
+        need = analysis.batch_bytes(5, 12, 30)
+        monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need)
+        improvement_ratios(source, [Mean()], HeuristicH(), n=5, m=12, samples=30)
+        monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need - 1)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a batch over the limit")
+
+        monkeypatch.setattr(analysis, "gen_synthetic", no_draw)
+        monkeypatch.setattr(analysis, "subsample_indices", no_draw)
+        with pytest.raises(RequestTooLargeError):
+            improvement_ratios(source, [Mean()], HeuristicH(), n=5, m=12, samples=30)
+
+    def test_batch_bytes_counts_the_arrays(self):
+        Xb, mub = analysis._sample_batch((GaussianGT(2.0, 4.0), GaussianSqSigmas()), 5, 12, 30, 0)
+        assert analysis.batch_bytes(5, 12, 30) >= Xb.nbytes + mub.nbytes + 30 * 8 * 5
+
+    def test_non_finite_draw_is_a_typed_error(self):
+        class NanGT:
+            def draw(self, shape, rng):
+                return np.full(shape, np.nan)
+
+        with pytest.raises(NonFiniteError):
+            improvement_ratio((NanGT(), IndexedSigmas()), Mean(), HeuristicH(), n=3, m=6,
+                              samples=5)
 
     @pytest.mark.parametrize("n, m", [(-1, 5), (4, -3), (0, 5), (4, 0)])
     @pytest.mark.parametrize("source", [

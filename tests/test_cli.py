@@ -70,6 +70,29 @@ class TestExitCodes:
         code = main(["evaluate", "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flag, spec, form", [
+        ("--gt", "gaussian:2", "gaussian[:MEAN,VARIANCE]"),
+        ("--gt", "constant:two", "constant[:VALUE]"),
+        ("--sigmas", "gaussian-sq:1,2", "gaussian-sq[:MEAN,VARIANCE,FLOOR]"),
+        ("--sigmas", "explicit:", "explicit:VARIANCE[,VARIANCE...]"),
+    ])
+    def test_malformed_spec_names_its_form(self, tmp_path, capsys, flag, spec, form):
+        code = main(["simulate", flag, spec, "--replicates", "10",
+                     "--n-grid", "1", "--m-grid", "5", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert repr(spec) in err and form in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spec, word", [("gaussian:2,-1", "variance"),
+                                            ("gaussian:nan,1", "finite")])
+    def test_invalid_truth_spec_is_rejected_before_drawing(self, tmp_path, capsys, spec, word):
+        code = main(["simulate", "--gt", spec, "--replicates", "10",
+                     "--n-grid", "1", "--m-grid", "5", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "GaussianGT" in err and word in err
+
     def test_unknown_base_is_validation(self, dataset_csv, tmp_path):
         code = main(["evaluate", "--data", dataset_csv, "--bases", "wavg",
                      "--out", str(tmp_path)])
@@ -299,6 +322,19 @@ def test_unreachable_sigma_floor_exits_validation_promptly(tmp_path):
         env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == EXIT_VALIDATION
     assert "floor" in proc.stderr
+
+
+def test_evaluate_too_many_samples_exits_validation_promptly(tmp_path, dataset_csv):
+    # a separate process, so that a regression to allocating the batch fails
+    # on the timeout or a memory error instead of taking the suite down
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ebtruth.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ebtruth.cli", "evaluate", "--data", dataset_csv,
+         "--samples", "1000000000000", "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == EXIT_VALIDATION
+    assert len(proc.stderr.splitlines()) == 1
+    assert "MAX_BATCH_BYTES" in proc.stderr
 
 
 # (improvement_ratio, base_risk, eb_risk) of every evaluate.csv row, frozen

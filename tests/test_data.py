@@ -1,5 +1,7 @@
 """Synthetic generation, dataset files, subsampling, and question partitioning."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from ebtruth import (
     IndexedSigmas,
     LengthMismatchError,
     NoGroundTruthError,
+    NonFiniteError,
+    NonFiniteParameterError,
+    NonPositiveVarianceError,
     ParseError,
     RequestTooLargeError,
     SyntheticSpec,
@@ -26,10 +31,13 @@ from ebtruth import (
     partition_questions,
     save_csv,
     stream,
+    stream_keys,
+    streams,
     subsample,
     subsample_indices,
     validate_matrix,
 )
+from ebtruth.data import ROLE_GT, ROLE_OBS, ROLE_SIGMA
 
 
 def _spec(**kw):
@@ -115,6 +123,136 @@ class TestFileFormat:
             load_csv(p)
 
 
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130]
+KEY_ROLES = [0, 1, 2, 3, 100]
+# indices from 2**32 on are two spawn-key words, the rest one
+KEY_INDICES = [0, 1, 2**32 - 1, 2**32]
+
+
+class TestBulkStreams:
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("role", KEY_ROLES)
+    def test_keys_equal_seed_sequence(self, seed, role):
+        expected = [np.random.SeedSequence(seed, spawn_key=(role, i)).generate_state(2, np.uint64)
+                    for i in KEY_INDICES]
+        np.testing.assert_array_equal(stream_keys(seed, role, KEY_INDICES), expected)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("role", KEY_ROLES)
+    def test_draws_equal_stream(self, seed, role):
+        for i, rng in zip(KEY_INDICES, streams(seed, role, KEY_INDICES)):
+            reference = stream(seed, role, i)
+            # a mixed sequence of draws, so a buffered 32-bit half would show
+            for draw in (lambda g: g.random(3, dtype=np.float32), lambda g: g.normal(size=5),
+                         lambda g: g.permutation(7), lambda g: g.integers(0, 10, size=3)):
+                np.testing.assert_array_equal(draw(rng), draw(reference))
+
+    def test_mixed_word_counts_keep_their_order(self):
+        indices = [2**32, 5, 0, 2**32 + 7, 1]
+        np.testing.assert_array_equal(
+            stream_keys(3, 3, indices),
+            [np.random.SeedSequence(3, spawn_key=(3, i)).generate_state(2, np.uint64)
+             for i in indices])
+
+    def test_negative_seed_is_rejected_like_stream(self):
+        with pytest.raises(ValueError):
+            stream(-1, 0, 0)
+        with pytest.raises(ValueError):
+            stream_keys(-1, 0, [0])
+
+
+@dataclass(frozen=True)
+class _NanGT:
+    def draw(self, shape, rng):
+        return np.full(shape, np.nan)
+
+
+@dataclass(frozen=True)
+class _InfSigmas:
+    def draw(self, shape, rng):
+        return np.full(shape, np.inf)
+
+
+GT_SPECS = [ConstantGT(2.0), GaussianGT(2.0, 4.0)]
+SIGMA_SPECS = [IndexedSigmas(), GaussianSqSigmas(0.5, 1.0, 0.4), ExplicitSigmas([1.0, 2.0, 3.0])]
+
+
+def _reference_draw(spec, index):
+    # one sample as drawn before the bulk keys: three streams built one by one
+    mu = spec.gt.draw((spec.m,), stream(spec.seed, ROLE_GT, index))
+    sig2 = spec.worker_sigmas.draw((spec.n,), stream(spec.seed, ROLE_SIGMA, index))
+    noise = stream(spec.seed, ROLE_OBS, index).normal(size=(spec.n, spec.m))
+    return mu[None, :] + noise * np.sqrt(sig2)[:, None], mu, sig2
+
+
+class TestSyntheticBatch:
+    @pytest.mark.parametrize("gt", GT_SPECS, ids=["constant", "gaussian"])
+    @pytest.mark.parametrize("sigmas", SIGMA_SPECS, ids=["indexed", "gaussian-sq", "explicit"])
+    def test_equals_stacked_single_draws(self, gt, sigmas):
+        spec = _spec(gt=gt, worker_sigmas=sigmas, n=3, m=6)
+        X, mu, sig2 = gen_synthetic(spec, index=4, samples=7)
+        assert X.shape == (7, 3, 6) and mu.shape == (7, 6) and sig2.shape == (7, 3)
+        for i in range(7):
+            ds = gen_synthetic(spec, index=4 + i)
+            ref_X, ref_mu, ref_sig2 = _reference_draw(spec, 4 + i)
+            for values, truth, variances in ((X[i], mu[i], sig2[i]),
+                                             (ds.matrix.values, ds.ground_truth,
+                                              ds.metadata["worker_variances"])):
+                np.testing.assert_array_equal(values, ref_X)
+                np.testing.assert_array_equal(truth, ref_mu)
+                assert tuple(variances) == tuple(ref_sig2)
+
+    def test_redrawing_spec_redraws_in_the_batch(self):
+        sigmas = GaussianSqSigmas(0.5, 1.0, 0.4)
+        spec = _spec(worker_sigmas=sigmas, n=40, m=2)
+        _, _, sig2 = gen_synthetic(spec, samples=5)
+        first = sigmas.draw((40,), stream(spec.seed, 1, 0))
+        np.testing.assert_array_equal(sig2[0], first)
+        assert np.all(sig2 >= 0.4)
+        # the raw Normal draw went below the floor, so the values were redrawn
+        assert np.any(stream(spec.seed, 1, 0).normal(0.5, 1.0, size=40) < 0.4)
+
+    @pytest.mark.parametrize("gt, sigmas", [(_NanGT(), IndexedSigmas()),
+                                            (ConstantGT(2.0), _InfSigmas())],
+                             ids=["truths", "variances"])
+    def test_non_finite_draw_raises_on_both_paths(self, gt, sigmas):
+        spec = _spec(gt=gt, worker_sigmas=sigmas, n=2, m=3)
+        with pytest.raises(NonFiniteError):
+            gen_synthetic(spec)
+        with pytest.raises(NonFiniteError):
+            gen_synthetic(spec, samples=4)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: GaussianGT(2.0, -1.0),
+        lambda: GaussianSqSigmas(1.0, -0.5, 0.05),
+        lambda: GaussianSqSigmas(1.0, 0.5, 0.0),
+        lambda: GaussianSqSigmas(1.0, 0.5, -0.1),
+    ], ids=["gaussian-variance", "gaussian-sq-variance", "zero-floor", "negative-floor"])
+    def test_negative_variances_are_rejected(self, make):
+        with pytest.raises(NonPositiveVarianceError):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantGT(np.inf),
+        lambda: ConstantGT(np.nan),
+        lambda: GaussianGT(np.nan, 1.0),
+        lambda: GaussianGT(2.0, np.inf),
+        lambda: GaussianGT(2.0, np.nan),
+        lambda: GaussianSqSigmas(1.0, np.inf, 0.05),
+        lambda: GaussianSqSigmas(np.nan, 0.5, 0.05),
+    ])
+    def test_non_finite_parameters_are_rejected(self, make):
+        with pytest.raises(NonFiniteParameterError) as exc:
+            make()
+        assert isinstance(exc.value, ValidationError)
+
+    def test_zero_variance_truth_is_allowed(self):
+        ds = gen_synthetic(_spec(gt=GaussianGT(3.0, 0.0)))
+        assert np.all(ds.ground_truth == 3.0)
+
+
 class TestSubsample:
     def test_deterministic_and_without_replacement(self):
         ds = gen_synthetic(_spec(n=6, m=30))
@@ -152,6 +290,17 @@ class TestSubsample:
             np.testing.assert_array_equal(sub.ground_truth, ds.ground_truth[ci])
             assert sub.matrix.worker_ids == tuple(ds.matrix.worker_ids[r] for r in ri)
             assert sub.matrix.question_ids == tuple(ds.matrix.question_ids[c] for c in ci)
+
+    def test_batch_equals_single_indices(self):
+        ri, ci = subsample_indices(6, 30, 4, 10, 5, index=3, samples=6)
+        assert ri.shape == (6, 4) and ci.shape == (6, 10)
+        for i in range(6):
+            r1, c1 = subsample_indices(6, 30, 4, 10, 5, 3 + i)
+            np.testing.assert_array_equal(ri[i], r1)
+            np.testing.assert_array_equal(ci[i], c1)
+            rng = stream(5, 3, 3 + i)
+            np.testing.assert_array_equal(r1, rng.permutation(6)[:4])
+            np.testing.assert_array_equal(c1, rng.permutation(30)[:10])
 
 
 class TestPartition:
