@@ -9,17 +9,28 @@ variances are drawn first, (CHUNK, m) and (CHUNK, n), and its noise then
 follows from the same stream in blocks of at most ``BLOCK_BYTES``, built in
 place.  Splitting sequential draws changes no value, so the replicate tensor
 per worker thread stays bounded whatever n and m are.
+
+Chunks are independent, so ``iter_replicates(..., chunks=)`` draws any of
+them alone, and ``sample_aggregate_stream`` runs them side by side on a
+thread pool, each writing its own rows of preallocated stores: the same
+numbers at any thread count.  ψ and ∂ψ run in the row blocks of
+``baselines.block_rows``, so their temporaries stay block-sized.  Every
+array a request sizes (an improvement-ratio batch, the condition stores,
+the Monte Carlo losses) is checked against ``MAX_BATCH_BYTES`` before
+anything is allocated.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import csv
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import TdAlgorithm, blue, run_td_batch
+from .baselines import TdAlgorithm, block_rows, blue, run_td_batch
 from .data import (
     ROLE_GT,
     ROLE_SIGMA,
@@ -56,9 +67,11 @@ BLOCK_BYTES = 16 * 2**20
 
 REPLICATE_ROLE = 100  # stream role for Monte Carlo replicate chunks
 
-# Largest sample batch ``improvement_ratios`` allocates (see ``batch_bytes``).
-# It is fixed, not read from the host, so a request's exit code does not
-# depend on the machine; a 1000-sample batch at n=10, m=50 is about 5 MB.
+# Most bytes one request may allocate: ``improvement_ratios``' sample batch
+# and its scoring (``batch_bytes``), ``sample_aggregate_stream``'s stores or
+# ``mc_risk``'s losses.  It is fixed, not read from the host or the thread
+# count, so a request's exit code does not depend on the machine; 1000
+# samples at n=10, m=50 take about 10 MB.
 MAX_BATCH_BYTES = 2**30
 
 
@@ -114,18 +127,22 @@ class AwgGenerator:
     fresh_sigmas: bool = False
 
 
-def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool = False):
+def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool = False,
+                    chunks=None):
     """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) blocks, deterministically.
 
     A block holds at most ``BLOCK_BYTES`` of X (but at least one replicate),
     or a whole chunk with ``whole_chunks``, for consumers whose result
-    depends on the batch they see.
+    depends on the batch they see.  ``chunks`` selects chunk indices (all
+    ``n_chunks(replicates)`` of them by default); a chunk's blocks are the
+    same whichever others are drawn, so chunks can be drawn in any order or
+    side by side.
     """
     fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
     fixed_sig2 = (None if gen.fresh_sigmas
                   else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
-    for chunk_index, start in enumerate(range(0, replicates, CHUNK)):
-        r = min(CHUNK, replicates - start)
+    for chunk_index in range(n_chunks(replicates)) if chunks is None else chunks:
+        r = min(CHUNK, replicates - chunk_index * CHUNK)
         rng = stream(seed, REPLICATE_ROLE, chunk_index)
         mu = (gen.gt.draw((r, gen.m), rng) if gen.fresh_gt
               else np.broadcast_to(fixed_mu, (r, gen.m)))
@@ -141,20 +158,42 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks:
             yield X, mu[lo:hi], sig2[lo:hi]
 
 
+def n_chunks(replicates: int) -> int:
+    """Number of ``CHUNK``-replicate chunks (the last may be short)."""
+    return -(-replicates // CHUNK)
+
+
 # ---------------------------------------------------------------------------
 # Batched pipeline evaluators
 
 
+def _by_row_blocks(f, Xb: np.ndarray, xa: np.ndarray) -> np.ndarray:
+    """f(Xb, xa), one value per row, computed in row blocks of
+    ``baselines.block_rows`` so that f's temporaries stay block-sized.  Each
+    row's value is the same in any block."""
+    rows = block_rows(Xb)
+    out = np.empty(Xb.shape[0])
+    for lo in range(0, Xb.shape[0], rows):
+        out[lo:lo + rows] = f(Xb[lo:lo + rows], xa[lo:lo + rows])
+    return out
+
+
 def psi_batch(psi: VarianceEstimator, Xb: np.ndarray, xa: np.ndarray) -> np.ndarray:
-    """Evaluate a variance estimator across a (r, n, m) batch."""
-    return psi.evaluate(Xb, xa)
+    """Evaluate a variance estimator across a (r, n, m) batch, in row blocks
+    (``HeuristicH``'s residuals would otherwise be a whole (r, n, m) copy)."""
+    return _by_row_blocks(psi.evaluate, Xb, xa)
 
 
 def psi_derivative_dot_batch(psi: VarianceEstimator, Xb: np.ndarray,
                              xa: np.ndarray) -> np.ndarray:
-    """sum_j dpsi/dxa_j * (xa_j - mean(xa)) per replicate (analytic forms)."""
-    dev = xa - xa.mean(axis=-1, keepdims=True)
-    return (psi.gradient(Xb, xa) * dev).sum(axis=-1)
+    """sum_j dpsi/dxa_j * (xa_j - mean(xa)) per replicate (analytic forms),
+    in row blocks."""
+
+    def dot(X, a):
+        dev = a - a.mean(axis=-1, keepdims=True)
+        return (psi.gradient(X, a) * dev).sum(axis=-1)
+
+    return _by_row_blocks(dot, Xb, xa)
 
 
 @dataclass(frozen=True)
@@ -234,6 +273,8 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
     pipelines = list(pipelines)
+    _check_request(8 * replicates * len(pipelines),
+                   f"{replicates} replicates of {len(pipelines)} pipelines' losses")
     losses = {p.name: np.empty(replicates) for p in pipelines}
     pos = 0
     coupled = any(p.batch_coupled for p in pipelines)
@@ -266,21 +307,41 @@ class AggregateStream:
 
 def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
                             psi: VarianceEstimator, replicates: int,
-                            seed: int) -> AggregateStream:
+                            seed: int, threads: int = 1) -> AggregateStream:
+    """Run ``base`` and ``psi`` over ``replicates`` replicates of ``gen``.
+
+    The chunks run on a pool of ``threads`` threads, each drawing its own
+    chunk and writing its own rows of the stores, so the result does not
+    depend on ``threads``.  Each chunk runs in a copy of the caller's context
+    (so under its ``np.errstate``), and a chunk that raises raises here.
+    Stores over ``MAX_BATCH_BYTES`` raise RequestTooLargeError before
+    anything is drawn.
+    """
+    _check_request(8 * replicates * (2 * gen.m + 2),
+                   f"{replicates} replicates of {gen.m} aggregates and truths")
     aggregates = np.empty((replicates, gen.m))
     psis = np.empty(replicates)
     dots = np.empty(replicates)
     mus = np.empty((replicates, gen.m))
-    pos = 0
     coupled = getattr(base, "batch_coupled", False)
-    for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=coupled):
-        r = X.shape[0]
-        xa = run_td_batch(base, X)
-        aggregates[pos:pos + r] = xa
-        psis[pos:pos + r] = psi_batch(psi, X, xa)
-        dots[pos:pos + r] = psi_derivative_dot_batch(psi, X, xa)
-        mus[pos:pos + r] = mu
-        pos += r
+
+    def run_chunk(chunk_index):
+        pos = chunk_index * CHUNK
+        for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=coupled,
+                                           chunks=[chunk_index]):
+            r = X.shape[0]
+            xa = run_td_batch(base, X)
+            aggregates[pos:pos + r] = xa
+            psis[pos:pos + r] = psi_batch(psi, X, xa)
+            dots[pos:pos + r] = psi_derivative_dot_batch(psi, X, xa)
+            mus[pos:pos + r] = mu
+            pos += r
+
+    context = contextvars.copy_context()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        for _ in pool.map(lambda i: context.copy().run(run_chunk, i),
+                          range(n_chunks(replicates))):
+            pass
     return AggregateStream(aggregates=aggregates, psis=psis, derivative_dots=dots,
                            mu=mus, seed=seed)
 
@@ -486,11 +547,7 @@ def improvement_ratios(source, bases, psi: VarianceEstimator, n: int, m: int,
         raise InsufficientDataError(f"need >= 1 samples, got {samples}")
     if n < 1 or m < 1:
         raise EmptyMatrixError(f"n and m must be >= 1, got n={n}, m={m}")
-    need = batch_bytes(n, m, samples)
-    if need > MAX_BATCH_BYTES:
-        raise RequestTooLargeError(
-            f"{samples} samples of {n}x{m} need {need} bytes, over the "
-            f"{MAX_BATCH_BYTES}-byte limit (analysis.MAX_BATCH_BYTES)")
+    _check_request(batch_bytes(n, m, samples), f"{samples} samples of {n}x{m}")
     Xb, mub = _sample_batch(source, n, m, samples, seed)
 
     def score(base) -> IrResult:
@@ -508,10 +565,26 @@ def improvement_ratios(source, bases, psi: VarianceEstimator, n: int, m: int,
 
 
 def batch_bytes(n: int, m: int, samples: int) -> int:
-    """Bytes of the batch ``_sample_batch`` builds: per sample, 8 for each
-    observation and truth, for each worker variance or row index and column
-    index, and for the three (index, 2-word key) stream addresses."""
-    return 8 * samples * (n * m + n + 2 * m + 9)
+    """Bytes ``improvement_ratios`` allocates at most, 8 per float or index.
+
+    Per sample: the batch ``_sample_batch`` builds (each observation and
+    truth, each worker variance or row index and column index, and the three
+    (index, 2-word key) stream addresses); the largest temporary a base
+    makes while scoring it (``Median``'s partition copy of the observations,
+    n*m, or ``DistanceWeighted``'s Gram matrix and its three same-sized
+    temporaries, 4*n*n); and the aggregate, the shrunk estimate and one loss
+    temporary (3*m).  ψ and the CRH/CATD iterations run in row blocks, so
+    they add no batch-sized temporary.
+    """
+    return 8 * samples * (n * m + n + 2 * m + 9 + max(n * m, 4 * n * n) + 3 * m)
+
+
+def _check_request(need: int, what: str) -> None:
+    """Raise RequestTooLargeError when ``what`` needs over ``MAX_BATCH_BYTES``."""
+    if need > MAX_BATCH_BYTES:
+        raise RequestTooLargeError(
+            f"{what} need {need} bytes, over the "
+            f"{MAX_BATCH_BYTES}-byte limit (analysis.MAX_BATCH_BYTES)")
 
 
 def _sample_batch(source, n: int, m: int, samples: int, seed: int):

@@ -30,8 +30,9 @@ DISTANCE_EPS = 1e-12
 DEFAULT_MAX_ITERATIONS = 14
 DEFAULT_CONVERGENCE_TOL = 1e-8
 
-# Bytes of replicates one CRH/CATD step works on at a time, so that a block
-# and its temporaries stay in a core's L2 cache; it changes no value.
+# Bytes of replicates one CRH/CATD step (or one ψ block in ``analysis``)
+# works on at a time, so that a block and its temporaries stay in a core's L2
+# cache; it changes no value.
 ITERATION_BLOCK_BYTES = 512 * 1024
 
 
@@ -45,42 +46,50 @@ def blue(values: np.ndarray, sigma2s: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _weighted_mean(values, w), 1.0 / w.sum(axis=-1)
 
 
-def _weighted_mean(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _weighted_mean(values: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     # values: (..., n, m); w: (..., n)
-    return np.einsum("...n,...nm->...m", w, values) / w.sum(axis=-1, keepdims=True)
+    return np.divide(np.einsum("...n,...nm->...m", w, values),
+                     w.sum(axis=-1, keepdims=True), out=out)
+
+
+def block_rows(Xb: np.ndarray) -> int:
+    """Replicates of the (r, n, m) stack ``Xb`` that fit in one
+    ``ITERATION_BLOCK_BYTES`` block (at least one)."""
+    return max(1, ITERATION_BLOCK_BYTES // max(1, Xb.itemsize * Xb.shape[1] * Xb.shape[2]))
 
 
 def _iterate_batch(Xb: np.ndarray, weight_rule, alg) -> np.ndarray:
     """CRH/CATD reweighting on a (r, n, m) batch, returning the (r, m) truths.
 
-    Each iteration makes one pass over the batch in row blocks of at most
-    ``ITERATION_BLOCK_BYTES``: a block's distances, weights and new truths
-    are computed while the block is still in cache, and a block touches only
-    its own rows. The stopping test stays batch-wide (the largest weight
+    Each iteration makes one pass over the batch in row blocks of
+    ``block_rows``: a block's distances, weights and new truths are computed
+    while the block is still in cache, and a block touches only its own rows
+    of the truths. The stopping test stays batch-wide (the largest weight
     change over all blocks), and every row's arithmetic is the same in any
     block, so the block size changes no value.
     """
     r, n, m = Xb.shape
-    if r == 0:
-        return np.empty((0, m))
-    rows = max(1, ITERATION_BLOCK_BYTES // max(1, Xb.itemsize * n * m))
-    blocks = [Xb[lo:lo + rows] for lo in range(0, r, rows)]
-    t = [Xk.mean(axis=1) for Xk in blocks]
+    rows = block_rows(Xb)
+    t = np.empty((r, m))
+    # (block, its rows of t) view pairs; each block's truths are written in place
+    blocks = [(Xb[lo:lo + rows], t[lo:lo + rows]) for lo in range(0, r, rows)]
+    for Xk, tk in blocks:
+        Xk.mean(axis=1, out=tk)
     w_prev = [None] * len(blocks)
     for i in range(alg.max_iterations):
         change = 0.0
-        for k, Xk in enumerate(blocks):
-            d = ((Xk - t[k][:, None, :]) ** 2).sum(axis=2) + DISTANCE_EPS
+        for k, (Xk, tk) in enumerate(blocks):
+            d = ((Xk - tk[:, None, :]) ** 2).sum(axis=2) + DISTANCE_EPS
             w = weight_rule(d)
             if not np.isfinite(w).all():
                 raise IterationDivergenceError("non-finite weight during iteration")
-            t[k] = _weighted_mean(Xk, w)
+            _weighted_mean(Xk, w, out=tk)
             if i:
                 change = max(change, np.abs(w - w_prev[k]).max())
             w_prev[k] = w
         if i and change < alg.convergence_tol:
             break
-    return t[0] if len(t) == 1 else np.concatenate(t)
+    return t
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,10 @@ def _write_csv(path, header: str, records: list[dict]) -> None:
 
 def _threads(value: str) -> int:
     if value == "auto":
+        # the CPUs this process may run on, which an affinity mask can make
+        # fewer than the host's
+        if hasattr(os, "sched_getaffinity"):
+            return min(8, len(os.sched_getaffinity(0)))
         return min(8, os.cpu_count() or 1)
     n = int(value)
     if n < 1:
@@ -334,7 +338,8 @@ def cmd_conditions(args) -> int:
     n, m = int(cfg["n"]), int(cfg["m"])
     gen = AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
     seed = int(cfg["seed"])
-    stream_data = sample_aggregate_stream(gen, base, psi, int(cfg["replicates"]), seed)
+    stream_data = sample_aggregate_stream(gen, base, psi, int(cfg["replicates"]), seed,
+                                          threads=_threads(str(cfg["threads"])))
 
     if cfg.get("sigma2") is not None:
         sigma2 = float(cfg["sigma2"])

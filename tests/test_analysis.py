@@ -1,6 +1,7 @@
 """Monte Carlo risk machinery, condition checks, and report serialization."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ebtruth import (
     IndexedSigmas,
     InsufficientDataError,
     InsufficientReplicatesError,
+    IterationDivergenceError,
     LengthMismatchError,
     Mean,
     MEAN_SQUARED,
@@ -179,6 +181,128 @@ class TestReplicateBlocks:
         assert np.array_equal(s.aggregates, np.concatenate(xas))
         assert np.array_equal(s.psis, np.concatenate(
             [psi_batch(HeuristicH(), X, xa) for (X, _, _), xa in zip(chunks, xas)]))
+
+
+class TestThreadedStream:
+    """``sample_aggregate_stream`` runs its chunks on a thread pool; the
+    stores must not notice how many threads there are."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(analysis, "CHUNK", 70)  # 200 replicates: 70 + 70 + 60
+
+    @pytest.mark.parametrize("base", [CRH(), CATD(), Mean()], ids=["crh", "catd", "mean"])
+    def test_identical_at_any_thread_count(self, monkeypatch, base):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10,
+                           fresh_gt=True, fresh_sigmas=True)
+        # the mean base takes 16-replicate blocks, so a chunk has several
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 16 * 8 * 4 * 10)
+        runs = [sample_aggregate_stream(gen, base, HeuristicH(), 200, seed=3, threads=t)
+                for t in (1, 2, 3)]
+        chunks = list(_reference_chunks(gen, 200, seed=3))
+        assert len(chunks) == 3
+        xa = np.concatenate([run_td_batch(base, X) for X, _, _ in chunks])
+        for s in runs:
+            if getattr(base, "batch_coupled", False):
+                assert np.array_equal(s.aggregates, xa)
+            for field in ("aggregates", "psis", "derivative_dots", "mu"):
+                assert np.array_equal(getattr(s, field), getattr(runs[0], field)), field
+
+    def test_many_chunks_on_more_threads_than_cpus(self, monkeypatch):
+        # 29 chunks on 6 threads that switch every microsecond: a row written
+        # by the wrong worker, or not at all, changes the stores
+        monkeypatch.setattr(analysis, "CHUNK", 7)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10, fresh_gt=True)
+        serial = sample_aggregate_stream(gen, CRH(), HeuristicH(), 200, seed=8, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                s = sample_aggregate_stream(gen, CRH(), HeuristicH(), 200, seed=8, threads=6)
+                for field in ("aggregates", "psis", "derivative_dots", "mu"):
+                    assert np.array_equal(getattr(s, field), getattr(serial, field)), field
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chunk_selector_yields_those_chunks_in_any_order(self, monkeypatch):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=True)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
+        every = list(analysis.iter_replicates(gen, 200, seed=4))
+        picked = list(analysis.iter_replicates(gen, 200, seed=4, chunks=[2, 0]))
+        # 70-replicate chunks in 16-replicate blocks: 5 blocks each, 4 in the last
+        assert [b[0].shape[0] for b in picked] == [16, 16, 16, 12] + [16, 16, 16, 16, 6]
+        for got, want in zip(picked, every[10:] + every[:5]):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e200 row overflows
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_failing_chunk_raises_its_typed_error(self, monkeypatch, threads):
+        _poison_chunk(monkeypatch, 1)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10, fresh_gt=True)
+        with pytest.raises(IterationDivergenceError):
+            sample_aggregate_stream(gen, CRH(), HeuristicH(), 200, seed=3, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_chunks_run_under_the_callers_errstate(self, monkeypatch, threads):
+        _poison_chunk(monkeypatch, 1)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10, fresh_gt=True)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            sample_aggregate_stream(gen, CRH(), HeuristicH(), 200, seed=3, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("base", [CRH(), Mean()], ids=["crh", "mean"])
+    def test_memory_is_the_stores_and_one_chunk_per_thread(self, monkeypatch, base, threads):
+        import tracemalloc
+
+        monkeypatch.setattr(analysis, "CHUNK", 2000)
+        n, m, replicates = 10, 50, 4000
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=n, m=m, fresh_gt=True)
+        sample_aggregate_stream(gen, base, HeuristicH(), 100, seed=5, threads=threads)
+        tracemalloc.start()
+        try:
+            sample_aggregate_stream(gen, base, HeuristicH(), replicates, seed=5, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stores = 8 * replicates * (2 * m + 2)
+        # per replicate in flight: observations (n*m), truths and aggregates
+        # (2*m), worker variances and their roots (2*n), and m + 2*n for
+        # (r, m) and (r, n) temporaries; an unblocked ψ would add n*m, an
+        # unblocked ∂ψ about 2*m
+        assert peak - stores <= threads * 8 * analysis.CHUNK * (n * m + 3 * m + 4 * n)
+
+    @pytest.mark.parametrize("call, need", [
+        (lambda r: sample_aggregate_stream(_gen(), Mean(), Constant(1.0), r, seed=0),
+         lambda r: 8 * r * (2 * 10 + 2)),
+        (lambda r: mc_risk(_gen(), [pipeline_blue(), pipeline_eb_blue()], r, seed=0),
+         lambda r: 8 * r * 2),
+    ], ids=["sample_aggregate_stream", "mc_risk"])
+    def test_replicate_bound_is_checked_before_drawing(self, monkeypatch, call, need):
+        monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need(150))
+        call(150)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew replicates over the limit")
+
+        monkeypatch.setattr(analysis, "iter_replicates", no_draw)
+        monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need(150) - 1)
+        with pytest.raises(RequestTooLargeError):
+            call(150)
+
+
+def _poison_chunk(monkeypatch, chunk_index):
+    """Make the first replicate of chunk ``chunk_index`` 1e200 times larger,
+    which sends CRH's weights to NaN."""
+    draw = analysis.iter_replicates
+
+    def poisoned(*args, chunks=None, **kwargs):
+        for X, mu, sig2 in draw(*args, chunks=chunks, **kwargs):
+            if chunks == [chunk_index]:
+                X[0] *= 1e200
+            yield X, mu, sig2
+
+    monkeypatch.setattr(analysis, "iter_replicates", poisoned)
 
 
 class TestConditions:
@@ -380,6 +504,23 @@ class TestImprovementRatios:
     def test_batch_bytes_counts_the_arrays(self):
         Xb, mub = analysis._sample_batch((GaussianGT(2.0, 4.0), GaussianSqSigmas()), 5, 12, 30, 0)
         assert analysis.batch_bytes(5, 12, 30) >= Xb.nbytes + mub.nbytes + 30 * 8 * 5
+
+    @pytest.mark.parametrize("n, m", [(10, 50), (40, 8), (1, 30)])
+    @pytest.mark.parametrize("base", IR_BASES, ids=lambda b: type(b).__name__)
+    def test_batch_bytes_bounds_the_traced_peak(self, base, n, m):
+        import tracemalloc
+
+        import scipy.special  # noqa: F401  (CATD's lazy import is not a batch cost)
+
+        source = (GaussianGT(2.0, 1.0), GaussianSqSigmas())
+        improvement_ratios(source, [base], HeuristicH(), n=n, m=m, samples=5)
+        tracemalloc.start()
+        try:
+            improvement_ratios(source, [base], HeuristicH(), n=n, m=m, samples=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= analysis.batch_bytes(n, m, 500)
 
     def test_non_finite_draw_is_a_typed_error(self):
         class NanGT:

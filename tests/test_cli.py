@@ -197,6 +197,22 @@ class TestDeterminism:
             outs.append((out / "simulate.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("base, psi", [("crh", "h"), ("mean", "s:0.5")])
+    def test_conditions_byte_identical_across_threads(self, tmp_path, base, psi):
+        from ebtruth import analysis
+
+        assert analysis.n_chunks(45_000) == 3
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"out{threads}"
+            assert main(["conditions", "--base", base, "--psi", psi, "--n", "4", "--m", "10",
+                         "--gt", "gaussian:2,1", "--sigmas", "gaussian-sq", "--sigma2", "0.1",
+                         "--replicates", "45000", "--seed", "6", "--out", str(out),
+                         "--threads", threads]) == EXIT_OK
+            outs.append(((out / "conditions.csv").read_bytes(),
+                         (out / "conditions.jsonl").read_bytes()))
+        assert outs[0] == outs[1] == outs[2]
+
     def test_evaluate_reruns_identical(self, tmp_path, dataset_csv):
         blobs = []
         for i in range(2):
@@ -335,6 +351,91 @@ def test_evaluate_too_many_samples_exits_validation_promptly(tmp_path, dataset_c
     assert proc.returncode == EXIT_VALIDATION
     assert len(proc.stderr.splitlines()) == 1
     assert "MAX_BATCH_BYTES" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["conditions", "simulate"])
+def test_too_many_replicates_exits_validation_promptly(tmp_path, command):
+    # a separate process, so that a regression to allocating the stores fails
+    # on the timeout or a memory error instead of taking the suite down
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ebtruth.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ebtruth.cli", command, "--replicates", "1000000000000",
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == EXIT_VALIDATION
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:") and "MAX_BATCH_BYTES" in proc.stderr
+
+
+def test_conditions_chunk_failing_in_a_worker_exits_validation(tmp_path):
+    # chunk 1 of 3 gets a 1e200 replicate, which sends CRH's weights to NaN
+    # in a worker thread; a separate process, so a hang fails on the timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ebtruth.__file__)))
+    script = f"""
+import sys, warnings
+from ebtruth import analysis
+from ebtruth.cli import main
+
+warnings.simplefilter("ignore", RuntimeWarning)
+draw = analysis.iter_replicates
+
+def poisoned(*args, chunks=None, **kwargs):
+    for X, mu, sig2 in draw(*args, chunks=chunks, **kwargs):
+        if chunks == [1]:
+            X[0] *= 1e200
+        yield X, mu, sig2
+
+analysis.iter_replicates = poisoned
+sys.exit(main(["conditions", "--base", "crh", "--psi", "h", "--n", "4", "--m", "10",
+               "--sigmas", "gaussian-sq", "--sigma2", "1", "--replicates", "45000", "--threads", "3",
+               "--out", {str(tmp_path / "out")!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.splitlines() == ["error: non-finite weight during iteration"]
+    assert not (tmp_path / "out").exists()
+
+
+class TestThreads:
+    def test_auto_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        from ebtruth.cli import _threads
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert _threads("auto") == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2, 5}, raising=False)
+        assert _threads("auto") == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)), raising=False)
+        assert _threads("auto") == 8
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _threads("auto") == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _threads("auto") == 2
+
+    @pytest.mark.parametrize("flag, want", [("2", 2), ("3", 3), ("auto", None)])
+    def test_conditions_runs_on_the_pool_it_is_given(self, tmp_path, monkeypatch, flag, want):
+        import ebtruth.cli as cli
+
+        seen = []
+        stream = cli.sample_aggregate_stream
+
+        def recording(*args, threads, **kwargs):
+            seen.append(threads)
+            return stream(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_aggregate_stream", recording)
+        assert main(["conditions", "--replicates", "300", "--threads", flag,
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert seen == [want or cli._threads("auto")]
+
+    def test_explicit_counts(self):
+        from ebtruth.cli import _threads
+        from ebtruth.errors import ValidationError
+
+        assert _threads("3") == 3
+        with pytest.raises(ValidationError):
+            _threads("0")
 
 
 # (improvement_ratio, base_risk, eb_risk) of every evaluate.csv row, frozen

@@ -30,6 +30,7 @@ from ebtruth import (
     stream,
     validate_matrix,
 )
+from ebtruth import baselines
 from ebtruth.analysis import psi_batch, psi_derivative_dot_batch
 
 RNG = np.random.default_rng(2024)
@@ -116,6 +117,17 @@ CASES = {
 def test_single_and_batch_entries_agree_bit_for_bit(case):
     singles, batch = case()
     assert np.array_equal(np.asarray(singles), batch)
+
+
+@pytest.mark.parametrize("kernel", [psi_batch, psi_derivative_dot_batch], ids=["psi", "dpsi"])
+@pytest.mark.parametrize("est", ESTIMATORS, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("rows", [1, 5, 11])
+def test_psi_row_blocks_change_no_value(kernel, est, rows, monkeypatch):
+    xa = XB.mean(axis=1) + 0.1
+    whole = kernel(est, XB, xa)  # all 12 replicates fit in one block
+    monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", rows * XB[0].nbytes)
+    assert baselines.block_rows(XB) == rows
+    assert np.array_equal(kernel(est, XB, xa), whole)
 
 
 def test_shrink_degenerate_rows_flagged_per_row():
