@@ -40,12 +40,10 @@ from .baselines import (
     CRH,
     Blue,
     DistanceWeighted,
-    External,
     Mean,
     Median,
     TdAlgorithm,
     blue_aggregate,
-    load_external_answers,
     run_td,
     run_td_batch,
 )
@@ -94,7 +92,6 @@ from .estimators import (
     ShrinkageResult,
     bayes_posterior_mean,
     ebe,
-    ebe_alpha,
     identity,
     shrink_batch,
     stein,
@@ -107,7 +104,7 @@ from .model import (
     validate_matrix,
     validate_variances,
 )
-from .pipelines import eb_blue, eb_wrap, eb_wrap_alpha, shrink_aggregate
+from .pipelines import eb_blue, eb_wrap, shrink_aggregate
 from .variance import (
     Constant,
     HeuristicH,

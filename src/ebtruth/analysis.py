@@ -126,6 +126,10 @@ class AwgGenerator:
     fresh_gt: bool = True
     fresh_sigmas: bool = False
 
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise EmptyMatrixError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
+
 
 def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool = False,
                     chunks=None):
@@ -314,9 +318,11 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
     chunk and writing its own rows of the stores, so the result does not
     depend on ``threads``.  Each chunk runs in a copy of the caller's context
     (so under its ``np.errstate``), and a chunk that raises raises here.
-    Stores over ``MAX_BATCH_BYTES`` raise RequestTooLargeError before
-    anything is drawn.
+    Fewer than 2 replicates raise InsufficientReplicatesError and stores
+    over ``MAX_BATCH_BYTES`` RequestTooLargeError, before anything is drawn.
     """
+    if replicates < 2:
+        raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
     _check_request(8 * replicates * (2 * gen.m + 2),
                    f"{replicates} replicates of {gen.m} aggregates and truths")
     aggregates = np.empty((replicates, gen.m))

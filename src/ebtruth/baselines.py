@@ -8,7 +8,6 @@ CRH and CATD iterate over the stack in cache-sized row blocks
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -18,10 +17,9 @@ from .errors import (
     EmptyMatrixError,
     IterationDivergenceError,
     LengthMismatchError,
-    ParseError,
     ValidationError,
 )
-from .model import ObservationMatrix, as_answer_vector, validate_variances
+from .model import ObservationMatrix, validate_variances
 
 # Workers whose answers coincide with the current truth estimate would get an
 # infinite weight; this floor is applied uniformly to every squared distance.
@@ -186,24 +184,7 @@ class DistanceWeighted:
         return _weighted_mean(Xb, 1.0 / d)
 
 
-@dataclass(frozen=True)
-class External:
-    """Verbatim plug-in answers computed by an external algorithm."""
-
-    answers: tuple
-
-    def __init__(self, answers):
-        object.__setattr__(self, "answers", tuple(float(a) for a in as_answer_vector(answers)))
-
-    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        r, _, m = Xb.shape
-        answers = np.asarray(self.answers)
-        if answers.shape[0] != m:
-            raise LengthMismatchError(f"{answers.shape[0]} answers for {m} questions")
-        return np.broadcast_to(answers, (r, m)).copy()
-
-
-TdAlgorithm = Blue | Mean | Median | CRH | CATD | DistanceWeighted | External
+TdAlgorithm = Blue | Mean | Median | CRH | CATD | DistanceWeighted
 
 
 def blue_aggregate(X: ObservationMatrix, sigma2s) -> tuple[np.ndarray, float]:
@@ -230,28 +211,3 @@ def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray) -> np.ndarray:
 def run_td(alg: TdAlgorithm, X: ObservationMatrix) -> np.ndarray:
     """Aggregate one observation matrix into a length-m answer vector."""
     return run_td_batch(alg, X.values[None, :, :])[0]
-
-
-def load_external_answers(path) -> External:
-    """Read a plug-in answer vector from a one-column CSV with header 'answer'."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyMatrixError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["answer"]:
-            raise ParseError(1, f"expected header 'answer', got {header!r}")
-        answers = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 1:
-                raise ParseError(lineno, f"expected 1 field, got {len(row)}")
-            try:
-                answers.append(float(row[0]))
-            except ValueError:
-                raise ParseError(lineno, f"not a number: {row[0]!r}") from None
-    if not answers:
-        raise EmptyMatrixError(f"{path}: no answers")
-    return External(answers)

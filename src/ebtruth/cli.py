@@ -287,6 +287,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
+    _threads(str(cfg["threads"]))  # checked as in simulate and conditions; evaluate is serial
     if not cfg.get("data"):
         raise ValidationError("evaluate requires --data")
     ds = load_csv(cfg["data"])

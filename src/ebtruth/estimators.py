@@ -103,8 +103,8 @@ def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
     return estimate, factor, degenerate
 
 
-def ebe_alpha(v, sigma2, alpha: float, positive_part: bool = False) -> ShrinkageResult:
-    """Shrink v toward its mean with weight 1 - alpha*sigma2/ss.
+def ebe(v, sigma2, positive_part: bool = False, alpha: float | None = None) -> ShrinkageResult:
+    """Shrink v toward its mean with weight 1 - alpha*sigma2/ss; None means m - 3.
 
     ``v`` is one answer vector or an (r, m) batch with one ``sigma2`` per
     row.  For m <= 3 the estimator reduces to the identity (returned with
@@ -112,16 +112,10 @@ def ebe_alpha(v, sigma2, alpha: float, positive_part: bool = False) -> Shrinkage
     to its shared value.
     """
     v = as_answers(v)
-    alpha = float(alpha)
+    alpha = max(v.shape[-1] - 3, 0) if alpha is None else float(alpha)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     return _result(*_shrink(v, _check_sigma2(sigma2, v), alpha, positive_part))
-
-
-def ebe(v, sigma2, positive_part: bool = False) -> ShrinkageResult:
-    """Shrink-toward-mean with the default alpha = m - 3."""
-    v = as_answers(v)
-    return _result(*_shrink(v, _check_sigma2(sigma2, v), max(v.shape[-1] - 3, 0), positive_part))
 
 
 def shrink_batch(V, sigma2, alpha, positive_part: bool = False) -> np.ndarray:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import TdAlgorithm, blue_aggregate, run_td
-from .estimators import ebe, ebe_alpha
+from .estimators import ebe
 from .model import ObservationMatrix
-from .variance import VarianceEstimator, psi_value
+from .variance import VarianceEstimator
 
 
 def eb_blue(X: ObservationMatrix, sigma2s, positive_part: bool = False) -> np.ndarray:
@@ -33,20 +33,14 @@ def shrink_aggregate(xa, sigma2_hat, alpha: float | None = None,
         return xa
     if kept:
         sigma2_hat = np.where(keep, 1.0, sigma2_hat)
-    shrunk = (ebe(xa, sigma2_hat, positive_part) if alpha is None
-              else ebe_alpha(xa, sigma2_hat, alpha, positive_part)).estimate
+    shrunk = ebe(xa, sigma2_hat, positive_part, alpha).estimate
     return np.where(keep[..., None], xa, shrunk) if kept else shrunk
 
 
 def eb_wrap(X: ObservationMatrix, base: TdAlgorithm, psi: VarianceEstimator,
-            positive_part: bool = False) -> np.ndarray:
+            positive_part: bool = False, alpha: float | None = None) -> np.ndarray:
     """Estimated-competence pipeline: run the base algorithm, estimate the
-    aggregated variance with psi, then shrink."""
-    return eb_wrap_alpha(X, base, psi, None, positive_part)
-
-
-def eb_wrap_alpha(X: ObservationMatrix, base: TdAlgorithm, psi: VarianceEstimator,
-                  alpha: float | None, positive_part: bool = False) -> np.ndarray:
-    """eb_wrap with the (m-3) multiplier replaced by alpha (None keeps m - 3)."""
+    aggregated variance with psi, then shrink with alpha (None means m - 3).
+    It runs the batch wrap's kernels on a batch of one."""
     x_a = run_td(base, X)
-    return shrink_aggregate(x_a, psi_value(psi, X, x_a), alpha, positive_part)
+    return shrink_aggregate(x_a, psi.evaluate(X.values, x_a), alpha, positive_part)

@@ -3,10 +3,10 @@
 Each built-in estimator has one kernel, ``evaluate(values, xa)``, mapping
 observations (..., n, m) and aggregates (..., m) to a sigma-hat^2 >= 0 per
 aggregate, and its analytic ``gradient`` with respect to the aggregate, which
-the risk-condition checks need.  ``value(X, x_a)`` is the validated
-single-matrix entry.  A custom estimator with only ``value`` serves the
-single-matrix paths; the batch paths (improvement ratios, Monte Carlo wrap
-pipelines) call ``evaluate`` and the condition checks call ``gradient``.
+the risk-condition checks need.  Every pipeline, ``eb_wrap`` included,
+calls ``evaluate``; ``value(X, x_a)``, the validated single-matrix entry,
+serves only ``psi_value`` and the finite-difference fallback in
+``psi_derivative``.
 """
 
 from __future__ import annotations

@@ -10,15 +10,12 @@ from ebtruth import (
     Blue,
     DistanceWeighted,
     EmptyMatrixError,
-    External,
     IterationDivergenceError,
     LengthMismatchError,
     Mean,
     Median,
-    ParseError,
     ValidationError,
     blue_aggregate,
-    load_external_answers,
     run_td,
     run_td_batch,
     validate_matrix,
@@ -80,13 +77,6 @@ class TestSimpleBaselines:
         np.testing.assert_allclose(run_td(Mean(), X), np.mean(TABLE, axis=0))
         np.testing.assert_allclose(run_td(Median(), X), np.median(TABLE, axis=0))
 
-    def test_external_passthrough(self):
-        X = validate_matrix(TABLE)
-        np.testing.assert_array_equal(run_td(External([1.0, 2.0, 3.0, 4.0]), X),
-                                      [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(LengthMismatchError):
-            run_td(External([1.0]), X)
-
 
 class TestIterativeBaselines:
     def test_crh_matches_reference(self):
@@ -145,9 +135,8 @@ class TestIterativeBaselines:
         assert not np.array_equal(wrapped, row)
 
 
-ALL_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted(), Blue([1.0, 2.0]),
-             External([1.0, 2.0, 3.0])]
-BASE_IDS = ["mean", "median", "crh", "catd", "distance", "blue", "external"]
+ALL_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted(), Blue([1.0, 2.0])]
+BASE_IDS = ["mean", "median", "crh", "catd", "distance", "blue"]
 
 
 class TestEmptyStacks:
@@ -269,36 +258,3 @@ class TestInvariances:
         est = run_td_batch(alg, Xb).mean(axis=0)
         se = 1.0 / np.sqrt(5 * 4000)
         np.testing.assert_allclose(est, mu, atol=6 * se)
-
-
-class TestExternalFile:
-    def test_round_trip(self, tmp_path):
-        p = tmp_path / "answers.csv"
-        p.write_text("answer\n1.5\n-2.25\n3.0\n")
-        assert load_external_answers(p).answers == (1.5, -2.25, 3.0)
-
-    def test_bad_header(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("value\n1.0\n")
-        with pytest.raises(ParseError):
-            load_external_answers(p)
-
-    def test_non_numeric_with_line_number(self, tmp_path):
-        p = tmp_path / "bad2.csv"
-        p.write_text("answer\n1.0\nxyz\n")
-        with pytest.raises(ParseError) as exc:
-            load_external_answers(p)
-        assert exc.value.line == 3
-
-    def test_extra_field_with_line_number(self, tmp_path):
-        p = tmp_path / "bad3.csv"
-        p.write_text("answer\n1.0,junk\n2.0\n")
-        with pytest.raises(ParseError) as exc:
-            load_external_answers(p)
-        assert exc.value.line == 2
-
-    def test_empty(self, tmp_path):
-        p = tmp_path / "empty.csv"
-        p.write_text("")
-        with pytest.raises(EmptyMatrixError):
-            load_external_answers(p)

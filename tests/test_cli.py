@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,20 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "GaussianGT" in err and word in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n-grid", "0"],
+        ["simulate", "--m-grid", "0"],
+        ["conditions", "--m", "0"],
+        ["conditions", "--n", "0", "--sigmas", "gaussian-sq"],
+        ["conditions", "--replicates", "0"],
+        ["conditions", "--replicates", "1"],
+    ])
+    def test_empty_shape_or_too_few_replicates_is_validation(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_base_is_validation(self, dataset_csv, tmp_path):
         code = main(["evaluate", "--data", dataset_csv, "--bases", "wavg",
@@ -230,7 +245,7 @@ class TestDeterminism:
                          "--out", str(out)]) == EXIT_OK
             return (out / "evaluate.csv").read_text()
 
-        text = open(dataset_csv, encoding="utf-8").read()
+        text = Path(dataset_csv).read_text(encoding="utf-8")
         copies = []
         for name in ("a", "b"):
             (tmp_path / name).mkdir()
@@ -428,6 +443,18 @@ class TestThreads:
         assert main(["conditions", "--replicates", "300", "--threads", flag,
                      "--out", str(tmp_path)]) == EXIT_OK
         assert seen == [want or cli._threads("auto")]
+
+    @pytest.mark.parametrize("value", ["0", "foo"])
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "conditions"])
+    def test_every_command_rejects_a_bad_count(self, tmp_path, dataset_csv, capsys,
+                                               command, value):
+        argv = [command, "--threads", value, "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--data", dataset_csv]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "out").exists()
 
     def test_explicit_counts(self):
         from ebtruth.cli import _threads

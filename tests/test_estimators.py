@@ -9,7 +9,6 @@ from ebtruth import (
     ZeroNormInputError,
     bayes_posterior_mean,
     ebe,
-    ebe_alpha,
     identity,
     shrink_batch,
     stein,
@@ -54,7 +53,7 @@ class TestShrinkTowardMean:
 
     def test_alpha_zero_is_identity(self):
         v = [1.0, 2.0, 3.0, 4.0]
-        res = ebe_alpha(v, 1.0, 0.0)
+        res = ebe(v, 1.0, alpha=0.0)
         np.testing.assert_array_equal(res.estimate, v)
         assert res.shrink_factor == 1.0
 
@@ -62,7 +61,7 @@ class TestShrinkTowardMean:
         with pytest.raises(NonPositiveVarianceError):
             ebe([1.0, 2.0, 3.0, 4.0], 0.0)
         with pytest.raises(ValueError):
-            ebe_alpha([1.0, 2.0, 3.0, 4.0], 1.0, -1.0)
+            ebe([1.0, 2.0, 3.0, 4.0], 1.0, alpha=-1.0)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=4, max_size=20),
            st.floats(min_value=-50, max_value=50),
@@ -138,14 +137,14 @@ class TestIdentityAndBatch:
         for pp in (False, True):
             batch = shrink_batch(V, sigma2, alpha, pp)
             for i in range(50):
-                scalar = ebe_alpha(V[i], sigma2[i], alpha[i], pp).estimate
+                scalar = ebe(V[i], sigma2[i], pp, alpha=alpha[i]).estimate
                 np.testing.assert_allclose(batch[i], scalar, rtol=1e-12)
 
     def test_batch_degenerate_rows(self):
         V = np.vstack([np.full(5, 3.0), np.arange(5.0)])
         out = shrink_batch(V, 1.0, 2.0)
         np.testing.assert_array_equal(out[0], np.full(5, 3.0))
-        np.testing.assert_allclose(out[1], ebe_alpha(np.arange(5.0), 1.0, 2.0).estimate)
+        np.testing.assert_allclose(out[1], ebe(np.arange(5.0), 1.0, alpha=2.0).estimate)
 
     def test_batch_short_vectors_identity(self):
         V = np.arange(6.0).reshape(2, 3)

@@ -18,7 +18,6 @@ from ebtruth import (
     blue_aggregate,
     eb_blue,
     ebe,
-    ebe_alpha,
     estimate_alpha_star,
     loss,
     pipeline_blue,
@@ -44,8 +43,8 @@ ESTIMATORS = [HeuristicH(), SampleScaled(0.7), Constant(0.4), OracleReduced([1.0
 
 def _shrink(v, alpha):
     def case():
-        singles = [ebe_alpha(v[i], S2[i], alpha).estimate for i in range(len(v))]
-        batch = ebe_alpha(v, S2, alpha).estimate
+        singles = [ebe(v[i], S2[i], alpha=alpha).estimate for i in range(len(v))]
+        batch = ebe(v, S2, alpha=alpha).estimate
         assert np.array_equal(batch, shrink_batch(v, S2, alpha))
         return singles, batch
     return case
@@ -131,7 +130,7 @@ def test_psi_row_blocks_change_no_value(kernel, est, rows, monkeypatch):
 
 
 def test_shrink_degenerate_rows_flagged_per_row():
-    res = ebe_alpha(V, S2, 4.5)
+    res = ebe(V, S2, alpha=4.5)
     assert res.degenerate[3] and res.shrink_factor[3] == 0.0
     assert not res.degenerate[[0, 1, 2, 4]].any()
     assert np.array_equal(res.estimate[3], V[3])

@@ -4,23 +4,29 @@ import numpy as np
 import pytest
 
 from ebtruth import (
+    CATD,
     CRH,
+    Blue,
     Constant,
+    DistanceWeighted,
     HeuristicH,
     InsufficientReplicatesError,
     InsufficientSignalError,
     Mean,
+    Median,
     OracleReduced,
     SampleScaled,
     blue_aggregate,
     eb_blue,
     eb_wrap,
-    eb_wrap_alpha,
     ebe,
     estimate_alpha_star,
     run_td,
+    run_td_batch,
+    shrink_aggregate,
     validate_matrix,
 )
+from ebtruth.analysis import psi_batch
 
 TABLE = [[20.0, 2.0, 3.0, 4.0], [10.0, 11.0, 18.0, 14.0],
          [8.0, 11.0, 23.0, 19.0], [6.0, 13.0, 7.0, 3.0]]
@@ -56,14 +62,14 @@ class TestEstimatedCompetence:
 
     def test_alpha_zero_returns_base_output(self):
         X = validate_matrix(TABLE)
-        out = eb_wrap_alpha(X, CRH(), HeuristicH(), alpha=0.0)
+        out = eb_wrap(X, CRH(), HeuristicH(), alpha=0.0)
         np.testing.assert_array_equal(out, run_td(CRH(), X))
 
     def test_default_alpha_equals_m_minus_3(self):
         rng = np.random.default_rng(1)
         X = validate_matrix(rng.normal(size=(4, 9)))
         a = eb_wrap(X, Mean(), HeuristicH())
-        b = eb_wrap_alpha(X, Mean(), HeuristicH(), alpha=9 - 3)
+        b = eb_wrap(X, Mean(), HeuristicH(), alpha=9 - 3)
         np.testing.assert_array_equal(a, b)
 
     def test_positive_part_propagates(self):
@@ -71,6 +77,33 @@ class TestEstimatedCompetence:
         clipped = eb_wrap(X, Mean(), Constant(1e6), positive_part=True)
         mean_row = run_td(Mean(), X)
         np.testing.assert_allclose(clipped, np.full(4, mean_row.mean()))
+
+
+WRAP_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted(),
+              Blue([0.5, 1.0, 2.0, 4.0, 8.0])]
+WRAP_PSIS = [HeuristicH(), SampleScaled(0.5), Constant(1.5),
+             OracleReduced([0.5, 1.0, 2.0, 4.0, 8.0])]
+
+
+class TestSingleMatrixIsBatchOfOne:
+    """eb_wrap is the batch wrap's kernels (run_td_batch, psi_batch,
+    shrink_aggregate) at a batch of one, bit for bit."""
+
+    @pytest.mark.parametrize("base", WRAP_BASES, ids=lambda b: type(b).__name__)
+    @pytest.mark.parametrize("psi", WRAP_PSIS, ids=lambda p: type(p).__name__)
+    def test_equals_row_zero_of_the_batch_wrap(self, base, psi):
+        rng = np.random.default_rng(4)
+        for m in (4, 13):
+            X = validate_matrix(rng.normal(2.0, 3.0, size=(5, m)))
+            Xb = X.values[None]
+            xa = run_td_batch(base, Xb)
+            for pp in (False, True):
+                for alpha in (None, 0, 2.5):
+                    batch = shrink_aggregate(xa, psi_batch(psi, Xb, xa), alpha, pp)[0]
+                    assert np.array_equal(eb_wrap(X, base, psi, pp, alpha=alpha), batch), \
+                        (m, pp, alpha)
+            with pytest.raises(ValueError):
+                eb_wrap(X, base, psi, alpha=-1)
 
 
 class TestAlphaStar:
