@@ -103,6 +103,17 @@ def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
     return estimate, factor, degenerate
 
 
+def check_alpha(alpha: float | None) -> float | None:
+    """``alpha`` as a float (None, meaning m - 3, passes); a negative or NaN
+    alpha raises ValueError."""
+    if alpha is None:
+        return None
+    alpha = float(alpha)
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    return alpha
+
+
 def ebe(v, sigma2, positive_part: bool = False, alpha: float | None = None) -> ShrinkageResult:
     """Shrink v toward its mean with weight 1 - alpha*sigma2/ss; None means m - 3.
 
@@ -112,9 +123,8 @@ def ebe(v, sigma2, positive_part: bool = False, alpha: float | None = None) -> S
     to its shared value.
     """
     v = as_answers(v)
-    alpha = max(v.shape[-1] - 3, 0) if alpha is None else float(alpha)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = check_alpha(alpha)
+    alpha = max(v.shape[-1] - 3, 0) if alpha is None else alpha
     return _result(*_shrink(v, _check_sigma2(sigma2, v), alpha, positive_part))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import TdAlgorithm, blue_aggregate, run_td
-from .estimators import ebe
+from .estimators import check_alpha, ebe
 from .model import ObservationMatrix
 from .variance import VarianceEstimator
 
@@ -26,7 +26,9 @@ def shrink_aggregate(xa, sigma2_hat, alpha: float | None = None,
     """Aggregate in, shrunk aggregate out, for one aggregate or an (r, m)
     batch with one ``sigma2_hat`` per row; alpha=None means m - 3.  A zero
     variance estimate (legitimate on unanimous data) or alpha = 0 leaves the
-    aggregate unchanged rather than erroring."""
+    aggregate unchanged rather than erroring; a negative or NaN alpha raises
+    ValueError either way."""
+    alpha = check_alpha(alpha)
     keep = np.asarray(sigma2_hat) == 0.0
     kept = np.count_nonzero(keep)
     if alpha == 0.0 or kept == keep.size:

@@ -1,7 +1,10 @@
 """Monte Carlo risk machinery, condition checks, and report serialization."""
 
 import json
+import os
+import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -101,6 +104,11 @@ class TestMcRisk:
     def test_replicate_guard(self):
         with pytest.raises(InsufficientReplicatesError):
             mc_risk(_gen(), [pipeline_blue()], 1, seed=0)
+
+    def test_eb_blue_rejects_a_negative_or_nan_alpha(self):
+        for alpha in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                pipeline_eb_blue(alpha=alpha)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("psi", [HeuristicH(), SampleScaled(1.0)], ids=["h", "s"])
@@ -336,6 +344,25 @@ class TestConditions:
                             mu=np.zeros((4, 6)), seed=0)
         with pytest.raises(InsufficientDataError):
             improvement_condition(s)
+        # the terms are kept, but every check still rejects the stream
+        with pytest.raises(InsufficientDataError):
+            risk_decomposition(s, sigma2=1.0)
+        with pytest.raises(InsufficientDataError):
+            sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0))
+
+    def test_checks_share_one_pass_over_the_stream(self, monkeypatch):
+        s = self._stream(Constant(1.0), reps=1000)
+        calls = []
+        terms = analysis.stein_gap_terms
+        monkeypatch.setattr(analysis, "stein_gap_terms",
+                            lambda *args: calls.append(1) or terms(*args))
+        expected = (improvement_condition(s), risk_decomposition(s, sigma2=1.0),
+                    sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0)))
+        assert len(calls) == 1
+        fresh = self._stream(Constant(1.0), reps=1000)
+        assert expected == (improvement_condition(fresh), risk_decomposition(fresh, sigma2=1.0),
+                            sufficient_conditions(fresh, sigma2=1.0, psi=Constant(1.0)))
+        assert len(calls) == 2
 
     def test_alpha_star_golden(self):
         # frozen from the release before the Stein-gap terms were shared; row 7
@@ -432,6 +459,13 @@ class TestImprovementRatio:
 IR_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted()]
 
 
+class NanGT:
+    """A truth spec of the GtSpec protocol whose draws are all NaN."""
+
+    def draw(self, shape, rng):
+        return np.full(shape, np.nan)
+
+
 def _ir_dataset():
     return gen_synthetic(SyntheticSpec(gt=GaussianGT(2.0, 4.0), worker_sigmas=IndexedSigmas(),
                                        n=8, m=40, seed=3))
@@ -481,6 +515,7 @@ class TestImprovementRatios:
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(analysis, drawer, recording)
+        monkeypatch.setattr(analysis, "_last_batch", None)  # no batch kept by earlier tests
         improvement_ratios(source, IR_BASES, HeuristicH(), n=5, m=12, samples=30)
         # one call draws indices 0..29, and every base is scored on that batch
         assert calls == [30]
@@ -523,10 +558,6 @@ class TestImprovementRatios:
         assert peak <= analysis.batch_bytes(n, m, 500)
 
     def test_non_finite_draw_is_a_typed_error(self):
-        class NanGT:
-            def draw(self, shape, rng):
-                return np.full(shape, np.nan)
-
         with pytest.raises(NonFiniteError):
             improvement_ratio((NanGT(), IndexedSigmas()), Mean(), HeuristicH(), n=3, m=6,
                               samples=5)
@@ -547,6 +578,200 @@ class TestImprovementRatios:
     def test_one_question_is_rejected_like_eb_wrap(self, source, psi):
         with pytest.raises(LengthMismatchError):
             improvement_ratio(source, Mean(), psi, n=4, m=1, samples=10)
+
+
+MEMO_N, MEMO_M, MEMO_SAMPLES, MEMO_SEED = 5, 12, 40, 1
+MEMO_SOURCE = (GaussianGT(2.0, 4.0), GaussianSqSigmas())
+# key A, then one key B per component that differs: spec (truths or worker
+# variances), seed, samples, n and m
+MEMO_A = (MEMO_SOURCE, MEMO_N, MEMO_M, MEMO_SAMPLES, MEMO_SEED)
+MEMO_B = {
+    "gt": ((ConstantGT(2.0), GaussianSqSigmas()), MEMO_N, MEMO_M, MEMO_SAMPLES, MEMO_SEED),
+    "sigmas": ((GaussianGT(2.0, 4.0), IndexedSigmas()), MEMO_N, MEMO_M, MEMO_SAMPLES,
+               MEMO_SEED),
+    "seed": (MEMO_SOURCE, MEMO_N, MEMO_M, MEMO_SAMPLES, MEMO_SEED + 1),
+    "samples": (MEMO_SOURCE, MEMO_N, MEMO_M, MEMO_SAMPLES + 1, MEMO_SEED),
+    "n": (MEMO_SOURCE, MEMO_N + 1, MEMO_M, MEMO_SAMPLES, MEMO_SEED),
+    "m": (MEMO_SOURCE, MEMO_N, MEMO_M + 1, MEMO_SAMPLES, MEMO_SEED),
+}
+
+
+def _memo_ratio(key):
+    source, n, m, samples, seed = key
+    r = improvement_ratio(source, Mean(), HeuristicH(), n=n, m=m, samples=samples, seed=seed)
+    return r.improvement_ratio, r.base_risk, r.eb_risk
+
+
+_FRESH = {}
+
+
+def _fresh_process_ratio(key):
+    """``_memo_ratio(key)`` computed in a new interpreter, where no batch is kept."""
+    if repr(key) not in _FRESH:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+        script = f"""
+import json
+from ebtruth import *
+source, n, m, samples, seed = {key!r}
+r = improvement_ratio(source, Mean(), HeuristicH(), n=n, m=m, samples=samples, seed=seed)
+print(json.dumps([r.improvement_ratio, r.base_risk, r.eb_risk]))
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        _FRESH[repr(key)] = tuple(json.loads(proc.stdout))
+    return _FRESH[repr(key)]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The ``samples`` of every synthetic batch drawn, starting from an empty memo."""
+    calls = []
+    draw = analysis.gen_synthetic
+
+    def recording(spec, *args, **kwargs):
+        calls.append(kwargs.get("samples"))
+        return draw(spec, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_last_batch", None)
+    monkeypatch.setattr(analysis, "gen_synthetic", recording)
+    return calls
+
+
+class TestSampleBatchMemo:
+    @pytest.mark.parametrize("changed", sorted(MEMO_B))
+    def test_alternating_keys_equal_a_fresh_process(self, changed):
+        b = MEMO_B[changed]
+        for key in (MEMO_A, b, MEMO_A):
+            assert _memo_ratio(key) == _fresh_process_ratio(key), key
+
+    def test_repeated_per_base_calls_draw_once(self, draws):
+        for base in IR_BASES:
+            improvement_ratio(MEMO_SOURCE, base, HeuristicH(), n=MEMO_N, m=MEMO_M,
+                              samples=MEMO_SAMPLES, seed=MEMO_SEED)
+        assert draws == [MEMO_SAMPLES]
+
+    def test_kept_batch_is_read_only(self, draws):
+        Xb, mub = analysis._sample_batch(*MEMO_A)
+        assert analysis._sample_batch(*MEMO_A)[0] is Xb and draws == [MEMO_SAMPLES]
+        assert not Xb.flags.writeable and not mub.flags.writeable
+
+    def test_signed_zero_truth_is_its_own_key(self):
+        # ConstantGT(0.0) == ConstantGT(-0.0), but their truths differ in sign
+        key = ((ConstantGT(0.0), IndexedSigmas()), 3, 6, 4, 0)
+        assert not np.signbit(analysis._sample_batch(*key)[1]).any()
+        negative = ((ConstantGT(-0.0), IndexedSigmas()),) + key[1:]
+        assert np.signbit(analysis._sample_batch(*negative)[1]).all()
+
+    @pytest.mark.parametrize("source, error", [
+        ((NanGT(), IndexedSigmas()), NonFiniteError),
+        ((ConstantGT(2.0), ExplicitSigmas([1.0] * 4)), LengthMismatchError)],  # n is 5
+        ids=["nan_truths", "too_few_variances"])
+    def test_a_raising_draw_keeps_nothing(self, draws, source, error):
+        analysis._sample_batch(*MEMO_A)
+        with pytest.raises(error):
+            improvement_ratio(source, Mean(), HeuristicH(), n=5, m=6, samples=5)
+        assert analysis._last_batch is None
+        analysis._sample_batch(*MEMO_A)
+        assert draws == [MEMO_SAMPLES, 5, MEMO_SAMPLES]
+
+    def test_a_batch_over_block_bytes_is_not_kept(self, draws, monkeypatch):
+        Xb, mub = analysis._sample_batch(*MEMO_A)
+        size = Xb.nbytes + mub.nbytes
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", size - 1)
+        analysis._last_batch = None
+        for _ in range(2):
+            analysis._sample_batch(*MEMO_A)
+        assert analysis._last_batch is None and len(draws) == 3
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", size)
+        for _ in range(2):
+            analysis._sample_batch(*MEMO_A)
+        assert len(draws) == 4
+
+    def test_a_dataset_source_empties_the_slot(self, draws):
+        analysis._sample_batch(*MEMO_A)
+        assert analysis._last_batch is not None
+        improvement_ratio(_ir_dataset(), Mean(), HeuristicH(), n=MEMO_N, m=MEMO_M, samples=10)
+        assert analysis._last_batch is None
+        analysis._sample_batch(*MEMO_A)
+        assert draws == [MEMO_SAMPLES, MEMO_SAMPLES]
+
+    def test_a_duck_typed_spec_is_never_served(self, draws):
+        class Liar:
+            """Draws its value, but equals and prints like every other Liar."""
+
+            def __init__(self, value):
+                self.value = value
+
+            def draw(self, shape, rng):
+                return np.full(shape, self.value)
+
+            def __eq__(self, other):
+                return True
+
+            __hash__ = None
+
+            def __repr__(self):
+                return "Liar()"
+
+        for value in (1.0, 5.0, 5.0):
+            _, mub = analysis._sample_batch((Liar(value), IndexedSigmas()), 3, 6, 4, 0)
+            assert (mub == value).all()
+            assert analysis._last_batch is None
+        assert draws == [4, 4, 4]
+
+    def test_a_slot_rebound_during_the_key_check_serves_the_callers_key(self, monkeypatch):
+        # another thread replaces the kept batch while this one compares keys
+        a = ((GaussianGT(2.0, 4.0), IndexedSigmas()), 3, 6, 4, 0)
+        b = ((GaussianGT(2.0, 4.0), IndexedSigmas()), 3, 6, 4, 1)
+        expected = _memo_ratio(a), _memo_ratio(b)
+        analysis._sample_batch(*a)
+        other = []
+        eq = SyntheticSpec.__eq__
+
+        def rebinding_eq(self, o):
+            if not other:
+                other.append(None)
+                t = threading.Thread(target=lambda: other.append(_memo_ratio(b)))
+                t.start()
+                t.join(timeout=60)
+            return eq(self, o)
+
+        monkeypatch.setattr(SyntheticSpec, "__eq__", rebinding_eq)
+        assert (_memo_ratio(a), other[1]) == expected
+
+    def test_threads_on_two_keys_each_get_their_own_key(self):
+        # four threads on two keys, switching between threads often
+        keys = [((GaussianGT(2.0, 4.0), IndexedSigmas()), 3, 6, 4, 0),
+                ((GaussianGT(2.0, 4.0), IndexedSigmas()), 3, 6, 4, 1)]
+        expected = [_memo_ratio(key) for key in keys]
+        assert expected[0] != expected[1]
+        wrong, done = [], []
+        start = threading.Barrier(4)
+
+        def run(i):
+            start.wait()
+            for _ in range(150):
+                try:
+                    if _memo_ratio(keys[i]) != expected[i]:
+                        wrong.append(i)
+                except Exception as exc:  # e.g. a slot emptied under the reader
+                    wrong.append(exc)
+            done.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i % 2,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(done) == 4
+        assert not wrong
 
 
 class TestSerialization:

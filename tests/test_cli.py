@@ -162,6 +162,16 @@ class TestOutputs:
         assert any(r["name"] == "improvement_condition" for r in records)
         assert any(r["name"] == "risk_decomposition" for r in records)
 
+    def test_conditions_computes_the_stein_gap_terms_once(self, tmp_path, monkeypatch):
+        calls = []
+        terms = ebtruth.analysis.stein_gap_terms
+        monkeypatch.setattr(ebtruth.analysis, "stein_gap_terms",
+                            lambda *args: calls.append(1) or terms(*args))
+        for run in (1, 2):
+            assert main(["conditions", "--replicates", "500", "--m", "10", "--psi", "const:1",
+                         "--out", str(tmp_path / "out")]) == EXIT_OK
+            assert len(calls) == run
+
     def test_conditions_constant_above_twice_variance_unsatisfied(self, tmp_path):
         out = tmp_path / "out"
         code = main(["conditions", "--replicates", "5000", "--m", "10",

@@ -63,6 +63,11 @@ class TestShrinkTowardMean:
         with pytest.raises(ValueError):
             ebe([1.0, 2.0, 3.0, 4.0], 1.0, alpha=-1.0)
 
+    def test_nan_alpha_is_rejected(self):
+        # nan < 0 is False, so a plain sign test let it through to an all-NaN estimate
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            ebe(np.arange(6.0), 1.0, alpha=float("nan"))
+
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=4, max_size=20),
            st.floats(min_value=-50, max_value=50),
            st.floats(min_value=0.01, max_value=10))
