@@ -4,11 +4,13 @@ and the optimal-alpha plug-in.
 Replicates are generated in chunks of ``CHUNK``, each from its own keyed
 counter-based stream, so every estimate is bit-reproducible from
 (seed, config) under any evaluation order.  ``CHUNK`` fixes the random
-streams; ``BLOCK_BYTES`` only bounds memory.  Each chunk's truths and worker
+streams; ``BLOCK_BYTES`` changes no value.  Each chunk's truths and worker
 variances are drawn first, (CHUNK, m) and (CHUNK, n), and its noise then
 follows from the same stream in blocks of at most ``BLOCK_BYTES``, built in
 place.  Splitting sequential draws changes no value, so the replicate tensor
-per worker thread stays bounded whatever n and m are.
+per worker thread stays L2-cache-sized whatever n and m are.  ``mc_risk``
+runs a first stage that several pipelines share, such as ``blue``, once
+per block (see ``Pipeline``).
 
 Chunks are independent, so ``iter_replicates(..., chunks=)`` draws any of
 them alone, and ``sample_aggregate_stream`` runs them side by side on a
@@ -20,7 +22,7 @@ the Monte Carlo losses) is checked against ``MAX_BATCH_BYTES`` before
 anything is allocated.
 
 The improvement ratio keeps the last synthetic sample batch it drew, read-only
-and only up to ``BLOCK_BYTES``, so calling ``improvement_ratio`` once per base
+and only up to ``KEPT_BATCH_BYTES``, so calling ``improvement_ratio`` once per base
 on one (source, n, m, samples, seed) draws the batch once.  Dataset sources
 are not kept.  The condition checks share one ``stein_gap_terms`` pass per
 ``AggregateStream``.
@@ -68,9 +70,13 @@ MEAN_SQUARED = "mean"
 # Chunk size is part of the algorithm definition (it fixes the RNG stream
 # layout), not a tuning knob.
 CHUNK = 20_000
-# Upper bound on one yielded (r, n, m) replicate block; it bounds memory and
-# changes no value.
-BLOCK_BYTES = 16 * 2**20
+# Upper bound on one yielded (r, n, m) replicate block; it changes no value.
+# A block this size stays in a core's L2 cache while the draw, the scaling
+# and the pipelines pass over it, and it bounds memory.
+BLOCK_BYTES = 2**20
+# Most bytes of one synthetic sample batch ``_sample_batch`` keeps for the
+# next call; evaluate's 1000 samples at n=10, m=50 take 4.4 MB.
+KEPT_BATCH_BYTES = 16 * 2**20
 
 REPLICATE_ROLE = 100  # stream role for Monte Carlo replicate chunks
 
@@ -109,12 +115,16 @@ def loss(estimate, mu, convention: str = SUM_SQUARED):
     mu = np.asarray(mu, dtype=float)
     if estimate.shape != mu.shape:
         raise LengthMismatchError(f"estimate shape {estimate.shape} != truth shape {mu.shape}")
+    _check_convention(convention)
     total = ((estimate - mu) ** 2).sum(axis=-1)
     if convention == MEAN_SQUARED:
         total = total / mu.shape[-1]
-    elif convention != SUM_SQUARED:
-        raise ValueError(f"unknown loss convention {convention!r}")
     return float(total) if total.ndim == 0 else total
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in (SUM_SQUARED, MEAN_SQUARED):
+        raise ValueError(f"unknown loss convention {convention!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +173,7 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks:
         rows = r if whole_chunks else min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
         for lo in range(0, r, rows):
             hi = min(lo + rows, r)
-            X = rng.normal(size=(hi - lo, gen.n, gen.m))
+            X = rng.standard_normal(size=(hi - lo, gen.n, gen.m))
             X *= sd[lo:hi]
             X += mu[lo:hi, None, :]
             yield X, mu[lo:hi], sig2[lo:hi]
@@ -211,53 +221,70 @@ def psi_derivative_dot_batch(psi: VarianceEstimator, Xb: np.ndarray,
 class Pipeline:
     """A named map from replicate batches to estimate batches.
 
+    The map is a first stage ``first`` (Xb, sig2b) -> s and a second step
+    ``second`` s -> (r, m), which reads s without writing into it.
+    ``mc_risk`` runs each distinct first stage once per block and hands its
+    output to every pipeline that declares it, so the BLUE pipelines share
+    one ``blue`` pass.  A pipeline built from one callable is its own first
+    stage, with no second step.  ``fn`` and calling the pipeline run both
+    parts, so ``Pipeline(p.name, p.fn)`` is a copy that shares nothing.
+
     ``batch_coupled`` marks a pipeline whose per-replicate answer depends on
     the batch it runs in (the batch-wide stopping test of CRH and CATD); it
     runs on whole chunks so that its numbers stay fixed.
     """
 
     name: str
-    fn: object  # callable (Xb, sig2b) -> (r, m)
+    first: object  # callable (Xb, sig2b) -> s
+    second: object = None  # callable s -> (r, m); None: s is the estimate
     batch_coupled: bool = False
 
     def __call__(self, Xb, sig2b):
-        return self.fn(Xb, sig2b)
+        return self.then(self.first(Xb, sig2b))
+
+    def then(self, s):
+        """The second step on the first stage's output ``s``."""
+        return s if self.second is None else self.second(s)
+
+    fn = __call__  # the whole (Xb, sig2b) -> (r, m) map
 
 
 def pipeline_blue() -> Pipeline:
-    return Pipeline("blue", lambda Xb, sig2b: blue(Xb, sig2b)[0])
+    return Pipeline("blue", blue, lambda s: s[0])
 
 
 def pipeline_eb_blue(alpha: float | None = None, positive_part: bool = False) -> Pipeline:
     alpha = check_alpha(alpha)
 
-    def fn(Xb, sig2b):
-        a = (Xb.shape[2] - 3) if alpha is None else alpha
-        return shrink_batch(*blue(Xb, sig2b), a, positive_part)
+    def second(s):
+        a = (s[0].shape[-1] - 3) if alpha is None else alpha
+        return shrink_batch(*s, a, positive_part)
 
     name = "eb_blue" if alpha is None else f"eb_blue_alpha{alpha:g}"
-    return Pipeline(name, fn)
+    return Pipeline(name, blue, second)
 
 
 def pipeline_stein_blue() -> Pipeline:
-    return Pipeline("stein_blue", lambda Xb, sig2b: stein(*blue(Xb, sig2b)).estimate)
+    return Pipeline("stein_blue", blue, lambda s: stein(*s).estimate)
 
 
 def pipeline_base(base: TdAlgorithm, name: str | None = None) -> Pipeline:
     return Pipeline(name or type(base).__name__.lower(),
                     lambda Xb, sig2b: run_td_batch(base, Xb),
-                    getattr(base, "batch_coupled", False))
+                    batch_coupled=getattr(base, "batch_coupled", False))
 
 
 def pipeline_eb_wrap(base: TdAlgorithm, psi: VarianceEstimator,
                      alpha: float | None = None, positive_part: bool = False,
                      name: str | None = None) -> Pipeline:
+    alpha = check_alpha(alpha)
+
     def fn(Xb, sig2b):
         xa = run_td_batch(base, Xb)
         return shrink_aggregate(xa, psi_batch(psi, Xb, xa), alpha, positive_part)
 
     return Pipeline(name or f"eb_{type(base).__name__.lower()}", fn,
-                    getattr(base, "batch_coupled", False))
+                    batch_coupled=getattr(base, "batch_coupled", False))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +309,13 @@ class McResult:
 
 def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
             convention: str = SUM_SQUARED) -> McResult:
-    """Paired Monte Carlo risk of several pipelines on identical replicate data."""
+    """Paired Monte Carlo risk of several pipelines on identical replicate data.
+
+    In each block every distinct first stage runs once, and each pipeline
+    takes its second step on its stage's output (see ``Pipeline``).  An
+    unknown ``convention`` raises ValueError before anything is drawn.
+    """
+    _check_convention(convention)
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
     pipelines = list(pipelines)
@@ -293,8 +326,11 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     coupled = any(p.batch_coupled for p in pipelines)
     for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=coupled):
         r = X.shape[0]
+        stages = {}  # id(first stage) -> its output on this block
         for p in pipelines:
-            losses[p.name][pos:pos + r] = loss(p(X, sig2), mu, convention)
+            if id(p.first) not in stages:
+                stages[id(p.first)] = p.first(X, sig2)
+            losses[p.name][pos:pos + r] = loss(p.then(stages[id(p.first)]), mu, convention)
         pos += r
     reports = {name: RiskReport(name=name, mean_loss=float(l.mean()), std_error=_std_error(l),
                                 replicates=replicates, seed=seed, loss_convention=convention)
@@ -567,6 +603,7 @@ def improvement_ratios(source, bases, psi: VarianceEstimator, n: int, m: int,
     for the next call on the same key (see ``_sample_batch``).  A batch over
     ``MAX_BATCH_BYTES`` raises RequestTooLargeError before anything is drawn.
     """
+    alpha = check_alpha(alpha)
     if samples < 1:
         raise InsufficientDataError(f"need >= 1 samples, got {samples}")
     if n < 1 or m < 1:
@@ -624,7 +661,7 @@ def _sample_batch(source, n: int, m: int, samples: int, seed: int):
     it again: a per-base ``improvement_ratio`` loop draws each batch once.
     The batch is read-only.  It is kept only for the built-in ``GtSpec`` and
     ``SigmaSpec`` classes, whose fields fix the draw, and only up to
-    ``BLOCK_BYTES``.  Any other call, a Dataset source included, first
+    ``KEPT_BATCH_BYTES``.  Any other call, a Dataset source included, first
     empties the slot, so at most one batch is held and a failed draw leaves
     none.
     """
@@ -642,7 +679,7 @@ def _sample_batch(source, n: int, m: int, samples: int, seed: int):
         Xb, mub, _ = gen_synthetic(spec, samples=samples)
         Xb.setflags(write=False)
         mub.setflags(write=False)
-        if built_in and Xb.nbytes + mub.nbytes <= BLOCK_BYTES:
+        if built_in and Xb.nbytes + mub.nbytes <= KEPT_BATCH_BYTES:
             _last_batch = (key, (Xb, mub))
         return Xb, mub
     _last_batch = None

@@ -46,6 +46,7 @@ from ebtruth import (
     pipeline_blue,
     pipeline_eb_blue,
     pipeline_eb_wrap,
+    pipeline_stein_blue,
     run_td_batch,
     sample_aggregate_stream,
     stream,
@@ -110,11 +111,100 @@ class TestMcRisk:
             with pytest.raises(ValueError, match="alpha must be >= 0"):
                 pipeline_eb_blue(alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_eb_wrap_rejects_a_bad_alpha_before_drawing(self, monkeypatch, alpha):
+        blocks = _count_blocks(monkeypatch)
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            mc_risk(_gen(), [pipeline_eb_wrap(Mean(), HeuristicH(), alpha=alpha)], 100, seed=0)
+        assert blocks == []
+
+    def test_unknown_convention_is_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew replicates for an unknown convention")
+
+        monkeypatch.setattr(analysis, "iter_replicates", no_draw)
+        with pytest.raises(ValueError, match="unknown loss convention 'bogus'"):
+            mc_risk(_gen(), [pipeline_blue()], 100, seed=0, convention="bogus")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("psi", [HeuristicH(), SampleScaled(1.0)], ids=["h", "s"])
     def test_wrap_on_one_question_is_rejected_like_eb_wrap(self, psi):
         with pytest.raises(LengthMismatchError):
             mc_risk(_gen(m=1), [pipeline_eb_wrap(Mean(), psi)], 100, seed=0)
+
+
+def _count_blocks(monkeypatch):
+    """The number of replicates in each block ``analysis.iter_replicates`` yields."""
+    sizes = []
+    draw = analysis.iter_replicates
+
+    def counting(*args, **kwargs):
+        for block in draw(*args, **kwargs):
+            sizes.append(block[0].shape[0])
+            yield block
+
+    monkeypatch.setattr(analysis, "iter_replicates", counting)
+    return sizes
+
+
+BLUE_PIPELINES = (pipeline_blue, pipeline_eb_blue, pipeline_stein_blue)
+
+
+class TestSharedFirstStage:
+    """``mc_risk`` runs a first stage that pipelines share once per block."""
+
+    @pytest.fixture
+    def blue_calls(self, monkeypatch):
+        calls = []
+        kernel = analysis.blue
+
+        def counting(Xb, sig2b):
+            calls.append(Xb.shape[0])
+            return kernel(Xb, sig2b)
+
+        monkeypatch.setattr(analysis, "blue", counting)
+        return calls
+
+    @pytest.fixture
+    def gen(self, monkeypatch):
+        monkeypatch.setattr(analysis, "CHUNK", 120)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 50)
+        return AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=True)
+
+    def test_blue_runs_once_per_block_and_each_loss_is_its_own(self, monkeypatch, gen,
+                                                              blue_calls):
+        blocks = _count_blocks(monkeypatch)
+        pipelines = [factory() for factory in BLUE_PIPELINES]
+        together = mc_risk(gen, pipelines, 300, seed=5)
+        assert blocks == [50, 50, 20] * 2 + [50, 10]
+        assert blue_calls == blocks
+        for p in pipelines:
+            alone = mc_risk(gen, [p], 300, seed=5)
+            assert np.array_equal(together.losses[p.name], alone.losses[p.name]), p.name
+            assert together.reports[p.name] == alone.reports[p.name]
+
+    def test_copies_from_fn_share_nothing_and_give_the_same_losses(self, monkeypatch, gen,
+                                                                    blue_calls):
+        pipelines = [factory() for factory in BLUE_PIPELINES]
+        shared = mc_risk(gen, pipelines, 300, seed=5)
+        blue_calls.clear()
+        blocks = _count_blocks(monkeypatch)
+        copies = mc_risk(gen, [analysis.Pipeline(p.name, p.fn) for p in pipelines], 300, seed=5)
+        assert len(blue_calls) == 3 * len(blocks)
+        for p in pipelines:
+            assert np.array_equal(copies.losses[p.name], shared.losses[p.name]), p.name
+
+    def test_a_pipeline_of_one_callable_is_its_own_first_stage(self, gen):
+        def fn(Xb, sig2b):
+            return Xb.mean(axis=1)
+
+        p = analysis.Pipeline("mean", fn)
+        assert p.first is fn and p.second is None
+        X, mu, sig2 = next(analysis.iter_replicates(gen, 10, seed=2))
+        assert np.array_equal(p(X, sig2), fn(X, sig2))
+        assert np.array_equal(mc_risk(gen, [p], 300, seed=5).losses["mean"],
+                              mc_risk(gen, [pipeline_base(Mean(), "mean")], 300,
+                                      seed=5).losses["mean"])
 
 
 def _reference_chunks(gen, replicates, seed):
@@ -679,15 +769,28 @@ class TestSampleBatchMemo:
     def test_a_batch_over_block_bytes_is_not_kept(self, draws, monkeypatch):
         Xb, mub = analysis._sample_batch(*MEMO_A)
         size = Xb.nbytes + mub.nbytes
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", size - 1)
+        monkeypatch.setattr(analysis, "KEPT_BATCH_BYTES", size - 1)
         analysis._last_batch = None
         for _ in range(2):
             analysis._sample_batch(*MEMO_A)
         assert analysis._last_batch is None and len(draws) == 3
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", size)
+        monkeypatch.setattr(analysis, "KEPT_BATCH_BYTES", size)
         for _ in range(2):
             analysis._sample_batch(*MEMO_A)
         assert len(draws) == 4
+
+    def test_evaluates_batch_is_kept_though_over_block_bytes(self, draws):
+        key = ((ConstantGT(2.0), GaussianSqSigmas()), 10, 50, 1000, 1)
+        Xb, mub = analysis._sample_batch(*key)
+        assert Xb.nbytes + mub.nbytes > analysis.BLOCK_BYTES
+        assert analysis._sample_batch(*key)[0] is Xb and draws == [1000]
+
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_a_bad_alpha_is_rejected_before_drawing(self, draws, alpha):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            improvement_ratio((ConstantGT(2.0), GaussianSqSigmas()), CRH(), HeuristicH(),
+                              n=10, m=50, samples=1000, alpha=alpha)
+        assert draws == [] and analysis._last_batch is None
 
     def test_a_dataset_source_empties_the_slot(self, draws):
         analysis._sample_batch(*MEMO_A)

@@ -222,6 +222,20 @@ class TestDeterminism:
             outs.append((out / "simulate.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_simulate_byte_identical_at_any_block_size(self, tmp_path, monkeypatch):
+        from ebtruth import analysis
+
+        # at n=8, m=100, 600 replicates are 1 block of 16 MiB, 5 of the
+        # default size, or 600 blocks of one replicate
+        outs = []
+        for block_bytes in (1, analysis.BLOCK_BYTES, 16 * 2**20):
+            monkeypatch.setattr(analysis, "BLOCK_BYTES", block_bytes)
+            out = tmp_path / f"out{block_bytes}"
+            assert main(["simulate", "--replicates", "600", "--n-grid", "1,8",
+                         "--m-grid", "5,100", "--seed", "4", "--out", str(out)]) == EXIT_OK
+            outs.append((out / "simulate.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
     @pytest.mark.parametrize("base, psi", [("crh", "h"), ("mean", "s:0.5")])
     def test_conditions_byte_identical_across_threads(self, tmp_path, base, psi):
         from ebtruth import analysis
