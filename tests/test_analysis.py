@@ -134,7 +134,8 @@ class TestMcRisk:
 
 
 def _count_blocks(monkeypatch):
-    """The number of replicates in each block ``analysis.iter_replicates`` yields."""
+    """A list that records the replicates of each block ``analysis.iter_replicates``
+    yields from now on."""
     sizes = []
     draw = analysis.iter_replicates
 

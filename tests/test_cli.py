@@ -225,8 +225,8 @@ class TestDeterminism:
     def test_simulate_byte_identical_at_any_block_size(self, tmp_path, monkeypatch):
         from ebtruth import analysis
 
-        # at n=8, m=100, 600 replicates are 1 block of 16 MiB, 5 of the
-        # default size, or 600 blocks of one replicate
+        # at n=8, m=100, 600 replicates are 1 block of 16 MiB, 4 of 1 MiB,
+        # or 600 blocks of one replicate
         outs = []
         for block_bytes in (1, analysis.BLOCK_BYTES, 16 * 2**20):
             monkeypatch.setattr(analysis, "BLOCK_BYTES", block_bytes)
