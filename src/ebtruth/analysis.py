@@ -8,14 +8,17 @@ streams; ``BLOCK_BYTES`` changes no value.  Each chunk's truths and worker
 variances are drawn first, (CHUNK, m) and (CHUNK, n), and its noise then
 follows from the same stream in blocks of at most ``BLOCK_BYTES``, built in
 place.  Splitting sequential draws changes no value, so the replicate tensor
-per worker thread stays L2-cache-sized whatever n and m are.  ``mc_risk``
+per worker thread stays L2-cache-sized whatever n and m are.  A chunk's
+arrays are dropped before the next chunk's truths are drawn.  ``mc_risk``
 runs a first stage that several pipelines share, such as ``blue``, once
 per block (see ``Pipeline``).
 
 Chunks are independent, so ``iter_replicates(..., chunks=)`` draws any of
-them alone, and ``sample_aggregate_stream`` runs them side by side on a
-thread pool, each writing its own rows of preallocated stores: the same
-numbers at any thread count.  ψ and ∂ψ run in the row blocks of
+them alone.  ``mc_risk`` and ``sample_aggregate_stream`` share one chunk
+engine, ``_each_chunk``: each task draws one chunk and writes its rows of
+preallocated outputs, serially or side by side on a thread pool, so the
+numbers are the same at any thread count and a thread holds one chunk at a
+time.  ψ and ∂ψ run in the row blocks of
 ``baselines.block_rows``, so their temporaries stay block-sized.  Every
 array a request sizes (an improvement-ratio batch, the condition stores,
 the Monte Carlo losses) is checked against ``MAX_BATCH_BYTES`` before
@@ -162,14 +165,18 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks:
     fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
     fixed_sig2 = (None if gen.fresh_sigmas
                   else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
+    fixed_sd = None if fixed_sig2 is None else np.sqrt(fixed_sig2)
     for chunk_index in range(n_chunks(replicates)) if chunks is None else chunks:
         r = min(CHUNK, replicates - chunk_index * CHUNK)
         rng = stream(seed, REPLICATE_ROLE, chunk_index)
         mu = (gen.gt.draw((r, gen.m), rng) if gen.fresh_gt
               else np.broadcast_to(fixed_mu, (r, gen.m)))
-        sig2 = (gen.worker_sigmas.draw((r, gen.n), rng) if gen.fresh_sigmas
-                else np.broadcast_to(fixed_sig2, (r, gen.n)))
-        sd = np.sqrt(sig2)[:, :, None]
+        if gen.fresh_sigmas:
+            sig2 = gen.worker_sigmas.draw((r, gen.n), rng)
+            sd = np.sqrt(sig2)[:, :, None]
+        else:
+            sig2 = np.broadcast_to(fixed_sig2, (r, gen.n))
+            sd = np.broadcast_to(fixed_sd, (r, gen.n))[:, :, None]
         rows = r if whole_chunks else min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
         for lo in range(0, r, rows):
             hi = min(lo + rows, r)
@@ -177,6 +184,8 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks:
             X *= sd[lo:hi]
             X += mu[lo:hi, None, :]
             yield X, mu[lo:hi], sig2[lo:hi]
+        # drop this chunk's arrays before the next chunk's truths are drawn
+        del X, mu, sig2, sd
 
 
 def n_chunks(replicates: int) -> int:
@@ -308,12 +317,14 @@ class McResult:
 
 
 def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
-            convention: str = SUM_SQUARED) -> McResult:
+            convention: str = SUM_SQUARED, threads: int = 1) -> McResult:
     """Paired Monte Carlo risk of several pipelines on identical replicate data.
 
     In each block every distinct first stage runs once, and each pipeline
-    takes its second step on its stage's output (see ``Pipeline``).  An
-    unknown ``convention`` raises ValueError before anything is drawn.
+    takes its second step on its stage's output (see ``Pipeline``).  The
+    chunks run on ``threads`` threads (see ``_each_chunk``), so the losses do
+    not depend on ``threads``.  An unknown ``convention`` raises ValueError
+    before anything is drawn.
     """
     _check_convention(convention)
     if replicates < 2:
@@ -322,20 +333,64 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     _check_request(8 * replicates * len(pipelines),
                    f"{replicates} replicates of {len(pipelines)} pipelines' losses")
     losses = {p.name: np.empty(replicates) for p in pipelines}
-    pos = 0
-    coupled = any(p.batch_coupled for p in pipelines)
-    for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=coupled):
+
+    def on_block(pos, X, mu, sig2):
         r = X.shape[0]
         stages = {}  # id(first stage) -> its output on this block
         for p in pipelines:
             if id(p.first) not in stages:
                 stages[id(p.first)] = p.first(X, sig2)
             losses[p.name][pos:pos + r] = loss(p.then(stages[id(p.first)]), mu, convention)
-        pos += r
+
+    _each_chunk(gen, replicates, seed, any(p.batch_coupled for p in pipelines), threads,
+                on_block)
     reports = {name: RiskReport(name=name, mean_loss=float(l.mean()), std_error=_std_error(l),
                                 replicates=replicates, seed=seed, loss_convention=convention)
                for name, l in losses.items()}
     return McResult(reports=reports, losses=losses, seed=seed, convention=convention)
+
+
+def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool,
+                threads: int, on_block) -> None:
+    """Call ``on_block(pos, X, mu, sig2)`` on every block of every chunk,
+    ``pos`` being the block's first replicate; the chunk engine behind
+    ``mc_risk`` and ``sample_aggregate_stream``.
+
+    One task draws one chunk, through ``iter_replicates(..., chunks=[i])``,
+    and drops it when it returns, so a thread never holds two chunks.
+    ``on_block`` writes rows ``pos:pos + r`` of preallocated outputs, so the
+    outputs do not depend on ``threads``.  With one thread (or one chunk) the
+    chunks run in order in the caller's thread; otherwise they run on a pool
+    of ``threads`` threads, each task in a copy of the caller's context (so
+    under its ``np.errstate``).  A chunk that raises raises here, with its own
+    error, and the chunks not yet started are cancelled.  ``threads`` below 1
+    raises ValueError before anything is drawn.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+    def run_chunk(chunk_index):
+        pos = chunk_index * CHUNK
+        for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=whole_chunks,
+                                           chunks=[chunk_index]):
+            on_block(pos, X, mu, sig2)
+            pos += X.shape[0]
+
+    indices = range(n_chunks(replicates))
+    if min(threads, len(indices)) <= 1:
+        for chunk_index in indices:
+            run_chunk(chunk_index)
+        return
+    context = contextvars.copy_context()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        # a Context can be entered by one thread at a time: one copy per task
+        tasks = [pool.submit(context.copy().run, run_chunk, i) for i in indices]
+        try:
+            for task in tasks:
+                task.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +421,9 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
                             seed: int, threads: int = 1) -> AggregateStream:
     """Run ``base`` and ``psi`` over ``replicates`` replicates of ``gen``.
 
-    The chunks run on a pool of ``threads`` threads, each drawing its own
-    chunk and writing its own rows of the stores, so the result does not
-    depend on ``threads``.  Each chunk runs in a copy of the caller's context
-    (so under its ``np.errstate``), and a chunk that raises raises here.
+    The chunks run on ``threads`` threads, each writing its own rows of the
+    stores, so the result does not depend on ``threads`` (see
+    ``_each_chunk``).
     Fewer than 2 replicates raise InsufficientReplicatesError and stores
     over ``MAX_BATCH_BYTES`` RequestTooLargeError, before anything is drawn.
     """
@@ -381,25 +435,17 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
     psis = np.empty(replicates)
     dots = np.empty(replicates)
     mus = np.empty((replicates, gen.m))
-    coupled = getattr(base, "batch_coupled", False)
 
-    def run_chunk(chunk_index):
-        pos = chunk_index * CHUNK
-        for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=coupled,
-                                           chunks=[chunk_index]):
-            r = X.shape[0]
-            xa = run_td_batch(base, X)
-            aggregates[pos:pos + r] = xa
-            psis[pos:pos + r] = psi_batch(psi, X, xa)
-            dots[pos:pos + r] = psi_derivative_dot_batch(psi, X, xa)
-            mus[pos:pos + r] = mu
-            pos += r
+    def on_block(pos, X, mu, sig2):
+        rows = slice(pos, pos + X.shape[0])
+        xa = run_td_batch(base, X)
+        aggregates[rows] = xa
+        psis[rows] = psi_batch(psi, X, xa)
+        dots[rows] = psi_derivative_dot_batch(psi, X, xa)
+        mus[rows] = mu
 
-    context = contextvars.copy_context()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        for _ in pool.map(lambda i: context.copy().run(run_chunk, i),
-                          range(n_chunks(replicates))):
-            pass
+    _each_chunk(gen, replicates, seed, getattr(base, "batch_coupled", False), threads,
+                on_block)
     return AggregateStream(aggregates=aggregates, psis=psis, derivative_dots=dots,
                            mu=mus, seed=seed)
 
@@ -631,7 +677,7 @@ def batch_bytes(n: int, m: int, samples: int) -> int:
     Per sample: the batch ``_sample_batch`` builds (each observation and
     truth, each worker variance or row index and column index, and the three
     (index, 2-word key) stream addresses); the largest temporary a base
-    makes while scoring it (``Median``'s partition copy of the observations,
+    makes while scoring it (``Median``'s sorted copy of the observations,
     n*m, or ``DistanceWeighted``'s Gram matrix and its three same-sized
     temporaries, 4*n*n); and the aggregate, the shrunk estimate and one loss
     temporary (3*m).  ψ and the CRH/CATD iterations run in row blocks, so

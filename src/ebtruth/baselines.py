@@ -118,7 +118,18 @@ class Mean:
 @dataclass(frozen=True)
 class Median:
     def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        return np.median(Xb, axis=1)
+        # np.median's arithmetic on one sort, without its partition and
+        # mean passes: the middle answer, or the two middle answers added
+        # and halved.  Its mean's sum starts at +0.0, so a -0.0 median is
+        # +0.0; NaNs sort last, and a lane holding one is NaN
+        s = np.sort(Xb, axis=1)
+        mid = s.shape[1] // 2
+        out = s[:, mid] + 0.0 if s.shape[1] % 2 else (s[:, mid - 1] + s[:, mid] + 0.0) / 2
+        last = s[:, -1]
+        nan = np.isnan(last)
+        if nan.any():
+            out[nan] = last[nan]
+        return out
 
 
 @dataclass(frozen=True)

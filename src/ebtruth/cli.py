@@ -233,9 +233,9 @@ def cmd_demo_table1(args) -> int:
 
 
 def _simulate_cell(args_tuple):
-    gen, replicates, seed, convention = args_tuple
+    gen, replicates, seed, convention, threads = args_tuple
     pipelines = [pipeline_blue(), pipeline_eb_blue(), pipeline_stein_blue()]
-    result = mc_risk(gen, pipelines, replicates, seed, convention)
+    result = mc_risk(gen, pipelines, replicates, seed, convention, threads=threads)
     rows = []
     for name in ("blue", "eb_blue", "stein_blue"):
         rep = result.reports[name]
@@ -262,11 +262,16 @@ def cmd_simulate(args) -> int:
     m_grid = [int(x) for x in str(cfg["m_grid"]).split(",")]
     convention = SUM_SQUARED if cfg["loss"] == "sum" else MEAN_SQUARED
     threads = _threads(str(cfg["threads"]))
+    grid = [(n, m) for n in n_grid for m in m_grid]
+    # threads the grid's cells leave over run each cell's chunks, so a grid
+    # with fewer cells than threads still uses them all
+    chunk_threads = max(1, threads // len(grid))
     cells = []
-    for ci, (n, m) in enumerate((n, m) for n in n_grid for m in m_grid):
+    for ci, (n, m) in enumerate(grid):
         gen = AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
         # one independent seed per cell keeps results thread-order-free
-        cells.append((gen, int(cfg["replicates"]), int(cfg["seed"]) * 100_003 + ci, convention))
+        cells.append((gen, int(cfg["replicates"]), int(cfg["seed"]) * 100_003 + ci, convention,
+                      chunk_threads))
     # Largest cells (by n·m) start first, so the longest one does not run
     # alone at the end (Graham's longest-processing-time-first rule); the
     # sort is stable, and the rows go back into grid order before writing.
@@ -294,6 +299,8 @@ def cmd_evaluate(args) -> int:
     psi = _parse_psi(cfg["psi"])
     bases = [(_parse_base(b), b) for b in str(cfg["bases"]).split(",")]
     buckets = int(cfg["partition"])
+    if buckets < 1:
+        raise ValidationError(f"--partition must be >= 1, got {buckets}")
     datasets = [("all", ds)] if buckets <= 1 else [
         (f"bucket{i}", part) for i, part in enumerate(partition_questions(ds, buckets))
     ]
@@ -381,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ebtruth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, threads_help=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--threads", default="auto")
+        p.add_argument("--threads", default="auto", help=threads_help)
         p.add_argument("--config", default=None,
                        help="JSON config file; file values win over flags")
 
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="improvement ratio on a dataset file")
-    common(p)
+    common(p, threads_help="validated as in simulate and conditions; evaluate runs serially")
     p.add_argument("--data", default=None, help="dataset CSV path")
     p.add_argument("--bases", default="mean,median,crh,catd,distance")
     p.add_argument("--psi", default="h")

@@ -404,6 +404,150 @@ def _poison_chunk(monkeypatch, chunk_index):
     monkeypatch.setattr(analysis, "iter_replicates", poisoned)
 
 
+class TestChunkEngine:
+    """``mc_risk`` and ``sample_aggregate_stream`` share one chunk engine: one
+    chunk per task, its rows of preallocated outputs, one chunk per thread."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(analysis, "CHUNK", 70)  # 200 replicates: 70 + 70 + 60
+
+    def test_losses_identical_at_any_thread_count(self, monkeypatch):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10,
+                           fresh_gt=True, fresh_sigmas=True)
+        # the BLUE pipelines take 16-replicate blocks, so a chunk has several
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 16 * 8 * 4 * 10)
+        coupled = pipeline_eb_wrap(CRH(), HeuristicH())
+        pipelines = [factory() for factory in BLUE_PIPELINES] + [coupled]
+        runs = [mc_risk(gen, pipelines, 200, seed=3, threads=t) for t in (1, 2, 3)]
+        chunks = list(_reference_chunks(gen, 200, seed=3))
+        assert len(chunks) == 3
+        assert np.array_equal(runs[0].losses[coupled.name], np.concatenate(
+            [loss(coupled(X, sig2), mu) for X, mu, sig2 in chunks]))
+        for res in runs[1:]:
+            for p in pipelines:
+                assert np.array_equal(res.losses[p.name], runs[0].losses[p.name]), p.name
+                assert res.reports[p.name] == runs[0].reports[p.name]
+
+    def test_one_thread_runs_the_chunks_in_order_in_the_callers_thread(self, monkeypatch):
+        seen = []
+        draw = analysis.iter_replicates
+
+        def recording(*args, chunks=None, **kwargs):
+            seen.append((threading.get_ident(), chunks))
+            return draw(*args, chunks=chunks, **kwargs)
+
+        monkeypatch.setattr(analysis, "iter_replicates", recording)
+        mc_risk(_gen(), [pipeline_blue()], 200, seed=0, threads=1)
+        assert seen == [(threading.get_ident(), [i]) for i in range(3)]
+        seen.clear()
+        mc_risk(_gen(), [pipeline_blue()], 200, seed=0, threads=3)
+        assert sorted(chunks for _, chunks in seen) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("call", [
+        lambda t: mc_risk(_gen(), [pipeline_blue()], 200, seed=0, threads=t),
+        lambda t: sample_aggregate_stream(_gen(), Mean(), Constant(1.0), 200, seed=0, threads=t),
+    ], ids=["mc_risk", "sample_aggregate_stream"])
+    def test_fewer_than_one_thread_is_rejected_before_drawing(self, monkeypatch, call):
+        blocks = _count_blocks(monkeypatch)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+                call(threads)
+        assert blocks == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e200 row overflows
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_failing_chunk_raises_its_typed_error(self, monkeypatch, threads):
+        _poison_chunk(monkeypatch, 1)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10, fresh_gt=True)
+        with pytest.raises(IterationDivergenceError):
+            mc_risk(gen, [pipeline_blue(), pipeline_base(CRH())], 200, seed=3, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_chunks_run_under_the_callers_errstate(self, monkeypatch, threads):
+        _poison_chunk(monkeypatch, 1)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10, fresh_gt=True)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            mc_risk(gen, [pipeline_blue(), pipeline_base(CRH())], 200, seed=3, threads=threads)
+
+    def test_a_failing_chunk_cancels_the_chunks_not_yet_started(self, monkeypatch):
+        import time
+
+        monkeypatch.setattr(analysis, "CHUNK", 7)  # 29 chunks
+        started = []
+        draw = analysis.iter_replicates
+
+        def failing_first(*args, chunks=None, **kwargs):
+            started.append(chunks[0])
+            if chunks == [0]:
+                raise IterationDivergenceError("chunk 0")
+            time.sleep(0.01)
+            return draw(*args, chunks=chunks, **kwargs)
+
+        monkeypatch.setattr(analysis, "iter_replicates", failing_first)
+        with pytest.raises(IterationDivergenceError, match="chunk 0"):
+            mc_risk(_gen(), [pipeline_blue()], 200, seed=0, threads=2)
+        assert 0 in started and len(started) < 29
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_memory_is_the_losses_and_one_chunk_per_thread(self, monkeypatch, threads):
+        import tracemalloc
+
+        n, m, replicates = 8, 100, 15_000
+        monkeypatch.setattr(analysis, "CHUNK", 5000)  # three chunks
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 2**16)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=n, m=m,
+                           fresh_gt=True, fresh_sigmas=True)
+        pipelines = [factory() for factory in BLUE_PIPELINES]
+        mc_risk(gen, pipelines, 100, seed=5, threads=threads)
+        tracemalloc.start()
+        try:
+            mc_risk(gen, pipelines, replicates, seed=5, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        losses = 8 * replicates * len(pipelines)
+        # one chunk's arrays: per replicate its truths (m), worker variances
+        # and their roots (2*n) and n for (r, n) temporaries of the draw, and
+        # one block with its pipelines' temporaries; a thread that held the
+        # previous chunk's truths while drawing the next would add m per replicate
+        chunk = 8 * analysis.CHUNK * (m + 3 * n) + 4 * analysis.BLOCK_BYTES
+        assert peak - losses <= threads * chunk
+
+    @pytest.mark.parametrize("fresh_sigmas", [False, True])
+    def test_iterating_several_chunks_holds_one_chunk(self, monkeypatch, fresh_sigmas):
+        import tracemalloc
+
+        n, m = 8, 100
+        monkeypatch.setattr(analysis, "CHUNK", 5000)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 2**16)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=n, m=m,
+                           fresh_gt=True, fresh_sigmas=fresh_sigmas)
+        tracemalloc.start()
+        try:
+            for block in analysis.iter_replicates(gen, 15_000, seed=2):
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk's truths, and with fresh worker variances those, their
+        # roots and n for the draw's temporaries (fixed worker variances are
+        # rooted once per call, not per chunk); the block being drawn, the one
+        # before it and small objects fit in three blocks
+        per_replicate = m + (3 * n if fresh_sigmas else 0)
+        assert peak <= 8 * analysis.CHUNK * per_replicate + 3 * analysis.BLOCK_BYTES
+
+    def test_several_chunks_are_the_chunks_drawn_one_at_a_time(self):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=False)
+        together = list(analysis.iter_replicates(gen, 200, seed=4))
+        alone = [b for i in range(3) for b in analysis.iter_replicates(gen, 200, seed=4,
+                                                                       chunks=[i])]
+        assert len(together) == len(alone)
+        for got, want in zip(together, alone):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
 class TestConditions:
     def _stream(self, psi, m=10, sigma2=1.0, reps=30_000):
         gen = _gen(m=m, worker_sigmas=ExplicitSigmas([sigma2]))

@@ -78,6 +78,52 @@ class TestSimpleBaselines:
         np.testing.assert_allclose(run_td(Median(), X), np.median(TABLE, axis=0))
 
 
+def _same_bits(a, b):
+    """Equal values and signs, so a -0.0 against a 0.0 differs; NaNs match NaNs."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestMedian:
+    """``Median`` sorts once and does ``np.median``'s arithmetic, so it gives
+    ``np.median``'s bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10])
+    def test_equals_np_median_on_odd_and_even_counts(self, n):
+        Xb = np.random.default_rng(n).normal(2.0, 3.0, size=(40, n, 7))
+        with np.errstate(all="raise"):
+            got = run_td_batch(Median(), Xb)
+        assert _same_bits(got, np.median(Xb, axis=1))
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_nan_and_infinite_lanes_are_np_medians(self, n):
+        Xb = np.random.default_rng(7).normal(size=(6, n, 5))
+        Xb[0, 0, 0] = np.nan  # one NaN answer
+        Xb[1, :, 1] = np.nan  # a lane of NaNs
+        Xb[2, :, 2] = np.inf  # a lane of +inf
+        Xb[3, 0, 3] = -np.inf  # one -inf answer
+        Xb[4, :, 4] = -np.inf
+        Xb[5, 0, 0], Xb[5, -1, 1] = np.inf, np.nan
+        with np.errstate(all="raise"):
+            got = run_td_batch(Median(), Xb)
+        want = np.median(Xb, axis=1)
+        assert _same_bits(got, want)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_signed_zero_ties_are_np_medians(self, n):
+        # np.median's mean adds from +0.0, so a zero median is +0.0 whatever
+        # order the sort leaves -0.0 and 0.0 in
+        answers = [0.0, -0.0, 1.0, -1.0]
+        lanes = np.array(np.meshgrid(*[answers] * n)).reshape(n, -1).T
+        got = run_td_batch(Median(), lanes[:, :, None])
+        assert _same_bits(got, np.median(lanes[:, :, None], axis=1))
+
+    def test_an_odd_count_returns_a_new_array_not_a_view_of_the_sort(self):
+        got = run_td_batch(Median(), np.arange(30.0).reshape(2, 3, 5))
+        assert got.base is None and np.array_equal(got, [[5, 6, 7, 8, 9], [20, 21, 22, 23, 24]])
+
+
 class TestIterativeBaselines:
     def test_crh_matches_reference(self):
         rng = np.random.default_rng(3)

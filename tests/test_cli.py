@@ -190,6 +190,16 @@ class TestOutputs:
                      "--sigma2", "1", "--out", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_evaluate_partition_below_one_is_validation(self, tmp_path, dataset_csv, capsys,
+                                                        value):
+        out = tmp_path / "out"
+        code = main(["evaluate", "--data", dataset_csv, "--bases", "mean", "--n", "4",
+                     "--m", "10", "--samples", "20", "--partition", value, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: --partition must be >= 1, got {value}\n"
+        assert not out.exists()
+
     def test_evaluate_partition_matches_bucket_count(self, tmp_path, dataset_csv):
         out = tmp_path / "out"
         code = main(["evaluate", "--data", dataset_csv, "--bases", "mean",
@@ -233,6 +243,20 @@ class TestDeterminism:
             out = tmp_path / f"out{block_bytes}"
             assert main(["simulate", "--replicates", "600", "--n-grid", "1,8",
                          "--m-grid", "5,100", "--seed", "4", "--out", str(out)]) == EXIT_OK
+            outs.append((out / "simulate.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_one_cell_byte_identical_across_threads(self, tmp_path, monkeypatch):
+        from ebtruth import analysis
+
+        # one cell gets every thread, and its four chunks run side by side
+        monkeypatch.setattr(analysis, "CHUNK", 100)
+        assert analysis.n_chunks(350) == 4
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"out{threads}"
+            assert main(["simulate", "--replicates", "350", "--n-grid", "8", "--m-grid", "100",
+                         "--seed", "4", "--out", str(out), "--threads", threads]) == EXIT_OK
             outs.append((out / "simulate.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
@@ -467,6 +491,27 @@ class TestThreads:
         assert main(["conditions", "--replicates", "300", "--threads", flag,
                      "--out", str(tmp_path)]) == EXIT_OK
         assert seen == [want or cli._threads("auto")]
+
+    @pytest.mark.parametrize("grid, flag, want", [
+        (("8", "100"), "3", [3]),
+        (("1,8", "100"), "5", [2, 2]),
+        (("1,2,4,8", "5,10,25,100"), "4", [1] * 16),
+    ], ids=["one-cell", "two-cells", "default-grid"])
+    def test_simulate_gives_each_cell_its_share_of_the_threads(self, tmp_path, monkeypatch,
+                                                               grid, flag, want):
+        import ebtruth.cli as cli
+
+        seen = []
+        risk = cli.mc_risk
+
+        def recording(*args, threads, **kwargs):
+            seen.append(threads)
+            return risk(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "mc_risk", recording)
+        assert main(["simulate", "--replicates", "20", "--n-grid", grid[0], "--m-grid", grid[1],
+                     "--threads", flag, "--out", str(tmp_path)]) == EXIT_OK
+        assert seen == want
 
     @pytest.mark.parametrize("value", ["0", "foo"])
     @pytest.mark.parametrize("command", ["simulate", "evaluate", "conditions"])
