@@ -18,11 +18,14 @@ them alone.  ``mc_risk`` and ``sample_aggregate_stream`` share one chunk
 engine, ``_each_chunk``: each task draws one chunk and writes its rows of
 preallocated outputs, serially or side by side on a thread pool, so the
 numbers are the same at any thread count and a thread holds one chunk at a
-time.  ψ and ∂ψ run in the row blocks of
-``baselines.block_rows``, so their temporaries stay block-sized.  Every
-array a request sizes (an improvement-ratio batch, the condition stores,
-the Monte Carlo losses) is checked against ``MAX_BATCH_BYTES`` before
-anything is allocated.
+time.  ``sample_aggregate_stream`` writes in place: each chunk's truths are
+drawn into the stream's truth store (``iter_replicates(..., truths=)``)
+and the base writes its answers into the aggregate store
+(``run_td_batch(..., out=)``), so neither is held twice.  ψ and ∂ψ run in
+row blocks (``baselines.by_row_blocks``), so their temporaries stay
+block-sized.  Every array a request sizes (an improvement-ratio batch, the
+condition stores, the Monte Carlo losses) is checked against
+``MAX_BATCH_BYTES`` before anything is allocated.
 
 The improvement ratio keeps the last synthetic sample batch it drew, read-only
 and only up to ``KEPT_BATCH_BYTES``, so calling ``improvement_ratio`` once per base
@@ -42,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import TdAlgorithm, block_rows, blue, run_td_batch
+from .baselines import TdAlgorithm, blue, by_row_blocks, run_td_batch
 from .data import (
     ROLE_GT,
     ROLE_SIGMA,
@@ -152,7 +155,7 @@ class AwgGenerator:
 
 
 def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool = False,
-                    chunks=None):
+                    chunks=None, truths=None):
     """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) blocks, deterministically.
 
     A block holds at most ``BLOCK_BYTES`` of X (but at least one replicate),
@@ -160,17 +163,27 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks:
     depends on the batch they see.  ``chunks`` selects chunk indices (all
     ``n_chunks(replicates)`` of them by default); a chunk's blocks are the
     same whichever others are drawn, so chunks can be drawn in any order or
-    side by side.
+    side by side.  ``truths``, a (replicates, m) float array, is a store for
+    the truths: each chunk's truths, fresh or fixed, are written into its
+    rows of the store, and every mu yielded is a view of it, so the chunk
+    allocates no (r, m) truths of its own.
     """
     fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
     fixed_sig2 = (None if gen.fresh_sigmas
                   else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
     fixed_sd = None if fixed_sig2 is None else np.sqrt(fixed_sig2)
     for chunk_index in range(n_chunks(replicates)) if chunks is None else chunks:
-        r = min(CHUNK, replicates - chunk_index * CHUNK)
+        start = chunk_index * CHUNK
+        r = min(CHUNK, replicates - start)
         rng = stream(seed, REPLICATE_ROLE, chunk_index)
-        mu = (gen.gt.draw((r, gen.m), rng) if gen.fresh_gt
-              else np.broadcast_to(fixed_mu, (r, gen.m)))
+        store = None if truths is None else truths[start:start + r]
+        if gen.fresh_gt:
+            mu = gen.gt.draw((r, gen.m), rng, out=store)
+        elif store is None:
+            mu = np.broadcast_to(fixed_mu, (r, gen.m))
+        else:
+            store[...] = fixed_mu
+            mu = store
         if gen.fresh_sigmas:
             sig2 = gen.worker_sigmas.draw((r, gen.n), rng)
             sd = np.sqrt(sig2)[:, :, None]
@@ -185,7 +198,7 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks:
             X += mu[lo:hi, None, :]
             yield X, mu[lo:hi], sig2[lo:hi]
         # drop this chunk's arrays before the next chunk's truths are drawn
-        del X, mu, sig2, sd
+        del X, mu, sig2, sd, store
 
 
 def n_chunks(replicates: int) -> int:
@@ -197,21 +210,10 @@ def n_chunks(replicates: int) -> int:
 # Batched pipeline evaluators
 
 
-def _by_row_blocks(f, Xb: np.ndarray, xa: np.ndarray) -> np.ndarray:
-    """f(Xb, xa), one value per row, computed in row blocks of
-    ``baselines.block_rows`` so that f's temporaries stay block-sized.  Each
-    row's value is the same in any block."""
-    rows = block_rows(Xb)
-    out = np.empty(Xb.shape[0])
-    for lo in range(0, Xb.shape[0], rows):
-        out[lo:lo + rows] = f(Xb[lo:lo + rows], xa[lo:lo + rows])
-    return out
-
-
 def psi_batch(psi: VarianceEstimator, Xb: np.ndarray, xa: np.ndarray) -> np.ndarray:
     """Evaluate a variance estimator across a (r, n, m) batch, in row blocks
     (``HeuristicH``'s residuals would otherwise be a whole (r, n, m) copy)."""
-    return _by_row_blocks(psi.evaluate, Xb, xa)
+    return by_row_blocks(psi.evaluate, np.empty(Xb.shape[0]), Xb, xa)
 
 
 def psi_derivative_dot_batch(psi: VarianceEstimator, Xb: np.ndarray,
@@ -223,7 +225,7 @@ def psi_derivative_dot_batch(psi: VarianceEstimator, Xb: np.ndarray,
         dev = a - a.mean(axis=-1, keepdims=True)
         return (psi.gradient(X, a) * dev).sum(axis=-1)
 
-    return _by_row_blocks(dot, Xb, xa)
+    return by_row_blocks(dot, np.empty(Xb.shape[0]), Xb, xa)
 
 
 @dataclass(frozen=True)
@@ -351,10 +353,11 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
 
 
 def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool,
-                threads: int, on_block) -> None:
+                threads: int, on_block, truths=None) -> None:
     """Call ``on_block(pos, X, mu, sig2)`` on every block of every chunk,
     ``pos`` being the block's first replicate; the chunk engine behind
-    ``mc_risk`` and ``sample_aggregate_stream``.
+    ``mc_risk`` and ``sample_aggregate_stream``.  ``truths`` is passed to
+    ``iter_replicates``, so the chunks draw their truths into that store.
 
     One task draws one chunk, through ``iter_replicates(..., chunks=[i])``,
     and drops it when it returns, so a thread never holds two chunks.
@@ -372,7 +375,7 @@ def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: boo
     def run_chunk(chunk_index):
         pos = chunk_index * CHUNK
         for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=whole_chunks,
-                                           chunks=[chunk_index]):
+                                           chunks=[chunk_index], truths=truths):
             on_block(pos, X, mu, sig2)
             pos += X.shape[0]
 
@@ -423,7 +426,9 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
 
     The chunks run on ``threads`` threads, each writing its own rows of the
     stores, so the result does not depend on ``threads`` (see
-    ``_each_chunk``).
+    ``_each_chunk``).  The stores are written in place: each chunk draws its
+    truths into ``mu`` and the base writes each block's answers into
+    ``aggregates``, so a thread holds no (CHUNK, m) array of its own.
     Fewer than 2 replicates raise InsufficientReplicatesError and stores
     over ``MAX_BATCH_BYTES`` RequestTooLargeError, before anything is drawn.
     """
@@ -438,14 +443,12 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
 
     def on_block(pos, X, mu, sig2):
         rows = slice(pos, pos + X.shape[0])
-        xa = run_td_batch(base, X)
-        aggregates[rows] = xa
+        xa = run_td_batch(base, X, out=aggregates[rows])
         psis[rows] = psi_batch(psi, X, xa)
         dots[rows] = psi_derivative_dot_batch(psi, X, xa)
-        mus[rows] = mu
 
     _each_chunk(gen, replicates, seed, getattr(base, "batch_coupled", False), threads,
-                on_block)
+                on_block, truths=mus)
     return AggregateStream(aggregates=aggregates, psis=psis, derivative_dots=dots,
                            mu=mus, seed=seed)
 
@@ -676,12 +679,13 @@ def batch_bytes(n: int, m: int, samples: int) -> int:
 
     Per sample: the batch ``_sample_batch`` builds (each observation and
     truth, each worker variance or row index and column index, and the three
-    (index, 2-word key) stream addresses); the largest temporary a base
-    makes while scoring it (``Median``'s sorted copy of the observations,
-    n*m, or ``DistanceWeighted``'s Gram matrix and its three same-sized
-    temporaries, 4*n*n); and the aggregate, the shrunk estimate and one loss
-    temporary (3*m).  ψ and the CRH/CATD iterations run in row blocks, so
-    they add no batch-sized temporary.
+    (index, 2-word key) stream addresses); the aggregate, the shrunk
+    estimate and one loss temporary (3*m); and max(n*m, 4*n*n), the size
+    ``Median``'s sorted copy and ``DistanceWeighted``'s Gram stage had when
+    they ran on the whole batch.  Every base and ψ now run in row blocks of
+    ``baselines.ITERATION_BLOCK_BYTES``, so that last term over-counts and
+    the sum is an upper bound; it is kept so that the limit refuses the
+    same requests as before.
     """
     return 8 * samples * (n * m + n + 2 * m + 9 + max(n * m, 4 * n * n) + 3 * m)
 

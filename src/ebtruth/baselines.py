@@ -1,9 +1,11 @@
 """Black-box truth-discovery baselines producing one aggregated answer vector.
 
 Each baseline's ``aggregate`` method maps a (replicates, n, m) stack to
-(replicates, m); the single-matrix form is that method at batch size 1.
-CRH and CATD iterate over the stack in cache-sized row blocks
-(``ITERATION_BLOCK_BYTES``) with a batch-wide stopping test.
+(replicates, m), written into ``out`` when it is given; the single-matrix
+form is that method at batch size 1.  Every base works over the stack in
+cache-sized row blocks (``ITERATION_BLOCK_BYTES``), so its temporaries stay
+block-sized: Median and DistanceWeighted in one pass (``by_row_blocks``),
+CRH and CATD once per iteration with a batch-wide stopping test.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ DEFAULT_CONVERGENCE_TOL = 1e-8
 ITERATION_BLOCK_BYTES = 512 * 1024
 
 
-def blue(values: np.ndarray, sigma2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def blue(values: np.ndarray, sigma2s: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """BLUE kernel: values (..., n, m) and worker variances (..., n) give the
-    inverse-variance-weighted answers (..., m) and the aggregated-worker
-    variance (...), the reciprocal of the summed reciprocal variances."""
+    inverse-variance-weighted answers (..., m), into ``out`` when it is
+    given, and the aggregated-worker variance (...), the reciprocal of the
+    summed reciprocal variances."""
     if sigma2s.shape[-1] != values.shape[-2]:
         raise LengthMismatchError(f"{sigma2s.shape[-1]} variances for {values.shape[-2]} workers")
     w = 1.0 / sigma2s
-    return _weighted_mean(values, w), 1.0 / w.sum(axis=-1)
+    return _weighted_mean(values, w, out), 1.0 / w.sum(axis=-1)
 
 
 def _weighted_mean(values: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -56,8 +59,33 @@ def block_rows(Xb: np.ndarray) -> int:
     return max(1, ITERATION_BLOCK_BYTES // max(1, Xb.itemsize * Xb.shape[1] * Xb.shape[2]))
 
 
-def _iterate_batch(Xb: np.ndarray, weight_rule, alg) -> np.ndarray:
-    """CRH/CATD reweighting on a (r, n, m) batch, returning the (r, m) truths.
+def by_row_blocks(f, out: np.ndarray, Xb: np.ndarray, *rest) -> np.ndarray:
+    """Write f(Xb[rows], *(a[rows] for a in rest)) into ``out[rows]`` for the
+    row blocks of ``block_rows(Xb)``, and return ``out``.  f's temporaries
+    stay block-sized, and each row's value is the same in any block."""
+    rows = block_rows(Xb)
+    for lo in range(0, Xb.shape[0], rows):
+        hi = lo + rows
+        out[lo:hi] = f(Xb[lo:hi], *(a[lo:hi] for a in rest))
+    return out
+
+
+def _answers(Xb: np.ndarray, out) -> np.ndarray:
+    """``out``, or a new (r, m) array when it is None."""
+    return np.empty((Xb.shape[0], Xb.shape[2])) if out is None else out
+
+
+def _lone_worker(Xb: np.ndarray, out) -> np.ndarray:
+    """A one-worker stack's answers, which are its aggregate."""
+    if out is None:
+        return Xb[:, 0, :]
+    out[...] = Xb[:, 0, :]
+    return out
+
+
+def _iterate_batch(Xb: np.ndarray, weight_rule, alg, out=None) -> np.ndarray:
+    """CRH/CATD reweighting on a (r, n, m) batch, returning the (r, m) truths
+    (``out`` when it is given).
 
     Each iteration makes one pass over the batch in row blocks of
     ``block_rows``: a block's distances, weights and new truths are computed
@@ -66,9 +94,9 @@ def _iterate_batch(Xb: np.ndarray, weight_rule, alg) -> np.ndarray:
     change over all blocks), and every row's arithmetic is the same in any
     block, so the block size changes no value.
     """
-    r, n, m = Xb.shape
+    r = Xb.shape[0]
     rows = block_rows(Xb)
-    t = np.empty((r, m))
+    t = _answers(Xb, out)
     # (block, its rows of t) view pairs; each block's truths are written in place
     blocks = [(Xb[lo:lo + rows], t[lo:lo + rows]) for lo in range(0, r, rows)]
     for Xk, tk in blocks:
@@ -101,14 +129,14 @@ class Blue:
             self, "variances", tuple(float(v) for v in validate_variances(variances))
         )
 
-    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        return blue(Xb, np.asarray(self.variances))[0]
+    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
+        return blue(Xb, np.asarray(self.variances), out)[0]
 
 
 @dataclass(frozen=True)
 class Mean:
-    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        return Xb.mean(axis=1)
+    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
+        return Xb.mean(axis=1, out=out)
 
     def aggregated_variance(self, sigma2s: np.ndarray) -> float:
         """Variance of the mean answer of workers with these variances."""
@@ -117,19 +145,23 @@ class Mean:
 
 @dataclass(frozen=True)
 class Median:
-    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        # np.median's arithmetic on one sort, without its partition and
-        # mean passes: the middle answer, or the two middle answers added
-        # and halved.  Its mean's sum starts at +0.0, so a -0.0 median is
-        # +0.0; NaNs sort last, and a lane holding one is NaN
-        s = np.sort(Xb, axis=1)
-        mid = s.shape[1] // 2
-        out = s[:, mid] + 0.0 if s.shape[1] % 2 else (s[:, mid - 1] + s[:, mid] + 0.0) / 2
-        last = s[:, -1]
-        nan = np.isnan(last)
-        if nan.any():
-            out[nan] = last[nan]
-        return out
+    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
+        return by_row_blocks(_median_rows, _answers(Xb, out), Xb)
+
+
+def _median_rows(Xb: np.ndarray) -> np.ndarray:
+    # np.median's arithmetic on one sort, without its partition and mean
+    # passes: the middle answer, or the two middle answers added and halved.
+    # Its mean's sum starts at +0.0, so a -0.0 median is +0.0; NaNs sort
+    # last, and a lane holding one is NaN
+    s = np.sort(Xb, axis=1)
+    mid = s.shape[1] // 2
+    med = s[:, mid] + 0.0 if s.shape[1] % 2 else (s[:, mid - 1] + s[:, mid] + 0.0) / 2
+    last = s[:, -1]
+    nan = np.isnan(last)
+    if nan.any():
+        med[nan] = last[nan]
+    return med
 
 
 @dataclass(frozen=True)
@@ -141,12 +173,13 @@ class CRH:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
-    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
         if Xb.shape[1] == 1:
             # a lone worker's log-ratio weight is -log(1) = 0, which would
-            # leave 0/0 truths; its answers are the aggregate
-            return Xb[:, 0, :]
-        return _iterate_batch(Xb, lambda d: -np.log(d / d.sum(axis=1, keepdims=True)), self)
+            # leave 0/0 truths
+            return _lone_worker(Xb, out)
+        return _iterate_batch(Xb, lambda d: -np.log(d / d.sum(axis=1, keepdims=True)), self,
+                              out)
 
 
 @dataclass(frozen=True)
@@ -163,9 +196,9 @@ class CATD:
         if not 0 < self.confidence < 1:
             raise ValidationError(f"confidence must be in (0, 1), got {self.confidence}")
 
-    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
         quantile = _chi2_quantile(self.confidence, Xb.shape[2])
-        return _iterate_batch(Xb, lambda d: quantile / d, self)
+        return _iterate_batch(Xb, lambda d: quantile / d, self, out)
 
 
 @functools.lru_cache(maxsize=256)
@@ -182,17 +215,21 @@ def _chi2_quantile(confidence: float, df: int) -> float:
 class DistanceWeighted:
     """Single-pass weights from average pairwise distance between workers."""
 
-    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        r, n, m = Xb.shape
-        if n == 1:
-            return Xb[:, 0, :]
-        # d[r, i] = mean over other workers of the mean squared disagreement,
-        # via the Gram-matrix expansion to avoid an (r, n, n, m) intermediate.
-        rowsq = (Xb**2).sum(axis=2)
-        gram = Xb @ Xb.transpose(0, 2, 1)
-        pairsq = np.maximum(rowsq[:, :, None] + rowsq[:, None, :] - 2.0 * gram, 0.0)
-        d = pairsq.sum(axis=2) / ((n - 1) * m) + DISTANCE_EPS
-        return _weighted_mean(Xb, 1.0 / d)
+    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
+        if Xb.shape[1] == 1:
+            return _lone_worker(Xb, out)
+        return by_row_blocks(_distance_weighted_rows, _answers(Xb, out), Xb)
+
+
+def _distance_weighted_rows(Xb: np.ndarray) -> np.ndarray:
+    # d[r, i] = mean over other workers of the mean squared disagreement,
+    # via the Gram-matrix expansion to avoid an (r, n, n, m) intermediate.
+    _, n, m = Xb.shape
+    rowsq = (Xb**2).sum(axis=2)
+    gram = Xb @ Xb.transpose(0, 2, 1)
+    pairsq = np.maximum(rowsq[:, :, None] + rowsq[:, None, :] - 2.0 * gram, 0.0)
+    d = pairsq.sum(axis=2) / ((n - 1) * m) + DISTANCE_EPS
+    return _weighted_mean(Xb, 1.0 / d)
 
 
 TdAlgorithm = Blue | Mean | Median | CRH | CATD | DistanceWeighted
@@ -204,11 +241,13 @@ def blue_aggregate(X: ObservationMatrix, sigma2s) -> tuple[np.ndarray, float]:
     return answers, float(aggregated_variance)
 
 
-def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray) -> np.ndarray:
+def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray, out=None) -> np.ndarray:
     """Run a baseline on a (replicates, n, m) stack, returning (replicates, m).
 
-    An empty batch (replicates = 0) gives an empty (0, m) result; no workers
-    or no questions (n = 0 or m = 0) raise ``EmptyMatrixError``, as an
+    With ``out``, a float (replicates, m) array, the answers are written into
+    it and it is returned; the values are the same either way.  An empty
+    batch (replicates = 0) gives an empty (0, m) result; no workers or no
+    questions (n = 0 or m = 0) raise ``EmptyMatrixError``, as an
     ``ObservationMatrix`` does.
     """
     Xb = np.asarray(Xb, dtype=float)
@@ -216,7 +255,10 @@ def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a (replicates, n, m) stack, got shape {Xb.shape}")
     if Xb.shape[1] == 0 or Xb.shape[2] == 0:
         raise EmptyMatrixError(f"expected workers and questions, got shape {Xb.shape}")
-    return alg.aggregate(Xb)
+    if out is not None and (out.shape != (Xb.shape[0], Xb.shape[2]) or out.dtype != float):
+        raise ValueError(f"out must be a float {(Xb.shape[0], Xb.shape[2])} array, "
+                         f"got {out.dtype} {out.shape}")
+    return alg.aggregate(Xb, out=out)
 
 
 def run_td(alg: TdAlgorithm, X: ObservationMatrix) -> np.ndarray:

@@ -301,6 +301,10 @@ def cmd_evaluate(args) -> int:
     buckets = int(cfg["partition"])
     if buckets < 1:
         raise ValidationError(f"--partition must be >= 1, got {buckets}")
+    if buckets > ds.matrix.n_questions:
+        # a bucket would be empty
+        raise ValidationError(f"--partition {buckets} is more than the "
+                              f"{ds.matrix.n_questions} questions of --data")
     datasets = [("all", ds)] if buckets <= 1 else [
         (f"bucket{i}", part) for i, part in enumerate(partition_questions(ds, buckets))
     ]

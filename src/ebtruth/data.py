@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     RequestTooLargeError,
     UnreachableFloorError,
+    ValidationError,
 )
 from .model import (
     ObservationMatrix,
@@ -172,8 +173,12 @@ class ConstantGT:
     def __post_init__(self):
         _check_params(self)
 
-    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-        return np.full(shape, float(self.value))
+    def draw(self, shape: tuple, rng: np.random.Generator, out=None) -> np.ndarray:
+        """The truths, into ``out`` (of ``shape``) when it is given."""
+        if out is None:
+            return np.full(shape, float(self.value))
+        out.fill(float(self.value))
+        return out
 
 
 @dataclass(frozen=True)
@@ -184,8 +189,17 @@ class GaussianGT:
     def __post_init__(self):
         _check_params(self, ("variance",))
 
-    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.mean, np.sqrt(self.variance), size=shape)
+    def draw(self, shape: tuple, rng: np.random.Generator, out=None) -> np.ndarray:
+        """The truths, into ``out`` (of ``shape``) when it is given.  numpy's
+        normal is mean + sd * z, and IEEE + and * commute, so scaling and
+        shifting standard normals in place gives the same bits."""
+        sd = np.sqrt(self.variance)
+        if out is None:
+            return rng.normal(self.mean, sd, size=shape)
+        rng.standard_normal(out=out)
+        out *= sd
+        out += self.mean
+        return out
 
 
 @dataclass(frozen=True)
@@ -438,16 +452,22 @@ def partition_questions(ds: Dataset, buckets: int, sort_by=None) -> list[Dataset
     Questions are sorted by ground truth (or by ``sort_by`` when no truth is
     available, labeled as such in metadata) and split into ``buckets``
     contiguous groups; each output records its ground-truth sample variance.
+    More buckets than questions would leave a bucket empty, and raise
+    ValidationError.
     """
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
+    if buckets > ds.matrix.n_questions:
+        raise ValidationError(
+            f"cannot split {ds.matrix.n_questions} questions into {buckets} buckets")
     if ds.ground_truth is not None:
         keys = ds.ground_truth
         sort_label = "ground_truth"
     elif sort_by is not None:
         keys = as_answer_vector(sort_by)
         if keys.shape[0] != ds.matrix.n_questions:
-            raise RequestTooLargeError("sort_by length != question count")
+            raise LengthMismatchError(
+                f"sort_by length {keys.shape[0]} != question count {ds.matrix.n_questions}")
         sort_label = "aggregate_fallback"
     else:
         raise NoGroundTruthError("partitioning needs ground truth or an explicit sort key")

@@ -57,7 +57,7 @@ from ebtruth import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from ebtruth import analysis
+from ebtruth import analysis, baselines
 from ebtruth.analysis import AggregateStream, psi_batch, report_record, shrink_aggregate
 from ebtruth.data import ROLE_GT, ROLE_SIGMA
 
@@ -334,6 +334,23 @@ class TestThreadedStream:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("fresh_gt", [False, True])
+    def test_a_truth_store_gets_every_chunks_rows_in_any_order(self, monkeypatch, fresh_gt):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7,
+                           fresh_gt=fresh_gt, fresh_sigmas=True)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
+        every = list(analysis.iter_replicates(gen, 200, seed=4))
+        store = np.full((200, 7), np.nan)
+        picked = list(analysis.iter_replicates(gen, 200, seed=4, chunks=[2, 0, 1],
+                                               truths=store))
+        # 70-replicate chunks in 16-replicate blocks: 5 blocks each, 4 in the last
+        assert len(picked) == len(every) == 14
+        for got, want in zip(picked, every[10:] + every[:10]):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.shares_memory(got[1], store)
+        assert np.array_equal(store, np.concatenate([mu for _, mu, _ in every]))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e200 row overflows
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_a_failing_chunk_raises_its_typed_error(self, monkeypatch, threads):
@@ -354,8 +371,9 @@ class TestThreadedStream:
     def test_memory_is_the_stores_and_one_chunk_per_thread(self, monkeypatch, base, threads):
         import tracemalloc
 
-        monkeypatch.setattr(analysis, "CHUNK", 2000)
-        n, m, replicates = 10, 50, 4000
+        n, m, replicates = 10, 50, 15_000
+        monkeypatch.setattr(analysis, "CHUNK", 5000)  # three chunks
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 2**16)
         gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=n, m=m, fresh_gt=True)
         sample_aggregate_stream(gen, base, HeuristicH(), 100, seed=5, threads=threads)
         tracemalloc.start()
@@ -365,11 +383,13 @@ class TestThreadedStream:
         finally:
             tracemalloc.stop()
         stores = 8 * replicates * (2 * m + 2)
-        # per replicate in flight: observations (n*m), truths and aggregates
-        # (2*m), worker variances and their roots (2*n), and m + 2*n for
-        # (r, m) and (r, n) temporaries; an unblocked ψ would add n*m, an
-        # unblocked ∂ψ about 2*m
-        assert peak - stores <= threads * 8 * analysis.CHUNK * (n * m + 3 * m + 4 * n)
+        # the truths and aggregates go straight into the stores, so a thread
+        # holds its noise (CRH: a whole chunk, n*m per replicate, and its
+        # weights, n; a blocked base: one block) and block-sized temporaries.
+        # A chunk's own (CHUNK, m) truths or answers would add 2 MB each
+        held = (8 * analysis.CHUNK * n * (m + 1) if getattr(base, "batch_coupled", False)
+                else analysis.BLOCK_BYTES)
+        assert peak - stores <= threads * (held + 2 * baselines.ITERATION_BLOCK_BYTES)
 
     @pytest.mark.parametrize("call, need", [
         (lambda r: sample_aggregate_stream(_gen(), Mean(), Constant(1.0), r, seed=0),

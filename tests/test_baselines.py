@@ -185,6 +185,55 @@ ALL_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted(), Blue([1.0, 2.0
 BASE_IDS = ["mean", "median", "crh", "catd", "distance", "blue"]
 
 
+class TestAnswersInPlace:
+    """``run_td_batch(out=)`` writes the allocating call's answers into ``out``."""
+
+    @pytest.mark.parametrize("alg", ALL_BASES, ids=BASE_IDS)
+    @pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (11, 1), (11, 2), (11, 5)])
+    def test_returns_out_equal_to_the_allocating_call(self, alg, r, n, monkeypatch):
+        if isinstance(alg, Blue):
+            alg = Blue(np.arange(1.0, n + 1))
+        rng = np.random.default_rng(10 * r + n)
+        Xb = rng.normal(2.0, 1.0, size=(r, n, 6)) * rng.uniform(0.5, 2.0, size=(r, n, 1))
+        # 4-replicate row blocks, so 11 replicates span three
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 4 * 8 * n * 6)
+        want = run_td_batch(alg, Xb)
+        store = np.full((r + 3, 6), np.nan)
+        out = store[1:1 + r]
+        assert run_td_batch(alg, Xb, out=out) is out
+        assert _same_bits(out, want)
+        assert np.isnan(store[0]).all() and np.isnan(store[1 + r:]).all()
+
+    @pytest.mark.parametrize("out", [np.empty((3, 5)), np.empty((2, 4)), np.empty((3, 4), "f4")],
+                             ids=["questions", "replicates", "float32"])
+    def test_an_out_of_another_shape_or_dtype_is_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be a float"):
+            run_td_batch(Mean(), np.zeros((3, 2, 4)), out=out)
+
+
+def _unblocked_median(Xb):
+    # Median as it ran on the whole batch before the row blocks
+    s = np.sort(Xb, axis=1)
+    mid = s.shape[1] // 2
+    out = s[:, mid] + 0.0 if s.shape[1] % 2 else (s[:, mid - 1] + s[:, mid] + 0.0) / 2
+    last = s[:, -1]
+    nan = np.isnan(last)
+    if nan.any():
+        out[nan] = last[nan]
+    return out
+
+
+def _unblocked_distance_weighted(Xb):
+    # DistanceWeighted as it ran on the whole batch before the row blocks
+    r, n, m = Xb.shape
+    rowsq = (Xb**2).sum(axis=2)
+    gram = Xb @ Xb.transpose(0, 2, 1)
+    pairsq = np.maximum(rowsq[:, :, None] + rowsq[:, None, :] - 2.0 * gram, 0.0)
+    d = pairsq.sum(axis=2) / ((n - 1) * m) + 1e-12
+    w = 1.0 / d
+    return np.einsum("...n,...nm->...m", w, Xb) / w.sum(axis=-1, keepdims=True)
+
+
 class TestEmptyStacks:
     @pytest.mark.parametrize("alg", ALL_BASES, ids=BASE_IDS)
     def test_empty_batch_gives_an_empty_result(self, alg):
@@ -277,6 +326,26 @@ class TestRowBlocks:
         monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 3 * Xb[0].nbytes)
         with np.errstate(all="ignore"), pytest.raises(IterationDivergenceError):
             run_td_batch(alg, Xb)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("replicates,block_rows", [(1, 1), (10, 3), (10, 4), (10, 10)])
+    def test_median_and_distance_match_the_unblocked_code(self, n, replicates, block_rows,
+                                                          monkeypatch):
+        rng = np.random.default_rng(n)
+        Xb = rng.normal(2.0, 1.0, size=(replicates, n, 8))
+        Xb *= rng.uniform(0.5, 2.0, size=(replicates, n, 1))
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", block_rows * Xb[0].nbytes)
+        assert _same_bits(run_td_batch(DistanceWeighted(), Xb), _unblocked_distance_weighted(Xb))
+        Xb[0, 0, 0] = np.nan  # one NaN answer
+        Xb[-1, :, 1] = np.nan  # a lane of NaNs
+        Xb[0, :, 2] = np.inf  # a lane of +inf
+        Xb[-1, 0, 3] = -np.inf  # one -inf answer
+        Xb[replicates // 2, :, 4] = -np.inf
+        want = _unblocked_median(Xb)
+        with np.errstate(all="raise"):
+            got = run_td_batch(Median(), Xb)
+        assert _same_bits(got, want)
 
 
 class TestInvariances:

@@ -200,6 +200,16 @@ class TestOutputs:
         assert capsys.readouterr().err == f"error: --partition must be >= 1, got {value}\n"
         assert not out.exists()
 
+    def test_evaluate_partition_above_the_question_count_is_validation(self, tmp_path,
+                                                                     dataset_csv, capsys):
+        out = tmp_path / "out"
+        code = main(["evaluate", "--data", dataset_csv, "--bases", "mean", "--n", "4",
+                     "--m", "10", "--samples", "20", "--partition", "40", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: --partition 40 is more than the 30 questions of --data\n")
+        assert not out.exists()
+
     def test_evaluate_partition_matches_bucket_count(self, tmp_path, dataset_csv):
         out = tmp_path / "out"
         code = main(["evaluate", "--data", dataset_csv, "--bases", "mean",

@@ -83,6 +83,27 @@ class TestGeneration:
             _spec(n=0)
 
 
+TRUTH_SPECS = [GaussianGT(mean, variance) for mean in (2.0, -3.7, 0.0)
+               for variance in (1.0, 100.0, 0.37, 0.0)] + [ConstantGT(2.0), ConstantGT(-0.0)]
+
+
+class TestDrawInPlace:
+    """``draw(out=)`` writes the allocating draw's bits into ``out``."""
+
+    @pytest.mark.parametrize("gt", TRUTH_SPECS, ids=repr)
+    def test_equals_the_allocating_draw_and_returns_out(self, gt):
+        want_rng, got_rng = stream(3, 100, 1), stream(3, 100, 1)
+        want = gt.draw((40, 7), want_rng)
+        store = np.full((50, 7), np.nan)
+        out = store[5:45]
+        assert gt.draw((40, 7), got_rng, out=out) is out
+        # bytes, so a -0.0 against a 0.0 differs
+        assert out.tobytes() == want.tobytes()
+        assert np.isnan(store[:5]).all() and np.isnan(store[45:]).all()
+        # the stream goes on from the same place
+        assert got_rng.standard_normal(5).tobytes() == want_rng.standard_normal(5).tobytes()
+
+
 class TestFileFormat:
     def test_round_trip_exact(self, tmp_path):
         ds = gen_synthetic(_spec())
@@ -342,6 +363,17 @@ class TestPartition:
     def test_bucket_count_validated(self):
         with pytest.raises(ValueError):
             partition_questions(self._bimodal(), 0)
+
+    def test_more_buckets_than_questions_names_both_counts(self):
+        ds = self._bimodal()
+        assert len(partition_questions(ds, 80)) == 80
+        with pytest.raises(ValidationError, match="cannot split 80 questions into 81 buckets"):
+            partition_questions(ds, 81)
+
+    def test_sort_key_of_the_wrong_length_is_a_length_mismatch(self):
+        ds = Dataset(matrix=validate_matrix([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(LengthMismatchError, match="sort_by length 3 != question count 2"):
+            partition_questions(ds, 2, sort_by=[5.0, 1.0, 0.0])
 
 
 def _ones_dataset(workers, questions, truth=None):
