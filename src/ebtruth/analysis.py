@@ -65,6 +65,7 @@ from .errors import (
     LengthMismatchError,
     NonPositiveVarianceError,
     RequestTooLargeError,
+    ValidationError,
 )
 from .estimators import check_alpha, flat_rows, shrink_batch, stein
 from .pipelines import shrink_aggregate
@@ -558,14 +559,27 @@ def risk_decomposition(s: AggregateStream, sigma2: float) -> dict:
     }
 
 
+def check_deviation_inputs(eps: float | None = None, delta: float | None = None,
+                           bound: float | None = None) -> None:
+    """Raise ValidationError, naming the value, for a non-finite eps, delta or
+    bound, or for a delta, a probability, outside (0, 1]."""
+    for name, value in (("eps", eps), ("delta", delta), ("bound", bound)):
+        if value is not None and not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+    if delta is not None and not 0 < delta <= 1:
+        raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
+
+
 def sufficient_conditions(s: AggregateStream, sigma2: float, psi: VarianceEstimator,
                          eps: float | None = None, delta: float | None = None,
                          bound: float | None = None) -> list[ConditionReport]:
     """Monte Carlo plug-ins for the sufficient improvement conditions.
 
     The deviation-bound conditions take eps/delta/bound as declared properties
-    of the supplied estimator and check the closed-form brackets.
+    of the supplied estimator and check the closed-form brackets; inputs that
+    ``check_deviation_inputs`` refuses raise ValidationError.
     """
+    check_deviation_inputs(eps, delta, bound)
     _, _, _, (e_psi2, e_psi, e_dot) = _stream_terms(s)
     reports = []
 

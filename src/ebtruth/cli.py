@@ -4,6 +4,14 @@ Subcommands: demo-table1, simulate, evaluate, conditions.  Every run embeds
 the resolved config (and seed) in a '# config:' header line of each report,
 and repeated runs with the same seed produce byte-identical output under any
 thread count.
+
+A --config file holds one JSON object.  Each of its keys becomes one
+--key=value flag after the command line, and the whole line is parsed again,
+so file values are checked exactly as flags are and win over them.  Exit
+codes: 0 success; 1 a rejected flag or value, including a config key that is
+not a flag of the command or a value that is not a JSON string or number; 2 a
+file that cannot be read or parsed, including a config file that is not a
+JSON object; 3 a failed demo-table1 self-check.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .analysis import (
     sample_aggregate_stream,
     improvement_condition,
     risk_decomposition,
+    check_deviation_inputs,
     sufficient_conditions,
     loss,
     report_record,
@@ -141,20 +150,28 @@ def _parse_base(text: str):
     raise ValidationError(f"unknown base algorithm {text!r}")
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, f"config file: {exc.msg}") from None
-        for key, value in overrides.items():
-            key = key.replace("-", "_")
-            if key not in cfg:
-                raise ValidationError(f"config file: unknown key {key!r}")
-            cfg[key] = value
-    return cfg
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The ``--key=value`` tokens that the JSON object in ``args.config``
+    stands for, so that argparse checks file values exactly as it checks
+    flags.  The ``=`` form keeps a value that starts with '-' a value."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"config file: {exc.msg}") from None
+    if not isinstance(overrides, dict):
+        raise ParseError(1, "config file: expected a JSON object")
+    flags = []
+    for key, value in overrides.items():
+        key = key.replace("-", "_")
+        if key not in vars(args) or key in ("command", "config", "func"):
+            raise ValidationError(f"config file: unknown key {key!r}")
+        # bool is an int to Python but not a number to a flag
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValidationError(f"config file: {key!r} must be a string or a number, "
+                                  f"got {json.dumps(value)}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _config_header(cfg: dict) -> str:
@@ -166,10 +183,15 @@ def _config_header(cfg: dict) -> str:
     return f"# config: {body}\n# config_hash: {digest}\n"
 
 
-def _write_csv(path, header: str, records: list[dict]) -> None:
+def _write_report(cfg: dict, name: str, records: list[dict]) -> str:
+    """Write ``records`` as CSV under ``cfg['out']``, after the config header
+    of ``cfg``, and return the file's path."""
+    os.makedirs(cfg["out"], exist_ok=True)
+    path = os.path.join(cfg["out"], name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header)
+        fh.write(_config_header(cfg))
         analysis.write_reports_csv(fh, records)
+    return path
 
 
 def _threads(value: str) -> int:
@@ -189,7 +211,7 @@ def _threads(value: str) -> int:
 # demo-table1
 
 
-def cmd_demo_table1(args) -> int:
+def cmd_demo_table1(cfg: dict) -> int:
     X = validate_matrix(TABLE1_VALUES)
     gt = np.asarray(TABLE1_GT)
     avg = X.values.mean(axis=0)
@@ -236,32 +258,19 @@ def _simulate_cell(args_tuple):
     gen, replicates, seed, convention, threads = args_tuple
     pipelines = [pipeline_blue(), pipeline_eb_blue(), pipeline_stein_blue()]
     result = mc_risk(gen, pipelines, replicates, seed, convention, threads=threads)
-    rows = []
-    for name in ("blue", "eb_blue", "stein_blue"):
-        rep = result.reports[name]
-        rows.append({
-            "n": gen.n, "m": gen.m, "pipeline": name,
-            "mean_loss": rep.mean_loss, "std_error": rep.std_error,
-            "replicates": rep.replicates, "seed": rep.seed,
-            "loss_convention": rep.loss_convention,
-        })
-    gap, gap_se = result.diff("blue", "eb_blue")
-    rows.append({
-        "n": gen.n, "m": gen.m, "pipeline": "gap_blue_minus_eb_blue",
-        "mean_loss": gap, "std_error": gap_se,
-        "replicates": replicates, "seed": seed, "loss_convention": convention,
-    })
-    return rows
+    rows = [(name, rep.mean_loss, rep.std_error) for name, rep in result.reports.items()]
+    rows.append(("gap_blue_minus_eb_blue", *result.diff("blue", "eb_blue")))
+    return [{"n": gen.n, "m": gen.m, "pipeline": name, "mean_loss": mean_loss,
+             "std_error": std_error, "replicates": replicates, "seed": seed,
+             "loss_convention": convention} for name, mean_loss, std_error in rows]
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_simulate(cfg: dict) -> int:
     gt = _parse_gt(cfg["gt"])
     sigmas = _parse_sigmas(cfg["sigmas"])
-    n_grid = [int(x) for x in str(cfg["n_grid"]).split(",")]
-    m_grid = [int(x) for x in str(cfg["m_grid"]).split(",")]
-    convention = SUM_SQUARED if cfg["loss"] == "sum" else MEAN_SQUARED
-    threads = _threads(str(cfg["threads"]))
+    n_grid = [int(x) for x in cfg["n_grid"].split(",")]
+    m_grid = [int(x) for x in cfg["m_grid"].split(",")]
+    threads = _threads(cfg["threads"])
     grid = [(n, m) for n in n_grid for m in m_grid]
     # threads the grid's cells leave over run each cell's chunks, so a grid
     # with fewer cells than threads still uses them all
@@ -270,7 +279,7 @@ def cmd_simulate(args) -> int:
     for ci, (n, m) in enumerate(grid):
         gen = AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
         # one independent seed per cell keeps results thread-order-free
-        cells.append((gen, int(cfg["replicates"]), int(cfg["seed"]) * 100_003 + ci, convention,
+        cells.append((gen, cfg["replicates"], cfg["seed"] * 100_003 + ci, cfg["loss"],
                       chunk_threads))
     # Largest cells (by n·m) start first, so the longest one does not run
     # alone at the end (Graham's longest-processing-time-first rule); the
@@ -279,9 +288,7 @@ def cmd_simulate(args) -> int:
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         per_cell = dict(zip(order, pool.map(_simulate_cell, [cells[ci] for ci in order])))
     records = [row for ci in range(len(cells)) for row in per_cell[ci]]
-    os.makedirs(cfg["out"], exist_ok=True)
-    out_path = os.path.join(cfg["out"], "simulate.csv")
-    _write_csv(out_path, _config_header(cfg), records)
+    out_path = _write_report(cfg, "simulate.csv", records)
     print(f"wrote {out_path} ({len(records)} rows)")
     return EXIT_OK
 
@@ -290,15 +297,14 @@ def cmd_simulate(args) -> int:
 # evaluate
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
-    _threads(str(cfg["threads"]))  # checked as in simulate and conditions; evaluate is serial
-    if not cfg.get("data"):
+def cmd_evaluate(cfg: dict) -> int:
+    _threads(cfg["threads"])  # checked as in simulate and conditions; evaluate is serial
+    if not cfg["data"]:
         raise ValidationError("evaluate requires --data")
     ds = load_csv(cfg["data"])
     psi = _parse_psi(cfg["psi"])
-    bases = [(_parse_base(b), b) for b in str(cfg["bases"]).split(",")]
-    buckets = int(cfg["partition"])
+    bases = [(_parse_base(b), b) for b in cfg["bases"].split(",")]
+    buckets = cfg["partition"]
     if buckets < 1:
         raise ValidationError(f"--partition must be >= 1, got {buckets}")
     if buckets > ds.matrix.n_questions:
@@ -313,9 +319,8 @@ def cmd_evaluate(args) -> int:
         gt_var = (dispersion(part.ground_truth).sample_variance
                   if part.ground_truth is not None and part.ground_truth.shape[0] >= 2
                   else None)
-        results = improvement_ratios(part, [base for base, _ in bases], psi,
-                                     n=int(cfg["n"]), m=int(cfg["m"]),
-                                     samples=int(cfg["samples"]), seed=int(cfg["seed"]))
+        results = improvement_ratios(part, [base for base, _ in bases], psi, n=cfg["n"],
+                                     m=cfg["m"], samples=cfg["samples"], seed=cfg["seed"])
         for (_, base_name), res in zip(bases, results):
             records.append({
                 "subset": label, "base": base_name,
@@ -325,14 +330,12 @@ def cmd_evaluate(args) -> int:
                 "samples": res.samples, "seed": res.seed,
             })
             print(f"{label} base={base_name} IR={res.improvement_ratio:.6f}")
-    os.makedirs(cfg["out"], exist_ok=True)
-    out_path = os.path.join(cfg["out"], "evaluate.csv")
     # the data is named by its content, not by the directory it was read
     # from, so the same data gives the same report bytes wherever it lives
     with open(cfg["data"], "rb") as fh:
         data_sha256 = hashlib.sha256(fh.read()).hexdigest()
-    header_cfg = dict(cfg, data=os.path.basename(cfg["data"]), data_sha256=data_sha256)
-    _write_csv(out_path, _config_header(header_cfg), records)
+    out_path = _write_report(dict(cfg, data=os.path.basename(cfg["data"]),
+                                  data_sha256=data_sha256), "evaluate.csv", records)
     print(f"wrote {out_path} ({len(records)} rows)")
     return EXIT_OK
 
@@ -341,21 +344,19 @@ def cmd_evaluate(args) -> int:
 # conditions
 
 
-def cmd_conditions(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_conditions(cfg: dict) -> int:
+    check_deviation_inputs(cfg["eps"], cfg["delta"], cfg["bound"])
     gt = _parse_gt(cfg["gt"])
     sigmas = _parse_sigmas(cfg["sigmas"])
     psi = _parse_psi(cfg["psi"])
     base = _parse_base(cfg["base"])
-    n, m = int(cfg["n"]), int(cfg["m"])
+    n, m, seed = cfg["n"], cfg["m"], cfg["seed"]
     gen = AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
-    seed = int(cfg["seed"])
-    stream_data = sample_aggregate_stream(gen, base, psi, int(cfg["replicates"]), seed,
-                                          threads=_threads(str(cfg["threads"])))
+    stream_data = sample_aggregate_stream(gen, base, psi, cfg["replicates"], seed,
+                                          threads=_threads(cfg["threads"]))
 
-    if cfg.get("sigma2") is not None:
-        sigma2 = float(cfg["sigma2"])
-    else:
+    sigma2 = cfg["sigma2"]
+    if sigma2 is None:
         derive = getattr(base, "aggregated_variance", None)
         if derive is None:
             raise ValidationError(
@@ -363,9 +364,8 @@ def cmd_conditions(args) -> int:
         sigma2 = derive(sigmas.draw((n,), stream(seed, ROLE_SIGMA, 0)))
 
     records = [report_record(improvement_condition(stream_data))]
-    for rep in sufficient_conditions(
-            stream_data, sigma2, psi,
-            eps=cfg.get("eps"), delta=cfg.get("delta"), bound=cfg.get("bound")):
+    for rep in sufficient_conditions(stream_data, sigma2, psi, eps=cfg["eps"],
+                                     delta=cfg["delta"], bound=cfg["bound"]):
         records.append(report_record(rep))
     decomp = risk_decomposition(stream_data, sigma2)
     records.append({"name": "risk_decomposition", "lhs": decomp["lhs_gap"],
@@ -376,10 +376,8 @@ def cmd_conditions(args) -> int:
         rec["seed"] = seed
         print(f"{rec['name']}: lhs={rec['lhs']:.6g} rhs={rec['rhs']:.6g} "
               f"satisfied={rec['satisfied']}")
-    os.makedirs(cfg["out"], exist_ok=True)
-    csv_path = os.path.join(cfg["out"], "conditions.csv")
+    csv_path = _write_report(cfg, "conditions.csv", records)
     jsonl_path = os.path.join(cfg["out"], "conditions.jsonl")
-    _write_csv(csv_path, _config_header(cfg), records)
     analysis.write_reports_jsonl(jsonl_path, records)
     print(f"wrote {csv_path} and {jsonl_path}")
     return EXIT_OK
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="paired risk sweep over an (n, m) grid")
     common(p)
     p.add_argument("--replicates", type=int, default=100_000)
-    p.add_argument("--loss", choices=["sum", "mean"], default="sum")
+    p.add_argument("--loss", choices=[SUM_SQUARED, MEAN_SQUARED], default=SUM_SQUARED)
     p.add_argument("--gt", default="gaussian:2,1")
     p.add_argument("--sigmas", default="indexed")
     p.add_argument("--n-grid", dest="n_grid", default="1,2,4,8")
@@ -443,9 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if getattr(args, "config", None):
+            # file values come last, so they win over the command line's
+            args = parser.parse_args(argv + _config_flags(args))
+        return args.func({k: v for k, v in vars(args).items() if k not in ("func", "config")})
     except (FileNotFoundError, PermissionError, IsADirectoryError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -452,11 +452,11 @@ def partition_questions(ds: Dataset, buckets: int, sort_by=None) -> list[Dataset
     Questions are sorted by ground truth (or by ``sort_by`` when no truth is
     available, labeled as such in metadata) and split into ``buckets``
     contiguous groups; each output records its ground-truth sample variance.
-    More buckets than questions would leave a bucket empty, and raise
-    ValidationError.
+    Fewer than one bucket, or more buckets than questions (which would leave
+    a bucket empty), raise ValidationError.
     """
     if buckets < 1:
-        raise ValueError(f"buckets must be >= 1, got {buckets}")
+        raise ValidationError(f"buckets must be >= 1, got {buckets}")
     if buckets > ds.matrix.n_questions:
         raise ValidationError(
             f"cannot split {ds.matrix.n_questions} questions into {buckets} buckets")

@@ -32,6 +32,7 @@ from ebtruth import (
     NonFiniteError,
     NonPositiveVarianceError,
     RequestTooLargeError,
+    ValidationError,
     SampleScaled,
     SUM_SQUARED,
     bayes_risk_gap,
@@ -655,6 +656,28 @@ class TestConditions:
         dev_only = {r.name: r for r in sufficient_conditions(
             s, sigma2=1.0, psi=Constant(1.0), eps=0.5)}
         assert dev_only["bounded_deviation_condition"].satisfied  # 0.5 < 1
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(eps=0.1, delta=0.0, bound=0.1), "delta"),
+        (dict(eps=0.1, delta=-1.0, bound=0.1), "delta"),
+        (dict(eps=0.1, delta=1.5, bound=0.1), "delta"),
+        (dict(eps=0.1, delta=float("nan"), bound=0.1), "delta"),
+        (dict(eps=float("nan")), "eps"),
+        (dict(eps=float("inf"), delta=0.5, bound=0.1), "eps"),
+        (dict(eps=0.1, delta=0.5, bound=float("nan")), "bound"),
+        (dict(bound=float("-inf")), "bound"),
+    ])
+    def test_deviation_inputs_are_checked(self, kwargs, named):
+        s = self._stream(Constant(1.0), reps=100)
+        with pytest.raises(ValidationError, match=rf"^{named} must be"):
+            sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0), **kwargs)
+
+    def test_delta_of_one_keeps_the_infinite_bound_cap(self):
+        s = self._stream(Constant(1.0), reps=100)
+        reports = {r.name: r for r in sufficient_conditions(
+            s, sigma2=1.0, psi=Constant(1.0), eps=0.1, delta=1.0, bound=0.1)}
+        assert reports["probabilistic_bound_cap"].rhs == float("inf")
+        assert reports["probabilistic_bound_cap"].satisfied
 
     def test_constant_rule_boundary_and_failure(self):
         s = self._stream(Constant(3.0), reps=2000)

@@ -140,6 +140,109 @@ class TestConfigFile:
                      "--out", str(tmp_path)])
         assert code == EXIT_IO
 
+    # one small run of each command; the config values are JSON numbers and
+    # strings, as a file would hold them
+    RUNS = {
+        "simulate": ({"replicates": 200, "n_grid": "1,2", "m-grid": "5,10", "loss": "mean",
+                      "gt": "constant:3", "seed": 3, "threads": 2}, ["simulate.csv"]),
+        "conditions": ({"replicates": 500, "m": 12, "psi": "s:0.5", "eps": "0.05",
+                        "delta": 0.5, "bound": 0.1, "sigma2": 1, "seed": 1},
+                       ["conditions.csv", "conditions.jsonl"]),
+        # a number that begins with '-' is a value, not a flag
+        "conditions-negative-eps": ({"replicates": 500, "eps": -0.5, "seed": 2},
+                                    ["conditions.csv", "conditions.jsonl"]),
+        "evaluate": ({"bases": "mean,crh", "n": 4, "m": 10, "samples": 20, "partition": 2,
+                      "psi": "s:1", "seed": 5}, ["evaluate.csv"]),
+    }
+
+    @staticmethod
+    def _flags(values):
+        return [t for k, v in values.items() for t in (f"--{k.replace('_', '-')}", str(v))]
+
+    @staticmethod
+    def _reports(out, names):
+        return [(out / name).read_bytes() for name in names]
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_file_values_write_the_bytes_of_the_same_flags(self, tmp_path, dataset_csv, run):
+        command = run.split("-")[0]
+        values, names = self.RUNS[run]
+        if command == "evaluate":
+            values = dict(values, data=dataset_csv)
+        assert main([command, *self._flags(values), "--out", str(tmp_path / "flags")]) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "file")]) == EXIT_OK
+        want = self._reports(tmp_path / "flags", names)
+        assert self._reports(tmp_path / "file", names) == want
+        # every flag on the command line disagrees with the file, and the file wins
+        other = {k: {"loss": "sum", "gt": "constant:4", "psi": "s:2", "bases": "median",
+                     "data": "nope.csv"}.get(k, "7") for k in values}
+        assert main([command, *self._flags(other), "--config", str(cfg),
+                     "--out", str(tmp_path / "both")]) == EXIT_OK
+        assert self._reports(tmp_path / "both", names) == want
+
+    @pytest.mark.parametrize("command, text, code, message", [
+        ("simulate", '{"loss": "bogus"}', EXIT_VALIDATION,
+         "argument --loss: invalid choice: 'bogus'"),
+        ("evaluate", '{"samples": 7.0}', EXIT_VALIDATION,
+         "argument --samples: invalid int value: '7.0'"),
+        ("simulate", '{"command": "evaluate"}', EXIT_VALIDATION,
+         "config file: unknown key 'command'"),
+        ("evaluate", '{"config": "other.json"}', EXIT_VALIDATION,
+         "config file: unknown key 'config'"),
+        ("conditions", '{"func": "main"}', EXIT_VALIDATION, "config file: unknown key 'func'"),
+        ("simulate", '{"n-grid": null}', EXIT_VALIDATION,
+         "config file: 'n_grid' must be a string or a number, got null"),
+        ("conditions", '{"seed": true}', EXIT_VALIDATION,
+         "config file: 'seed' must be a string or a number, got true"),
+        ("simulate", '{"gt": ["constant", 2]}', EXIT_VALIDATION,
+         """config file: 'gt' must be a string or a number, got ["constant", 2]"""),
+        ("conditions", '{"sigma2": {"value": 1}}', EXIT_VALIDATION,
+         "config file: 'sigma2' must be a string or a number"),
+        ("simulate", '{"gt": "--seed=5"}', EXIT_VALIDATION,
+         "unknown ground-truth spec '--seed=5'"),
+        ("simulate", "[1, 2]", EXIT_IO, "config file: expected a JSON object"),
+        ("evaluate", '"simulate"', EXIT_IO, "config file: expected a JSON object"),
+        ("conditions", "", EXIT_IO, "config file: Expecting value"),
+    ], ids=["bad-choice", "float-for-int", "command", "config", "func", "null", "bool", "list",
+            "object", "flag-like-value", "list-file", "string-file", "empty-file"])
+    def test_bad_config_exits_without_a_traceback_or_output(self, tmp_path, capsys, dataset_csv,
+                                                            command, text, code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        argv = {"simulate": ["--replicates", "20", "--n-grid", "1", "--m-grid", "5"],
+                "evaluate": ["--data", dataset_csv, "--samples", "20"],
+                "conditions": ["--replicates", "20"]}[command]
+        try:
+            got = main([command, *argv, "--config", str(cfg), "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a value as it rejects a flag
+            got = exc.code
+        assert got == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps", "0.1", "--delta", "0", "--bound", "0.1"], "delta must be in (0, 1], got 0.0"),
+        (["--eps", "0.1", "--delta", "-1", "--bound", "0.1"], "delta must be in (0, 1], got -1.0"),
+        (["--eps", "nan"], "eps must be finite, got nan"),
+        (["--eps", "0.1", "--delta", "0.5", "--bound", "inf"], "bound must be finite, got inf"),
+    ])
+    def test_bad_deviation_inputs_exit_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                      flags, message):
+        import ebtruth.cli as cli
+
+        drawn = []
+        monkeypatch.setattr(cli, "sample_aggregate_stream", lambda *a, **k: drawn.append(1))
+        out = tmp_path / "out"
+        assert main(["conditions", *flags, "--replicates", "200", "--out", str(out)]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert drawn == [] and not out.exists()
+
 
 class TestOutputs:
     def test_simulate_writes_grid_rows(self, tmp_path):

@@ -361,7 +361,7 @@ class TestPartition:
         assert parts[0].matrix.question_ids == (1,)
 
     def test_bucket_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             partition_questions(self._bimodal(), 0)
 
     def test_more_buckets_than_questions_names_both_counts(self):
