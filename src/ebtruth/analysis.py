@@ -21,11 +21,13 @@ numbers are the same at any thread count and a thread holds one chunk at a
 time.  ``sample_aggregate_stream`` writes in place: each chunk's truths are
 drawn into the stream's truth store (``iter_replicates(..., truths=)``)
 and the base writes its answers into the aggregate store
-(``run_td_batch(..., out=)``), so neither is held twice.  ψ and ∂ψ run in
-row blocks (``baselines.by_row_blocks``), so their temporaries stay
-block-sized.  Every array a request sizes (an improvement-ratio batch, the
-condition stores, the Monte Carlo losses) is checked against
-``MAX_BATCH_BYTES`` before anything is allocated.
+(``run_td_batch(..., out=)``), so neither is held twice.  Every base
+answers a replicate the same in any batch (CRH and CATD stop each row on its
+own weights), so every consumer takes ``BLOCK_BYTES`` blocks.  ψ, ∂ψ and
+the Stein-gap terms run in row blocks (``baselines.block_rows``), so their
+temporaries stay block-sized.  Every array a request sizes (an
+improvement-ratio batch, the condition stores, the Monte Carlo losses) is
+checked against ``MAX_BATCH_BYTES`` before anything is allocated.
 
 The improvement ratio keeps the last synthetic sample batch it drew, read-only
 and only up to ``KEPT_BATCH_BYTES``, so calling ``improvement_ratio`` once per base
@@ -45,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import TdAlgorithm, blue, by_row_blocks, run_td_batch
+from .baselines import TdAlgorithm, block_rows, blue, by_row_blocks, run_td_batch
 from .data import (
     ROLE_GT,
     ROLE_SIGMA,
@@ -155,13 +157,12 @@ class AwgGenerator:
             raise EmptyMatrixError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
 
 
-def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool = False,
-                    chunks=None, truths=None):
+def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, truths=None):
     """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) blocks, deterministically.
 
-    A block holds at most ``BLOCK_BYTES`` of X (but at least one replicate),
-    or a whole chunk with ``whole_chunks``, for consumers whose result
-    depends on the batch they see.  ``chunks`` selects chunk indices (all
+    A block holds at most ``BLOCK_BYTES`` of X (but at least one replicate);
+    every base answers each replicate the same in any batch, so no consumer
+    needs a whole chunk.  ``chunks`` selects chunk indices (all
     ``n_chunks(replicates)`` of them by default); a chunk's blocks are the
     same whichever others are drawn, so chunks can be drawn in any order or
     side by side.  ``truths``, a (replicates, m) float array, is a store for
@@ -191,7 +192,7 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, whole_chunks:
         else:
             sig2 = np.broadcast_to(fixed_sig2, (r, gen.n))
             sd = np.broadcast_to(fixed_sd, (r, gen.n))[:, :, None]
-        rows = r if whole_chunks else min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
+        rows = min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
         for lo in range(0, r, rows):
             hi = min(lo + rows, r)
             X = rng.standard_normal(size=(hi - lo, gen.n, gen.m))
@@ -240,16 +241,11 @@ class Pipeline:
     one ``blue`` pass.  A pipeline built from one callable is its own first
     stage, with no second step.  ``fn`` and calling the pipeline run both
     parts, so ``Pipeline(p.name, p.fn)`` is a copy that shares nothing.
-
-    ``batch_coupled`` marks a pipeline whose per-replicate answer depends on
-    the batch it runs in (the batch-wide stopping test of CRH and CATD); it
-    runs on whole chunks so that its numbers stay fixed.
     """
 
     name: str
     first: object  # callable (Xb, sig2b) -> s
     second: object = None  # callable s -> (r, m); None: s is the estimate
-    batch_coupled: bool = False
 
     def __call__(self, Xb, sig2b):
         return self.then(self.first(Xb, sig2b))
@@ -281,9 +277,7 @@ def pipeline_stein_blue() -> Pipeline:
 
 
 def pipeline_base(base: TdAlgorithm, name: str | None = None) -> Pipeline:
-    return Pipeline(name or type(base).__name__.lower(),
-                    lambda Xb, sig2b: run_td_batch(base, Xb),
-                    batch_coupled=getattr(base, "batch_coupled", False))
+    return Pipeline(name or type(base).__name__.lower(), lambda Xb, sig2b: run_td_batch(base, Xb))
 
 
 def pipeline_eb_wrap(base: TdAlgorithm, psi: VarianceEstimator,
@@ -295,8 +289,7 @@ def pipeline_eb_wrap(base: TdAlgorithm, psi: VarianceEstimator,
         xa = run_td_batch(base, Xb)
         return shrink_aggregate(xa, psi_batch(psi, Xb, xa), alpha, positive_part)
 
-    return Pipeline(name or f"eb_{type(base).__name__.lower()}", fn,
-                    batch_coupled=getattr(base, "batch_coupled", False))
+    return Pipeline(name or f"eb_{type(base).__name__.lower()}", fn)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +338,15 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
                 stages[id(p.first)] = p.first(X, sig2)
             losses[p.name][pos:pos + r] = loss(p.then(stages[id(p.first)]), mu, convention)
 
-    _each_chunk(gen, replicates, seed, any(p.batch_coupled for p in pipelines), threads,
-                on_block)
+    _each_chunk(gen, replicates, seed, threads, on_block)
     reports = {name: RiskReport(name=name, mean_loss=float(l.mean()), std_error=_std_error(l),
                                 replicates=replicates, seed=seed, loss_convention=convention)
                for name, l in losses.items()}
     return McResult(reports=reports, losses=losses, seed=seed, convention=convention)
 
 
-def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: bool,
-                threads: int, on_block, truths=None) -> None:
+def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int, on_block,
+                truths=None) -> None:
     """Call ``on_block(pos, X, mu, sig2)`` on every block of every chunk,
     ``pos`` being the block's first replicate; the chunk engine behind
     ``mc_risk`` and ``sample_aggregate_stream``.  ``truths`` is passed to
@@ -375,8 +367,8 @@ def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, whole_chunks: boo
 
     def run_chunk(chunk_index):
         pos = chunk_index * CHUNK
-        for X, mu, sig2 in iter_replicates(gen, replicates, seed, whole_chunks=whole_chunks,
-                                           chunks=[chunk_index], truths=truths):
+        for X, mu, sig2 in iter_replicates(gen, replicates, seed, chunks=[chunk_index],
+                                           truths=truths):
             on_block(pos, X, mu, sig2)
             pos += X.shape[0]
 
@@ -448,8 +440,7 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
         psis[rows] = psi_batch(psi, X, xa)
         dots[rows] = psi_derivative_dot_batch(psi, X, xa)
 
-    _each_chunk(gen, replicates, seed, getattr(base, "batch_coupled", False), threads,
-                on_block, truths=mus)
+    _each_chunk(gen, replicates, seed, threads, on_block, truths=mus)
     return AggregateStream(aggregates=aggregates, psis=psis, derivative_dots=dots,
                            mu=mus, seed=seed)
 
@@ -467,13 +458,25 @@ def stein_gap_terms(aggregates: np.ndarray, psis: np.ndarray, mu: np.ndarray):
     underflows to 0, has none) and, on those rows only, ss, the covariance
     term sum_j (x_j - mu_j) psi (x_j - mean) / ss and the quadratic term
     psi^2 / ss.
+
+    The rows are taken in blocks of ``baselines.block_rows``, each writing
+    its rows of (R,) outputs, so no (R, m) temporary is made; each row's
+    arithmetic is the same in any block.
     """
-    dev = aggregates - aggregates.mean(axis=1, keepdims=True)
-    ss = (dev**2).sum(axis=1)
-    ok = ~flat_rows(aggregates)[:, 0] & (ss > 0)
+    r = aggregates.shape[0]
+    ok, ss, cov = np.empty(r, dtype=bool), np.empty(r), np.empty(r)
+    rows = block_rows(aggregates)
+    for lo in range(0, r, rows):
+        k = slice(lo, lo + rows)
+        a, u, p = aggregates[k], mu[k], psis[k]
+        dev = a - a.mean(axis=1, keepdims=True)
+        ssk = (dev**2).sum(axis=1, out=ss[k])
+        okk = np.logical_and(~flat_rows(a)[:, 0], ssk > 0, out=ok[k])
+        if not okk.all():
+            a, u, p, dev, ssk = a[okk], u[okk], p[okk], dev[okk], ssk[okk]
+        cov[k][okk] = ((a - u) * p[:, None] * dev / ssk[:, None]).sum(axis=1)
     if not ok.all():
-        aggregates, mu, dev, ss, psis = aggregates[ok], mu[ok], dev[ok], ss[ok], psis[ok]
-    cov = ((aggregates - mu) * psis[:, None] * dev / ss[:, None]).sum(axis=1)
+        ss, cov, psis = ss[ok], cov[ok], psis[ok]
     return ok, ss, cov, psis**2 / ss
 
 
@@ -794,13 +797,26 @@ def _fmt(v):
 
 
 def write_reports_jsonl(path, records: list[dict]) -> None:
-    """One JSON object per line."""
+    """One strict JSON object per line: a non-finite float, such as an
+    infinite cap, is written as null (the CSV writes it as inf)."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, default=_json_scalar) + "\n")
+            fh.write(json.dumps(_finite_or_null(rec), sort_keys=True, allow_nan=False,
+                                default=_json_scalar) + "\n")
+
+
+def _finite_or_null(v):
+    """``v`` with every non-finite float in it replaced by None."""
+    if isinstance(v, float):
+        return v if np.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
 
 
 def _json_scalar(obj):
     if isinstance(obj, np.generic):
-        return obj.item()
+        return _finite_or_null(obj.item())
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")

@@ -5,12 +5,14 @@ Each baseline's ``aggregate`` method maps a (replicates, n, m) stack to
 form is that method at batch size 1.  Every base works over the stack in
 cache-sized row blocks (``ITERATION_BLOCK_BYTES``), so its temporaries stay
 block-sized: Median and DistanceWeighted in one pass (``by_row_blocks``),
-CRH and CATD once per iteration with a batch-wide stopping test.
+CRH and CATD iterating each block until its rows stop, each row on its own
+weights.  So no base's answer for a replicate depends on the batch around it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +56,9 @@ def _weighted_mean(values: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
 
 
 def block_rows(Xb: np.ndarray) -> int:
-    """Replicates of the (r, n, m) stack ``Xb`` that fit in one
-    ``ITERATION_BLOCK_BYTES`` block (at least one)."""
-    return max(1, ITERATION_BLOCK_BYTES // max(1, Xb.itemsize * Xb.shape[1] * Xb.shape[2]))
+    """Rows of the stack ``Xb``, (r, n, m) replicates or (r, m) answers,
+    that fit in one ``ITERATION_BLOCK_BYTES`` block (at least one)."""
+    return max(1, ITERATION_BLOCK_BYTES // max(1, Xb.itemsize * math.prod(Xb.shape[1:])))
 
 
 def by_row_blocks(f, out: np.ndarray, Xb: np.ndarray, *rest) -> np.ndarray:
@@ -87,35 +89,67 @@ def _iterate_batch(Xb: np.ndarray, weight_rule, alg, out=None) -> np.ndarray:
     """CRH/CATD reweighting on a (r, n, m) batch, returning the (r, m) truths
     (``out`` when it is given).
 
-    Each iteration makes one pass over the batch in row blocks of
-    ``block_rows``: a block's distances, weights and new truths are computed
-    while the block is still in cache, and a block touches only its own rows
-    of the truths. The stopping test stays batch-wide (the largest weight
-    change over all blocks), and every row's arithmetic is the same in any
-    block, so the block size changes no value.
+    Every row stops on its own weights, so its truths do not depend on the
+    batch it runs in: a row stops after iteration i >= 1 when its largest
+    weight change max_j |w_j(i) - w_j(i-1)| is below ``convergence_tol``, and
+    keeps the truths of that iteration, or at ``max_iterations``.  The batch
+    runs in row blocks of ``block_rows``, each block to the stop of its last
+    row, so a block and its temporaries stay in cache.  A non-finite weight
+    in a row still iterating raises ``IterationDivergenceError``.
     """
-    r = Xb.shape[0]
     rows = block_rows(Xb)
     t = _answers(Xb, out)
-    # (block, its rows of t) view pairs; each block's truths are written in place
-    blocks = [(Xb[lo:lo + rows], t[lo:lo + rows]) for lo in range(0, r, rows)]
-    for Xk, tk in blocks:
-        Xk.mean(axis=1, out=tk)
-    w_prev = [None] * len(blocks)
-    for i in range(alg.max_iterations):
-        change = 0.0
-        for k, (Xk, tk) in enumerate(blocks):
-            d = ((Xk - tk[:, None, :]) ** 2).sum(axis=2) + DISTANCE_EPS
-            w = weight_rule(d)
-            if not np.isfinite(w).all():
-                raise IterationDivergenceError("non-finite weight during iteration")
-            _weighted_mean(Xk, w, out=tk)
-            if i:
-                change = max(change, np.abs(w - w_prev[k]).max())
-            w_prev[k] = w
-        if i and change < alg.convergence_tol:
-            break
+    for lo in range(0, Xb.shape[0], rows):
+        _iterate_rows(Xb[lo:lo + rows], weight_rule, alg, t[lo:lo + rows])
     return t
+
+
+def _iterate_rows(Xk: np.ndarray, weight_rule, alg, tk: np.ndarray) -> None:
+    """``_iterate_batch`` on one row block, writing its truths into ``tk``.
+
+    Until a row stops, the truths are iterated in ``tk`` itself.  From then
+    on they are iterated in a working copy whose rows ``live`` indexes in
+    ``tk``, and each row is written back into ``tk`` when it stops.  A
+    stopped row stays in the working arrays (marked in ``stopped``, its later
+    values unused) until gathering the rows still iterating pays: a gather
+    copies the block once, and an iteration passes over it about four times,
+    so it waits until the stopped rows times the iterations left reach a
+    quarter of the block.  Which rows are gathered when changes no value.
+    """
+    tol = alg.convergence_tol
+    X, t, w_prev = Xk, Xk.mean(axis=1, out=tk), None
+    live = stopped = None
+    for i in range(alg.max_iterations):
+        d = ((X - t[:, None, :]) ** 2).sum(axis=2) + DISTANCE_EPS
+        w = weight_rule(d)
+        if not np.isfinite(w).all() and (stopped is None or not np.isfinite(w[~stopped]).all()):
+            raise IterationDivergenceError("non-finite weight during iteration")
+        _weighted_mean(X, w, out=t)
+        if i:
+            change = np.abs(w - w_prev)
+            if change.max() < tol:
+                break  # every row left stops here
+            # a row can stop only when some change is below tol.  The
+            # transposed copy makes the per-row maximum one pass over the
+            # rows per worker, not one short reduction per row
+            if X.shape[0] > 1 and change.min() < tol:
+                done = np.ascontiguousarray(change.T).max(axis=0) < tol
+                if stopped is not None:
+                    done &= ~stopped
+                if done.any():
+                    if live is None:  # the rows stopping now are already in tk
+                        live, stopped, t = np.arange(X.shape[0]), done, t.copy()
+                    else:
+                        tk[live[done]] = t[done]
+                        stopped |= done
+                    left = alg.max_iterations - 1 - i
+                    if 4 * left * np.count_nonzero(stopped) >= X.shape[0]:
+                        keep = ~stopped
+                        X, t, w, live, stopped = (X[keep], t[keep], w[keep], live[keep],
+                                                  stopped[keep])
+        w_prev = w
+    if live is not None:
+        tk[live[~stopped]] = t[~stopped]
 
 
 @dataclass(frozen=True)
@@ -168,8 +202,6 @@ def _median_rows(Xb: np.ndarray) -> np.ndarray:
 class CRH:
     """Iterative log-ratio reweighting of per-worker squared deviations."""
 
-    batch_coupled = True  # the stopping test spans the whole batch
-
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
@@ -185,8 +217,6 @@ class CRH:
 @dataclass(frozen=True)
 class CATD:
     """Iterative reweighting by a chi-squared upper-confidence scaling."""
-
-    batch_coupled = True  # the stopping test spans the whole batch
 
     confidence: float = 0.975
     max_iterations: int = DEFAULT_MAX_ITERATIONS

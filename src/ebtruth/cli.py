@@ -194,6 +194,28 @@ def _write_report(cfg: dict, name: str, records: list[dict]) -> str:
     return path
 
 
+def _grid(text: str) -> str:
+    """An --n-grid/--m-grid value: comma-separated positive integers.  The
+    text is returned unchanged, so the config header keeps its bytes."""
+    try:
+        if all(int(x) >= 1 for x in text.split(",")):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _threads(value: str) -> int:
     if value == "auto":
         # the CPUs this process may run on, which an affinity mask can make
@@ -391,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, threads_help=None):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default="out")
         p.add_argument("--threads", default="auto", help=threads_help)
         p.add_argument("--config", default=None,
@@ -406,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=[SUM_SQUARED, MEAN_SQUARED], default=SUM_SQUARED)
     p.add_argument("--gt", default="gaussian:2,1")
     p.add_argument("--sigmas", default="indexed")
-    p.add_argument("--n-grid", dest="n_grid", default="1,2,4,8")
-    p.add_argument("--m-grid", dest="m_grid", default="5,10,25,100")
+    p.add_argument("--n-grid", dest="n_grid", type=_grid, default="1,2,4,8")
+    p.add_argument("--m-grid", dest="m_grid", type=_grid, default="5,10,25,100")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="improvement ratio on a dataset file")

@@ -227,6 +227,8 @@ def _reference_chunks(gen, replicates, seed):
 
 # mean 0.5 and floor 0.4 send about 46 % of the worker variances to a redraw
 REDRAWN = GaussianSqSigmas(0.5, 1.0, 0.4)
+ALL_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted()]
+BASE_IDS = ["mean", "median", "crh", "catd", "distance"]
 
 
 class TestReplicateBlocks:
@@ -257,27 +259,23 @@ class TestReplicateBlocks:
         sizes = [X.nbytes for X, _, _ in analysis.iter_replicates(gen, 120, seed=1)]
         assert sum(sizes) == 120 * one_replicate
         assert max(sizes) <= max(budget, one_replicate)
-        whole = [X.shape[0] for X, _, _ in
-                 analysis.iter_replicates(gen, 120, seed=1, whole_chunks=True)]
-        assert whole == [50, 50, 20]
 
-    def test_batch_coupled_bases_still_see_whole_chunks(self, monkeypatch):
-        # at n=10, m=50, CRH run one replicate at a time stops at other
-        # iterations than on the whole chunk and moves by about 4e-9
+    @pytest.mark.parametrize("base", ALL_BASES, ids=BASE_IDS)
+    def test_blocks_equal_whole_chunks_for_every_base(self, monkeypatch, base):
+        # one-replicate blocks: at n=10, m=50, CRH with a batch-wide stopping
+        # test gave other answers here than on the whole chunk
         gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=10, m=50,
                            fresh_gt=True, fresh_sigmas=True)
         monkeypatch.setattr(analysis, "CHUNK", 100)
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 1)
-        pipelines = [pipeline_base(CRH()), pipeline_eb_wrap(CATD(), HeuristicH())]
-        assert all(p.batch_coupled for p in pipelines)
-        assert not pipeline_blue().batch_coupled
+        pipelines = [pipeline_base(base), pipeline_eb_wrap(base, HeuristicH())]
         chunks = list(_reference_chunks(gen, 200, seed=11))
         res = mc_risk(gen, pipelines, 200, seed=11)
         for p in pipelines:
             want = np.concatenate([loss(p(X, sig2), mu) for X, mu, sig2 in chunks])
             assert np.array_equal(res.losses[p.name], want)
-        s = sample_aggregate_stream(gen, CRH(), HeuristicH(), 200, seed=11)
-        xas = [run_td_batch(CRH(), X) for X, _, _ in chunks]
+        s = sample_aggregate_stream(gen, base, HeuristicH(), 200, seed=11)
+        xas = [run_td_batch(base, X) for X, _, _ in chunks]
         assert np.array_equal(s.aggregates, np.concatenate(xas))
         assert np.array_equal(s.psis, np.concatenate(
             [psi_batch(HeuristicH(), X, xa) for (X, _, _), xa in zip(chunks, xas)]))
@@ -303,8 +301,7 @@ class TestThreadedStream:
         assert len(chunks) == 3
         xa = np.concatenate([run_td_batch(base, X) for X, _, _ in chunks])
         for s in runs:
-            if getattr(base, "batch_coupled", False):
-                assert np.array_equal(s.aggregates, xa)
+            assert np.array_equal(s.aggregates, xa)
             for field in ("aggregates", "psis", "derivative_dots", "mu"):
                 assert np.array_equal(getattr(s, field), getattr(runs[0], field)), field
 
@@ -368,12 +365,12 @@ class TestThreadedStream:
             sample_aggregate_stream(gen, CRH(), HeuristicH(), 200, seed=3, threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("base", [CRH(), Mean()], ids=["crh", "mean"])
-    def test_memory_is_the_stores_and_one_chunk_per_thread(self, monkeypatch, base, threads):
+    @pytest.mark.parametrize("base", ALL_BASES, ids=BASE_IDS)
+    def test_memory_is_the_stores_and_one_block_per_thread(self, monkeypatch, base, threads):
         import tracemalloc
 
-        n, m, replicates = 10, 50, 15_000
-        monkeypatch.setattr(analysis, "CHUNK", 5000)  # three chunks
+        n, m, replicates = 10, 50, 6000
+        monkeypatch.setattr(analysis, "CHUNK", 2000)  # three chunks
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 2**16)
         gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=n, m=m, fresh_gt=True)
         sample_aggregate_stream(gen, base, HeuristicH(), 100, seed=5, threads=threads)
@@ -385,12 +382,34 @@ class TestThreadedStream:
             tracemalloc.stop()
         stores = 8 * replicates * (2 * m + 2)
         # the truths and aggregates go straight into the stores, so a thread
-        # holds its noise (CRH: a whole chunk, n*m per replicate, and its
-        # weights, n; a blocked base: one block) and block-sized temporaries.
-        # A chunk's own (CHUNK, m) truths or answers would add 2 MB each
-        held = (8 * analysis.CHUNK * n * (m + 1) if getattr(base, "batch_coupled", False)
-                else analysis.BLOCK_BYTES)
+        # holds one block of noise and block-sized temporaries, whatever the
+        # base.  A chunk's own (CHUNK, m) truths or answers would add 0.8 MB
+        # each, and a whole chunk of noise 8 MB
+        held = analysis.BLOCK_BYTES
         assert peak - stores <= threads * (held + 2 * baselines.ITERATION_BLOCK_BYTES)
+
+    def test_memory_of_the_condition_checks_is_the_stores_and_one_block(self, monkeypatch):
+        import tracemalloc
+
+        n, m, replicates = 10, 50, 15_000
+        monkeypatch.setattr(analysis, "CHUNK", 5000)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 2**16)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=n, m=m, fresh_gt=True)
+        tracemalloc.start()
+        try:
+            s = sample_aggregate_stream(gen, CRH(), HeuristicH(), replicates, seed=5)
+            improvement_condition(s)
+            sufficient_conditions(s, sigma2=0.1, psi=HeuristicH())
+            risk_decomposition(s, sigma2=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stores = 8 * replicates * (2 * m + 2)
+        # the Stein-gap terms and the checks' plug-ins are (R,) arrays, about
+        # 22 of them at peak; one (R, m) temporary would add 6 MB
+        per_replicate = 8 * replicates * 32
+        assert peak - stores <= (analysis.BLOCK_BYTES + 2 * baselines.ITERATION_BLOCK_BYTES
+                                 + per_replicate)
 
     @pytest.mark.parametrize("call, need", [
         (lambda r: sample_aggregate_stream(_gen(), Mean(), Constant(1.0), r, seed=0),
@@ -606,6 +625,27 @@ class TestConditions:
         with pytest.raises(InsufficientDataError):
             sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0))
 
+    @pytest.mark.parametrize("rows", [1, 3, 4, 12])
+    def test_blocked_terms_equal_the_unblocked_formula(self, monkeypatch, rows):
+        # row 2 (flat) and row 3 (ss underflows to 0) sit on the edges of
+        # 3-row blocks, row 7 (flat) inside one
+        rng = np.random.default_rng(21)
+        aggregates = rng.normal(2.0, 1.0, size=(12, 6))
+        aggregates[2] = 13.691350663375637
+        aggregates[3] = [0.0, 1e-170, 0.0, 0.0, 0.0, 0.0]
+        aggregates[7] = -4.0
+        psis = rng.uniform(0.5, 2.0, size=12)
+        mu = rng.normal(2.0, 1.0, size=(12, 6))
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", rows * 8 * 6)
+        for a, u in ((aggregates, mu), (np.delete(aggregates, [2, 3, 7], axis=0),
+                                        np.broadcast_to(mu[0], (9, 6)))):
+            p = psis[:a.shape[0]]
+            got, want = analysis.stein_gap_terms(a, p, u), _unblocked_stein_gap_terms(a, p, u)
+            assert np.array_equal(got[0], want[0])
+            assert got[0].sum() == 9
+            for g, w in zip(got[1:], want[1:]):
+                assert g.tobytes() == w.tobytes()
+
     def test_checks_share_one_pass_over_the_stream(self, monkeypatch):
         s = self._stream(Constant(1.0), reps=1000)
         calls = []
@@ -683,6 +723,17 @@ class TestConditions:
         s = self._stream(Constant(3.0), reps=2000)
         reports = {r.name: r for r in sufficient_conditions(s, 1.0, Constant(3.0))}
         assert not reports["constant_guess_condition"].satisfied  # 3 > 2
+
+
+def _unblocked_stein_gap_terms(aggregates, psis, mu):
+    # stein_gap_terms over the whole stream at once, as before the row blocks
+    dev = aggregates - aggregates.mean(axis=1, keepdims=True)
+    ss = (dev**2).sum(axis=1)
+    ok = (aggregates.max(axis=1) != aggregates.min(axis=1)) & (ss > 0)
+    if not ok.all():
+        aggregates, mu, dev, ss, psis = aggregates[ok], mu[ok], dev[ok], ss[ok], psis[ok]
+    cov = ((aggregates - mu) * psis[:, None] * dev / ss[:, None]).sum(axis=1)
+    return ok, ss, cov, psis**2 / ss
 
 
 class TestBayesGap:

@@ -20,7 +20,8 @@ from ebtruth import (
     run_td_batch,
     validate_matrix,
 )
-from ebtruth import Constant, eb_wrap
+from ebtruth import AwgGenerator, Constant, GaussianGT, GaussianSqSigmas, eb_wrap
+from ebtruth.analysis import iter_replicates
 from ebtruth import baselines
 from ebtruth.baselines import _chi2_quantile
 
@@ -269,8 +270,10 @@ class TestChi2Quantile:
 
 
 def _unblocked_iterate(Xb, alg):
-    # The CRH/CATD loop over the whole batch at once, as it ran before the
-    # row blocks; returns the truths and the number of iterations run.
+    # The per-row CRH/CATD rule over the whole batch at once, without row
+    # blocks or gathering: every row iterates until its own largest weight
+    # change is below the tolerance, then keeps its truths.  Returns the
+    # truths and each row's number of iterations.
     if isinstance(alg, CRH):
         def weight_rule(d):
             return -np.log(d / d.sum(axis=1, keepdims=True))
@@ -281,18 +284,30 @@ def _unblocked_iterate(Xb, alg):
             return q / d
     t = Xb.mean(axis=1)
     w_prev = None
+    iterations = np.full(Xb.shape[0], alg.max_iterations)
+    stopped = np.zeros(Xb.shape[0], dtype=bool)
     for iteration in range(alg.max_iterations):
         d = ((Xb - t[:, None, :]) ** 2).sum(axis=2) + 1e-12
         w = weight_rule(d)
-        t = np.einsum("...n,...nm->...m", w, Xb) / w.sum(axis=-1, keepdims=True)
-        if w_prev is not None and np.max(np.abs(w - w_prev)) < alg.convergence_tol:
-            return t, iteration + 1
+        new = np.einsum("...n,...nm->...m", w, Xb) / w.sum(axis=-1, keepdims=True)
+        t = np.where(stopped[:, None], t, new)
+        if w_prev is not None:
+            now = ~stopped & (np.abs(w - w_prev).max(axis=1) < alg.convergence_tol)
+            iterations[now] = iteration + 1
+            stopped |= now
+            if stopped.all():
+                break
         w_prev = w
-    return t, alg.max_iterations
+    return t, iterations
+
+
+def _one_row_at_a_time(alg, Xb):
+    return np.concatenate([run_td_batch(alg, Xb[i:i + 1]) for i in range(Xb.shape[0])])
 
 
 class TestRowBlocks:
-    """CRH and CATD iterate in row blocks; the values must not notice."""
+    """CRH and CATD iterate in row blocks, each row to its own stop; the
+    values must not notice the blocks or the batch."""
 
     @pytest.mark.parametrize("alg", [CRH(), CATD()], ids=["crh", "catd"])
     @pytest.mark.parametrize("replicates,block_rows", [(1, 1), (10, 3), (10, 4), (10, 10)])
@@ -308,15 +323,30 @@ class TestRowBlocks:
     @pytest.mark.parametrize("alg", [CRH(max_iterations=200),
                                      CATD(max_iterations=200, convergence_tol=1e-2)],
                              ids=["crh", "catd"])
-    def test_batch_wide_stop_before_the_iteration_cap(self, alg, monkeypatch):
-        # rows converge at different iterations, so a block that stopped on
-        # its own weights would return different values
+    @pytest.mark.parametrize("block_rows", [3, 10])
+    def test_per_row_stop_before_the_iteration_cap(self, alg, block_rows, monkeypatch):
+        # rows stop at different iterations, inside one block as well, and
+        # each keeps the truths of its own last iteration
         rng = np.random.default_rng(13)
         Xb = rng.normal(size=(10, 5, 8)) * rng.uniform(0.5, 2.0, size=(10, 5, 1))
-        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 3 * Xb[0].nbytes)
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", block_rows * Xb[0].nbytes)
         expected, iterations = _unblocked_iterate(Xb, alg)
-        assert iterations < alg.max_iterations
-        assert np.array_equal(run_td_batch(alg, Xb), expected)
+        assert iterations.max() < alg.max_iterations
+        assert len(set(iterations[:3])) > 1  # the first 3-row block
+        got = run_td_batch(alg, Xb)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, _one_row_at_a_time(alg, Xb))
+
+    @pytest.mark.parametrize("alg", [CRH(), CATD()], ids=["crh", "catd"])
+    @pytest.mark.parametrize("n, m, replicates", [(10, 50, 1000), (8, 100, 300), (3, 7, 200),
+                                                  (2, 12, 100)])
+    def test_a_batch_equals_its_rows_one_at_a_time(self, alg, n, m, replicates):
+        # with a batch-wide stopping test, CRH differed from its one-row runs
+        # by up to 6.5e-10 at (10, 50, 1000) and 1.1e-9 at (8, 100, 300)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(0.5, 1.0, 0.4), n=n, m=m,
+                           fresh_gt=True, fresh_sigmas=True)
+        Xb = np.concatenate([X for X, _, _ in iter_replicates(gen, replicates, seed=3)])
+        assert _same_bits(run_td_batch(alg, Xb), _one_row_at_a_time(alg, Xb))
 
     @pytest.mark.parametrize("alg", [CRH(), CATD()], ids=["crh", "catd"])
     def test_divergence_in_the_last_block_raises(self, alg, monkeypatch):

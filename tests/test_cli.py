@@ -95,8 +95,6 @@ class TestExitCodes:
         assert "GaussianGT" in err and word in err
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--n-grid", "0"],
-        ["simulate", "--m-grid", "0"],
         ["conditions", "--m", "0"],
         ["conditions", "--n", "0", "--sigmas", "gaussian-sq"],
         ["conditions", "--replicates", "0"],
@@ -107,6 +105,41 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n-grid", "0"],
+         "argument --n-grid: expected comma-separated positive integers, got '0'"),
+        (["simulate", "--m-grid", "0"],
+         "argument --m-grid: expected comma-separated positive integers, got '0'"),
+        (["simulate", "--n-grid", "1,"],
+         "argument --n-grid: expected comma-separated positive integers, got '1,'"),
+        (["simulate", "--m-grid", "5,x"],
+         "argument --m-grid: expected comma-separated positive integers, got '5,x'"),
+        (["conditions", "--seed", "-1"], "argument --seed: expected a non-negative integer, "
+                                         "got '-1'"),
+        (["simulate", "--seed", "1.5"], "argument --seed: expected a non-negative integer, "
+                                        "got '1.5'"),
+    ], ids=["n-grid-zero", "m-grid-zero", "n-grid-trailing-comma", "m-grid-word",
+            "seed-negative", "seed-fraction"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_bad_grid_or_seed_names_its_flag(self, tmp_path, capsys, argv, message, source):
+        command, flag, value = argv
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            argv = [command, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: {message}" and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_grid_is_recorded_as_its_text(self, tmp_path):
+        assert main(["simulate", "--replicates", "20", "--n-grid", "1, 2", "--m-grid", "05",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        header = (tmp_path / "simulate.csv").read_text().splitlines()[0]
+        assert '"m_grid": "05", "n_grid": "1, 2"' in header
 
     def test_unknown_base_is_validation(self, dataset_csv, tmp_path):
         code = main(["evaluate", "--data", dataset_csv, "--bases", "wavg",
@@ -451,6 +484,27 @@ CONDITIONS_GOLDENS = {
         "risk_decomposition": (-13.31817217025924, -13.162560561111746, [0.126297023510767]),
     }),
 }
+
+
+def test_conditions_jsonl_is_strict_json(tmp_path):
+    # delta = 1 makes the bound cap infinite: null in the JSONL, inf in the CSV
+    def strict(line):
+        return json.loads(line, parse_constant=lambda name: pytest.fail(f"wrote {name}"))
+
+    for delta, cap, csv_cap in (("1", None, "inf"), ("0.5", 1.0, "1.0")):
+        out = tmp_path / delta
+        assert main(["conditions", "--eps", "0.1", "--delta", delta, "--bound", "0.1",
+                     "--replicates", "200", "--out", str(out)]) == EXIT_OK
+        lines = (out / "conditions.jsonl").read_text().splitlines()
+        records = {r["name"]: r for r in map(strict, lines)}
+        assert records["probabilistic_bound_cap"]["rhs"] == cap
+        rows = {r["name"]: r for r in csv.DictReader(
+            l for l in (out / "conditions.csv").read_text().splitlines()
+            if not l.startswith("#"))}
+        assert rows["probabilistic_bound_cap"]["rhs"] == csv_cap
+    # a finite record keeps the bytes it had before nulls were written
+    assert lines[4] == ('{"direction": "<", "lhs": 0.1, "name": "probabilistic_bound_cap", '
+                        '"rhs": 1.0, "satisfied": true, "seed": 0, "std_errors": []}')
 
 
 @pytest.mark.parametrize("config", CONDITIONS_GOLDENS)
