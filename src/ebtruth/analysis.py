@@ -320,12 +320,17 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     takes its second step on its stage's output (see ``Pipeline``).  The
     chunks run on ``threads`` threads (see ``_each_chunk``), so the losses do
     not depend on ``threads``.  An unknown ``convention`` raises ValueError
-    before anything is drawn.
+    before anything is drawn, and so does a pipeline name given twice
+    (ValidationError), since the losses are keyed by name.
     """
     _check_convention(convention)
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
     pipelines = list(pipelines)
+    names = [p.name for p in pipelines]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValidationError(f"pipeline name {name!r} is given twice")
     _check_request(8 * replicates * len(pipelines),
                    f"{replicates} replicates of {len(pipelines)} pipelines' losses")
     losses = {p.name: np.empty(replicates) for p in pipelines}
@@ -489,13 +494,16 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     are taken around the truth).  The estimate is the mean covariance term
     over the mean quadratic term of ``stein_gap_terms``; the risk in alpha is
     a parabola maximized at that ratio.  Replicates with zero dispersion
-    (flat, or whose ss underflows) are left out.
+    (flat, or whose ss underflows) are left out.  No questions (m = 0) raise
+    EmptyMatrixError.
     """
     aggregates = np.asarray(aggregates, dtype=float)
     sigma2_hats = np.asarray(sigma2_hats, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if aggregates.ndim != 2 or aggregates.shape[1] != mu.shape[0]:
         raise InsufficientReplicatesError("aggregates must be (replicates, m) matching mu")
+    if aggregates.shape[1] == 0:
+        raise EmptyMatrixError("expected questions, got m = 0")
     r = aggregates.shape[0]
     if r < 30 or sigma2_hats.shape[0] != r:
         raise InsufficientReplicatesError(f"need >= 30 replicates, got {r}")

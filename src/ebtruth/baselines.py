@@ -11,18 +11,12 @@ weights.  So no base's answer for a replicate depends on the batch around it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyMatrixError,
-    IterationDivergenceError,
-    LengthMismatchError,
-    ValidationError,
-)
+from .errors import EmptyMatrixError, IterationDivergenceError, LengthMismatchError
 from .model import ObservationMatrix, validate_variances
 
 # Workers whose answers coincide with the current truth estimate would get an
@@ -216,29 +210,20 @@ class CRH:
 
 @dataclass(frozen=True)
 class CATD:
-    """Iterative reweighting by a chi-squared upper-confidence scaling."""
+    """Iterative reweighting by normalised inverse squared distances,
+    w_i = (1/d_i) / sum_j (1/d_j).  Normalised weights are unit-free, so the
+    stopping test on them is too."""
 
-    confidence: float = 0.975
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
-    def __post_init__(self):
-        if not 0 < self.confidence < 1:
-            raise ValidationError(f"confidence must be in (0, 1), got {self.confidence}")
-
     def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
-        quantile = _chi2_quantile(self.confidence, Xb.shape[2])
-        return _iterate_batch(Xb, lambda d: quantile / d, self, out)
+        return _iterate_batch(Xb, _normalised_inverse, self, out)
 
 
-@functools.lru_cache(maxsize=256)
-def _chi2_quantile(confidence: float, df: int) -> float:
-    # the expression scipy.stats.chi2.ppf evaluates, without importing
-    # scipy.stats, whose import costs more time and memory than the rest
-    # of the package together
-    from scipy.special import gammaincinv
-
-    return 2.0 * gammaincinv(df / 2, confidence)
+def _normalised_inverse(d: np.ndarray) -> np.ndarray:
+    w = 1.0 / d
+    return w / w.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,15 @@ class TestMcRisk:
         with pytest.raises(InsufficientReplicatesError):
             mc_risk(_gen(), [pipeline_blue()], 1, seed=0)
 
+    def test_a_pipeline_name_given_twice_is_rejected_before_drawing(self, monkeypatch):
+        # the losses are keyed by name, so the later pipeline's would
+        # silently replace the earlier one's
+        blocks = _count_blocks(monkeypatch)
+        with pytest.raises(ValidationError, match="'x'"):
+            mc_risk(_gen(), [pipeline_base(Mean(), name="x"), pipeline_base(Median(), name="x")],
+                    100, seed=0)
+        assert blocks == []
+
     def test_eb_blue_rejects_a_negative_or_nan_alpha(self):
         for alpha in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="alpha must be >= 0"):
@@ -873,8 +882,6 @@ class TestImprovementRatios:
     @pytest.mark.parametrize("base", IR_BASES, ids=lambda b: type(b).__name__)
     def test_batch_bytes_bounds_the_traced_peak(self, base, n, m):
         import tracemalloc
-
-        import scipy.special  # noqa: F401  (CATD's lazy import is not a batch cost)
 
         source = (GaussianGT(2.0, 1.0), GaussianSqSigmas())
         improvement_ratios(source, [base], HeuristicH(), n=n, m=m, samples=5)

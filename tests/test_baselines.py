@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from ebtruth import (
     CATD,
@@ -14,16 +13,14 @@ from ebtruth import (
     LengthMismatchError,
     Mean,
     Median,
-    ValidationError,
     blue_aggregate,
     run_td,
     run_td_batch,
     validate_matrix,
 )
-from ebtruth import AwgGenerator, Constant, GaussianGT, GaussianSqSigmas, eb_wrap
+from ebtruth import AwgGenerator, Constant, GaussianGT, GaussianSqSigmas, HeuristicH, eb_wrap
 from ebtruth.analysis import iter_replicates
 from ebtruth import baselines
-from ebtruth.baselines import _chi2_quantile
 
 TABLE = [[20.0, 2.0, 3.0, 4.0], [10.0, 11.0, 18.0, 14.0],
          [8.0, 11.0, 23.0, 19.0], [6.0, 13.0, 7.0, 3.0]]
@@ -139,18 +136,12 @@ class TestIterativeBaselines:
     def test_catd_matches_reference(self):
         rng = np.random.default_rng(4)
         X = rng.normal(0.0, 2.0, size=(5, 12))
-        q = stats.chi2.ppf(0.975, df=12)
 
         def catd_w(d):
-            return q / d
+            return (1.0 / d) / (1.0 / d).sum()
 
         ref = _reference_iterative(X, catd_w)
         np.testing.assert_allclose(run_td(CATD(), validate_matrix(X)), ref, rtol=1e-10)
-
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, float("nan")])
-    def test_catd_rejects_a_confidence_outside_the_open_unit_interval(self, confidence):
-        with pytest.raises(ValidationError):
-            CATD(confidence=confidence)
 
     def test_distance_weighted_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -248,27 +239,6 @@ class TestEmptyStacks:
             run_td_batch(alg, np.zeros(shape))
 
 
-class TestChi2Quantile:
-    """CATD's quantile is computed without scipy.stats; it must equal it."""
-
-    def test_equals_scipy_stats_on_the_working_range(self):
-        for confidence in (0.5, 0.95, 0.975, 0.99):
-            for df in range(1, 2001):
-                assert _chi2_quantile(confidence, df) == stats.chi2.ppf(confidence, df=df), \
-                    (confidence, df)
-
-    @pytest.mark.parametrize("df", [1, 2, 7, 50, 2000])
-    def test_equals_scipy_stats_at_the_edges(self, df):
-        for confidence in (0.0, 1.0, 1e-300, 1 - 1e-16, -0.5, 1.5, float("nan")):
-            ours, theirs = _chi2_quantile(confidence, df), stats.chi2.ppf(confidence, df=df)
-            assert ours == theirs or (np.isnan(ours) and np.isnan(theirs)), (confidence, df)
-
-    def test_zero_degrees_of_freedom_is_nan_in_both(self):
-        for confidence in (0.5, 0.95, 0.975, 0.99):
-            assert np.isnan(_chi2_quantile(confidence, 0))
-            assert np.isnan(stats.chi2.ppf(confidence, df=0))
-
-
 def _unblocked_iterate(Xb, alg):
     # The per-row CRH/CATD rule over the whole batch at once, without row
     # blocks or gathering: every row iterates until its own largest weight
@@ -278,10 +248,9 @@ def _unblocked_iterate(Xb, alg):
         def weight_rule(d):
             return -np.log(d / d.sum(axis=1, keepdims=True))
     else:
-        q = stats.chi2.ppf(alg.confidence, df=Xb.shape[2])
-
         def weight_rule(d):
-            return q / d
+            w = 1.0 / d
+            return w / w.sum(axis=1, keepdims=True)
     t = Xb.mean(axis=1)
     w_prev = None
     iterations = np.full(Xb.shape[0], alg.max_iterations)
@@ -385,14 +354,47 @@ class TestInvariances:
         X = validate_matrix(np.tile(row, (5, 1)))
         np.testing.assert_allclose(run_td(alg, X), row, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("alg", [Mean(), Median(), CRH(), CATD(), DistanceWeighted()])
-    def test_worker_permutation_invariance(self, alg):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(6, 10))
-        perm = rng.permutation(6)
-        a = run_td(alg, validate_matrix(X))
-        b = run_td(alg, validate_matrix(X[perm]))
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+    # Norm-relative tolerances for permuting workers and questions.  Only the
+    # summation order changes, so each is about five times the largest error
+    # seen over 3000 draws, of this design and of a wider one: 4.4e-15 for
+    # Mean, Median and DistanceWeighted (one pass), 1.0e-14 for CRH and
+    # 6.6e-14 for CATD (their 14 reweighting steps carry the rounding along),
+    # 5.8e-13 for the wrap (CRH's rounding, passed on through psi and the
+    # shrink).
+    @pytest.mark.parametrize("aggregate, tol", [
+        (lambda X: run_td(Mean(), X), 2e-14),
+        (lambda X: run_td(Median(), X), 2e-14),
+        (lambda X: run_td(DistanceWeighted(), X), 2e-14),
+        (lambda X: run_td(CRH(), X), 5e-14),
+        (lambda X: run_td(CATD(), X), 3e-13),
+        (lambda X: eb_wrap(X, CRH(), HeuristicH()), 3e-12),
+    ], ids=["mean", "median", "distance", "crh", "catd", "eb_wrap-crh"])
+    def test_permutation_equivariance(self, aggregate, tol):
+        # permuting the workers leaves the answers as they are, and
+        # permuting the questions permutes them; seeded draws over (n, m)
+        # and scales, so no replayed example can make it flaky
+        for draw in range(300):
+            rng = np.random.default_rng([7, draw])
+            n, m = int(rng.integers(2, 13)), int(rng.integers(4, 61))
+            scale = 10.0 ** rng.uniform(-2, 4)
+            X = scale * (rng.normal(size=(n, m)) * rng.uniform(0.3, 3.0, size=(n, 1))
+                         + rng.normal(2.0, 1.0, size=m))
+            workers, questions = rng.permutation(n), rng.permutation(m)
+            a = aggregate(validate_matrix(X))
+            b = aggregate(validate_matrix(X[workers][:, questions]))
+            assert np.linalg.norm(b - a[questions]) <= tol * np.linalg.norm(a), (draw, n, m)
+
+    @pytest.mark.parametrize("c", [2.0, 1e3, 1e6])
+    def test_catd_is_unit_free_when_scaled_up(self, c):
+        # CATD stops on its normalised weights, so data in larger units give
+        # the same answers in those units; the distance floor matters only
+        # for c < 1
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=10, m=50,
+                           fresh_gt=True, fresh_sigmas=True)
+        Xb = np.concatenate([X for X, _, _ in iter_replicates(gen, 1000, seed=3)])
+        base = run_td_batch(CATD(), Xb)
+        scaled = run_td_batch(CATD(), c * Xb) / c
+        assert np.abs(scaled - base).max() <= 1e-12 * np.abs(base).max()
 
     @pytest.mark.parametrize("alg", [Mean(), CRH(), CATD(), DistanceWeighted()])
     def test_approximate_unbiasedness(self, alg):

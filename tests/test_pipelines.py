@@ -9,6 +9,7 @@ from ebtruth import (
     Blue,
     Constant,
     DistanceWeighted,
+    EmptyMatrixError,
     HeuristicH,
     InsufficientReplicatesError,
     InsufficientSignalError,
@@ -128,6 +129,11 @@ class TestAlphaStar:
     def test_zero_signal(self):
         with pytest.raises(InsufficientSignalError):
             estimate_alpha_star(np.ones((40, 5)), np.ones(40), np.ones(5))
+
+    def test_zero_questions_is_an_empty_matrix(self):
+        # rejected before any arithmetic, whose empty means would warn
+        with pytest.raises(EmptyMatrixError):
+            estimate_alpha_star(np.zeros((30, 0)), np.ones(30), np.zeros(0))
         rng = np.random.default_rng(0)
         aggregates = rng.normal(size=(40, 5))
         with pytest.raises(InsufficientSignalError):
