@@ -143,6 +143,16 @@ class TestIterativeBaselines:
         ref = _reference_iterative(X, catd_w)
         np.testing.assert_allclose(run_td(CATD(), validate_matrix(X)), ref, rtol=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e6])
+    def test_catd_weights_sum_to_one_and_ignore_units(self, c):
+        # each row's weights are proportional to 1/d, sum to one, and stay
+        # the same when every distance is scaled by c
+        d = np.random.default_rng(8).uniform(0.1, 10.0, size=(4, 7))
+        w = baselines._normalised_inverse(d)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(w * d, np.broadcast_to((w * d)[:, :1], d.shape), rtol=1e-14)
+        np.testing.assert_allclose(baselines._normalised_inverse(c * d), w, rtol=1e-14)
+
     def test_distance_weighted_matches_reference(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(7, 9))
@@ -353,6 +363,15 @@ class TestInvariances:
         row = np.array([4.0, -1.0, 7.5, 2.0, 0.0])
         X = validate_matrix(np.tile(row, (5, 1)))
         np.testing.assert_allclose(run_td(alg, X), row, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("alg", [Mean(), Median(), CRH(), CATD(), DistanceWeighted()])
+    def test_worker_permutation_invariance(self, alg):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(6, 10))
+        perm = rng.permutation(6)
+        a = run_td(alg, validate_matrix(X))
+        b = run_td(alg, validate_matrix(X[perm]))
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     # Norm-relative tolerances for permuting workers and questions.  Only the
     # summation order changes, so each is about five times the largest error
