@@ -12,6 +12,7 @@ from .analysis import (
     AggregateStream,
     AwgGenerator,
     ConditionReport,
+    ConditionTerms,
     IrResult,
     McResult,
     MEAN_SQUARED,
@@ -30,6 +31,7 @@ from .analysis import (
     pipeline_eb_wrap,
     pipeline_stein_blue,
     sample_aggregate_stream,
+    sample_condition_terms,
     improvement_condition,
     risk_decomposition,
     write_reports_csv,

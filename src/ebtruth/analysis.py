@@ -14,26 +14,34 @@ runs a first stage that several pipelines share, such as ``blue``, once
 per block (see ``Pipeline``).
 
 Chunks are independent, so ``iter_replicates(..., chunks=)`` draws any of
-them alone.  ``mc_risk`` and ``sample_aggregate_stream`` share one chunk
-engine, ``_each_chunk``: each task draws one chunk and writes its rows of
-preallocated outputs, serially or side by side on a thread pool, so the
-numbers are the same at any thread count and a thread holds one chunk at a
-time.  ``sample_aggregate_stream`` writes in place: each chunk's truths are
-drawn into the stream's truth store (``iter_replicates(..., truths=)``)
-and the base writes its answers into the aggregate store
-(``run_td_batch(..., out=)``), so neither is held twice.  Every base
-answers a replicate the same in any batch (CRH and CATD stop each row on its
-own weights), so every consumer takes ``BLOCK_BYTES`` blocks.  ψ, ∂ψ and
-the Stein-gap terms run in row blocks (``baselines.block_rows``), so their
-temporaries stay block-sized.  Every array a request sizes (an
-improvement-ratio batch, the condition stores, the Monte Carlo losses) is
-checked against ``MAX_BATCH_BYTES`` before anything is allocated.
+them alone.  ``mc_risk``, ``sample_aggregate_stream`` and
+``sample_condition_terms`` share one chunk engine, ``_each_chunk``: each task
+draws one chunk and writes its rows of preallocated outputs, serially or
+side by side on a thread pool, so the numbers are the same at any thread
+count and a thread holds one chunk at a time.  Every base answers a
+replicate the same in any batch (CRH and CATD stop each row on its own
+weights), so every consumer takes ``BLOCK_BYTES`` blocks.  ψ, ∂ψ and the
+Stein-gap terms run in row blocks (``baselines.block_rows``), so their
+temporaries stay block-sized.
+
+The condition checks read a stream's Stein-gap terms, ψ and ∂ψ, all (R,)
+arrays.  ``sample_condition_terms``, behind ``ebtruth conditions``, writes a
+block's terms next to its ψ and ∂ψ and then drops the block's aggregates
+and truths, so it keeps no (R, m) array.  ``sample_aggregate_stream`` keeps
+the (R, m) aggregates and truths as well, for callers that read them: each
+chunk's truths are drawn into its truth store (``iter_replicates(...,
+truths=)``) and the base writes its answers into its aggregate store
+(``run_td_batch(..., out=)``), so neither is held twice; its checks share
+one ``stein_gap_terms`` pass per ``AggregateStream``.  A row's terms are the
+same bits either way.  Every array a request sizes (an improvement-ratio
+batch, the per-replicate condition arrays or stores, the Monte Carlo losses,
+each with one replicate block and one chunk's truths) is checked against
+``MAX_BATCH_BYTES`` before anything is allocated.
 
 The improvement ratio keeps the last synthetic sample batch it drew, read-only
 and only up to ``KEPT_BATCH_BYTES``, so calling ``improvement_ratio`` once per base
 on one (source, n, m, samples, seed) draws the batch once.  Dataset sources
-are not kept.  The condition checks share one ``stein_gap_terms`` pass per
-``AggregateStream``.
+are not kept.
 """
 
 from __future__ import annotations
@@ -90,10 +98,12 @@ KEPT_BATCH_BYTES = 16 * 2**20
 REPLICATE_ROLE = 100  # stream role for Monte Carlo replicate chunks
 
 # Most bytes one request may allocate: ``improvement_ratios``' sample batch
-# and its scoring (``batch_bytes``), ``sample_aggregate_stream``'s stores or
-# ``mc_risk``'s losses.  It is fixed, not read from the host or the thread
-# count, so a request's exit code does not depend on the machine; 1000
-# samples at n=10, m=50 take about 10 MB.
+# and its scoring (``batch_bytes``), or the per-replicate arrays of
+# ``sample_aggregate_stream``, ``sample_condition_terms`` or ``mc_risk`` with
+# one replicate block and one chunk's truths (``_check_replicates``).  It is
+# fixed, not read from the host or the thread count, so a request's exit
+# code does not depend on the machine; 1000 samples at n=10, m=50 take about
+# 10 MB.
 MAX_BATCH_BYTES = 2**30
 
 
@@ -331,8 +341,7 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     for name in names:
         if names.count(name) > 1:
             raise ValidationError(f"pipeline name {name!r} is given twice")
-    _check_request(8 * replicates * len(pipelines),
-                   f"{replicates} replicates of {len(pipelines)} pipelines' losses")
+    _check_replicates(gen, replicates, 8 * len(pipelines), f"{len(pipelines)} pipelines' losses")
     losses = {p.name: np.empty(replicates) for p in pipelines}
 
     def on_block(pos, X, mu, sig2):
@@ -409,12 +418,30 @@ class AggregateStream:
     mu: np.ndarray           # (R, m)
     seed: int
 
+    @property
+    def m(self) -> int:
+        return self.aggregates.shape[1]
+
     @functools.cached_property
     def terms(self):
         """``stein_gap_terms`` of the stream, computed on first use and then
         kept, since every condition check reads them.  A stream's arrays are
         not written after it is built."""
         return stein_gap_terms(self.aggregates, self.psis, self.mu)
+
+
+@dataclass(frozen=True)
+class ConditionTerms:
+    """What the condition checks read of a replicate stream, as
+    ``sample_condition_terms`` keeps it: the ``stein_gap_terms``, ψ and ∂ψ
+    per replicate, the question count and the seed, without the (R, m)
+    aggregates and truths."""
+
+    terms: tuple             # (ok, ss, cov, quad), as stein_gap_terms returns them
+    psis: np.ndarray         # (R,)
+    derivative_dots: np.ndarray  # (R,) sum_j psi'_j (xa_j - mean)
+    m: int
+    seed: int
 
 
 def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
@@ -427,13 +454,13 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
     ``_each_chunk``).  The stores are written in place: each chunk draws its
     truths into ``mu`` and the base writes each block's answers into
     ``aggregates``, so a thread holds no (CHUNK, m) array of its own.
-    Fewer than 2 replicates raise InsufficientReplicatesError and stores
-    over ``MAX_BATCH_BYTES`` RequestTooLargeError, before anything is drawn.
+    Fewer than 2 replicates raise InsufficientReplicatesError, and a request
+    over ``MAX_BATCH_BYTES`` (see ``_check_replicates``)
+    RequestTooLargeError, before anything is drawn.
     """
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
-    _check_request(8 * replicates * (2 * gen.m + 2),
-                   f"{replicates} replicates of {gen.m} aggregates and truths")
+    _check_replicates(gen, replicates, 8 * (2 * gen.m + 2), "aggregates and truths")
     aggregates = np.empty((replicates, gen.m))
     psis = np.empty(replicates)
     dots = np.empty(replicates)
@@ -448,6 +475,38 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
     _each_chunk(gen, replicates, seed, threads, on_block, truths=mus)
     return AggregateStream(aggregates=aggregates, psis=psis, derivative_dots=dots,
                            mu=mus, seed=seed)
+
+
+def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
+                           psi: VarianceEstimator, replicates: int,
+                           seed: int, threads: int = 1) -> ConditionTerms:
+    """``sample_aggregate_stream`` reduced to what the condition checks read.
+
+    Each block's Stein-gap terms are written next to its ψ and ∂ψ, and the
+    block's aggregates and truths are then dropped, so the pass keeps (R,)
+    arrays only and a thread holds one chunk's truths and one block.  A
+    row's terms do not depend on its block, so they are the bits that
+    ``stein_gap_terms`` gives on the stores of ``sample_aggregate_stream``
+    with the same arguments, at any ``threads``.  Its checks are those of
+    ``sample_aggregate_stream``.
+    """
+    if replicates < 2:
+        raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
+    # ψ, ∂ψ, ss, the covariance and quadratic terms, and the mask
+    _check_replicates(gen, replicates, 5 * 8 + 1, "condition terms")
+    ok = np.empty(replicates, dtype=bool)
+    ss, cov, psis, dots = (np.empty(replicates) for _ in range(4))
+
+    def on_block(pos, X, mu, sig2):
+        rows = slice(pos, pos + X.shape[0])
+        xa = run_td_batch(base, X)
+        psis[rows] = psi_batch(psi, X, xa)
+        dots[rows] = psi_derivative_dot_batch(psi, X, xa)
+        _write_gap_terms(xa, psis[rows], mu, ok[rows], ss[rows], cov[rows])
+
+    _each_chunk(gen, replicates, seed, threads, on_block)
+    return ConditionTerms(terms=_kept_terms(ok, ss, cov, psis), psis=psis,
+                          derivative_dots=dots, m=gen.m, seed=seed)
 
 
 def _std_error(x: np.ndarray) -> float:
@@ -470,8 +529,17 @@ def stein_gap_terms(aggregates: np.ndarray, psis: np.ndarray, mu: np.ndarray):
     """
     r = aggregates.shape[0]
     ok, ss, cov = np.empty(r, dtype=bool), np.empty(r), np.empty(r)
+    _write_gap_terms(aggregates, psis, mu, ok, ss, cov)
+    return _kept_terms(ok, ss, cov, psis)
+
+
+def _write_gap_terms(aggregates, psis, mu, ok, ss, cov) -> None:
+    """Write each row's dispersion mask, ss and covariance term (on rows
+    with dispersion) into the (R,) arrays ``ok``, ``ss`` and ``cov``, in
+    row blocks of ``baselines.block_rows``; the per-row arithmetic of
+    ``stein_gap_terms``."""
     rows = block_rows(aggregates)
-    for lo in range(0, r, rows):
+    for lo in range(0, aggregates.shape[0], rows):
         k = slice(lo, lo + rows)
         a, u, p = aggregates[k], mu[k], psis[k]
         dev = a - a.mean(axis=1, keepdims=True)
@@ -480,6 +548,11 @@ def stein_gap_terms(aggregates: np.ndarray, psis: np.ndarray, mu: np.ndarray):
         if not okk.all():
             a, u, p, dev, ssk = a[okk], u[okk], p[okk], dev[okk], ssk[okk]
         cov[k][okk] = ((a - u) * p[:, None] * dev / ssk[:, None]).sum(axis=1)
+
+
+def _kept_terms(ok, ss, cov, psis):
+    """(ok, ss, cov, quad) with ss, cov and quad = psi^2 / ss on the rows
+    with dispersion only."""
     if not ok.all():
         ss, cov, psis = ss[ok], cov[ok], psis[ok]
     return ok, ss, cov, psis**2 / ss
@@ -514,12 +587,12 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     return float(cov.mean() / quad.mean())
 
 
-def _stream_terms(s: AggregateStream):
+def _stream_terms(s: AggregateStream | ConditionTerms):
     """ss, covariance and quadratic terms (``s.terms``) of a stream all of
     whose replicates have dispersion, and the s^2-normalised plug-ins
     psi^2/s^2, psi/s^2 and dot/((m-3) s^2), with s^2 = ss/(m-1).  The checks
-    need m > 3."""
-    m = s.aggregates.shape[1]
+    need m > 3, and take an ``AggregateStream`` or ``ConditionTerms`` alike."""
+    m = s.m
     if m <= 3:
         raise InsufficientDataError("condition needs m > 3")
     ok, ss, cov, quad = s.terms
@@ -529,13 +602,13 @@ def _stream_terms(s: AggregateStream):
     return ss, cov, quad, (s.psis**2 / s2, s.psis / s2, s.derivative_dots / ((m - 3) * s2))
 
 
-def improvement_condition(s: AggregateStream) -> ConditionReport:
+def improvement_condition(s: AggregateStream | ConditionTerms) -> ConditionReport:
     """Improvement condition for an unbiased base: twice the covariance term
     must outweigh the quadratic term.  The per-replicate statistic equals the
     paired loss difference base-minus-wrapped, so the sign doubles as a risk
     comparison."""
     _, cov_term, quad_term, _ = _stream_terms(s)
-    alpha = s.aggregates.shape[1] - 3
+    alpha = s.m - 3
     t = 2 * alpha * cov_term - alpha**2 * quad_term
     se = _std_error(t)
     lhs = float(t.mean())
@@ -543,7 +616,7 @@ def improvement_condition(s: AggregateStream) -> ConditionReport:
                            direction=">", satisfied=lhs > 0.0, std_errors=(se,))
 
 
-def risk_decomposition(s: AggregateStream, sigma2: float) -> dict:
+def risk_decomposition(s: AggregateStream | ConditionTerms, sigma2: float) -> dict:
     """Two-sided check of the normal-model risk decomposition.
 
     lhs: paired Monte Carlo gap risk(wrapped) - risk(base).  rhs: the
@@ -554,7 +627,7 @@ def risk_decomposition(s: AggregateStream, sigma2: float) -> dict:
     if sigma2 <= 0:
         raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
     ss, cov_term, _, (e_psi2, e_psi, e_dot) = _stream_terms(s)
-    m = s.aggregates.shape[1]
+    m = s.m
     alpha = m - 3
     # paired per-replicate gap via the exact algebraic expansion of the loss
     lhs_r = -2 * alpha * cov_term + alpha**2 * s.psis**2 / ss
@@ -581,9 +654,10 @@ def check_deviation_inputs(eps: float | None = None, delta: float | None = None,
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
 
 
-def sufficient_conditions(s: AggregateStream, sigma2: float, psi: VarianceEstimator,
-                         eps: float | None = None, delta: float | None = None,
-                         bound: float | None = None) -> list[ConditionReport]:
+def sufficient_conditions(s: AggregateStream | ConditionTerms, sigma2: float,
+                          psi: VarianceEstimator, eps: float | None = None,
+                          delta: float | None = None,
+                          bound: float | None = None) -> list[ConditionReport]:
     """Monte Carlo plug-ins for the sufficient improvement conditions.
 
     The deviation-bound conditions take eps/delta/bound as declared properties
@@ -721,6 +795,17 @@ def _check_request(need: int, what: str) -> None:
         raise RequestTooLargeError(
             f"{what} need {need} bytes, over the "
             f"{MAX_BATCH_BYTES}-byte limit (analysis.MAX_BATCH_BYTES)")
+
+
+def _check_replicates(gen: AwgGenerator, replicates: int, per_replicate: int,
+                      what: str) -> None:
+    """``_check_request`` for a pass over ``replicates`` replicates of
+    ``gen`` that keeps ``per_replicate`` bytes a replicate: it counts those,
+    one replicate block (8·n·m; a block holds at least one replicate) and
+    one chunk's (r, m) truths, once each, not once per thread.  ``what``
+    names the per-replicate arrays."""
+    _check_request(replicates * per_replicate + 8 * gen.m * (gen.n + min(CHUNK, replicates)),
+                   f"{replicates} replicates of {gen.n}x{gen.m} ({what})")
 
 
 # The last synthetic batch ``_sample_batch`` kept, as (key, (Xb, mub)), or None.

@@ -238,12 +238,13 @@ class DistanceWeighted:
 
 def _distance_weighted_rows(Xb: np.ndarray) -> np.ndarray:
     # d[r, i] = mean over other workers of the mean squared disagreement,
-    # via the Gram-matrix expansion to avoid an (r, n, n, m) intermediate.
+    # from the exact identity sum_j |x_i - x_j|^2 = n |x_i - xbar|^2 +
+    # sum_j |x_j - xbar|^2 (xbar the per-question mean over workers): no
+    # (r, n, n, m) intermediate, and, unlike a Gram expansion, no
+    # cancellation when every answer shares a large offset.
     _, n, m = Xb.shape
-    rowsq = (Xb**2).sum(axis=2)
-    gram = Xb @ Xb.transpose(0, 2, 1)
-    pairsq = np.maximum(rowsq[:, :, None] + rowsq[:, None, :] - 2.0 * gram, 0.0)
-    d = pairsq.sum(axis=2) / ((n - 1) * m) + DISTANCE_EPS
+    s = ((Xb - Xb.mean(axis=1, keepdims=True)) ** 2).sum(axis=2)
+    d = (n * s + s.sum(axis=1, keepdims=True)) / ((n - 1) * m) + DISTANCE_EPS
     return _weighted_mean(Xb, 1.0 / d)
 
 

@@ -35,7 +35,7 @@ from .analysis import (
     pipeline_blue,
     pipeline_eb_blue,
     pipeline_stein_blue,
-    sample_aggregate_stream,
+    sample_condition_terms,
     improvement_condition,
     risk_decomposition,
     check_deviation_inputs,
@@ -374,8 +374,8 @@ def cmd_conditions(cfg: dict) -> int:
     base = _parse_base(cfg["base"])
     n, m, seed = cfg["n"], cfg["m"], cfg["seed"]
     gen = AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
-    stream_data = sample_aggregate_stream(gen, base, psi, cfg["replicates"], seed,
-                                          threads=_threads(cfg["threads"]))
+    terms = sample_condition_terms(gen, base, psi, cfg["replicates"], seed,
+                                   threads=_threads(cfg["threads"]))
 
     sigma2 = cfg["sigma2"]
     if sigma2 is None:
@@ -385,11 +385,11 @@ def cmd_conditions(cfg: dict) -> int:
                 "aggregated variance is only derivable for the mean base; pass --sigma2")
         sigma2 = derive(sigmas.draw((n,), stream(seed, ROLE_SIGMA, 0)))
 
-    records = [report_record(improvement_condition(stream_data))]
-    for rep in sufficient_conditions(stream_data, sigma2, psi, eps=cfg["eps"],
+    records = [report_record(improvement_condition(terms))]
+    for rep in sufficient_conditions(terms, sigma2, psi, eps=cfg["eps"],
                                      delta=cfg["delta"], bound=cfg["bound"]):
         records.append(report_record(rep))
-    decomp = risk_decomposition(stream_data, sigma2)
+    decomp = risk_decomposition(terms, sigma2)
     records.append({"name": "risk_decomposition", "lhs": decomp["lhs_gap"],
                     "rhs": decomp["rhs_formula"], "direction": "=",
                     "satisfied": decomp["agree"],

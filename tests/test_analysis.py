@@ -50,6 +50,7 @@ from ebtruth import (
     pipeline_stein_blue,
     run_td_batch,
     sample_aggregate_stream,
+    sample_condition_terms,
     stream,
     subsample,
     SyntheticSpec,
@@ -420,21 +421,24 @@ class TestThreadedStream:
         assert peak - stores <= (analysis.BLOCK_BYTES + 2 * baselines.ITERATION_BLOCK_BYTES
                                  + per_replicate)
 
-    @pytest.mark.parametrize("call, need", [
+    @pytest.mark.parametrize("call, per_replicate", [
         (lambda r: sample_aggregate_stream(_gen(), Mean(), Constant(1.0), r, seed=0),
-         lambda r: 8 * r * (2 * 10 + 2)),
-        (lambda r: mc_risk(_gen(), [pipeline_blue(), pipeline_eb_blue()], r, seed=0),
-         lambda r: 8 * r * 2),
-    ], ids=["sample_aggregate_stream", "mc_risk"])
-    def test_replicate_bound_is_checked_before_drawing(self, monkeypatch, call, need):
-        monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need(150))
+         8 * (2 * 10 + 2)),
+        (lambda r: sample_condition_terms(_gen(), Mean(), Constant(1.0), r, seed=0), 8 * 5 + 1),
+        (lambda r: mc_risk(_gen(), [pipeline_blue(), pipeline_eb_blue()], r, seed=0), 8 * 2),
+    ], ids=["sample_aggregate_stream", "sample_condition_terms", "mc_risk"])
+    def test_replicate_bound_is_checked_before_drawing(self, monkeypatch, call, per_replicate):
+        # the per-replicate arrays, one 1x10 replicate block and one
+        # chunk's truths, 70x10 (see ``small_chunks``)
+        need = 150 * per_replicate + 8 * 10 * (1 + analysis.CHUNK)
+        monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need)
         call(150)
 
         def no_draw(*args, **kwargs):
             raise AssertionError("drew replicates over the limit")
 
         monkeypatch.setattr(analysis, "iter_replicates", no_draw)
-        monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need(150) - 1)
+        monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need - 1)
         with pytest.raises(RequestTooLargeError):
             call(150)
 
@@ -654,6 +658,51 @@ class TestConditions:
             assert got[0].sum() == 9
             for g, w in zip(got[1:], want[1:]):
                 assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("fresh_gt", [False, True], ids=["fixed-truths", "fresh-truths"])
+    @pytest.mark.parametrize("base", [Mean(), CRH()], ids=["mean", "crh"])
+    def test_terms_pass_equals_the_stores_terms(self, monkeypatch, base, fresh_gt, threads):
+        # 70-replicate chunks in 16-replicate blocks; every worker of
+        # replicate 5 (chunk 0) answers one constant, so its aggregate is
+        # flat, and every worker of replicate 91 (chunk 1) answers a row whose
+        # squared deviations underflow, so its ss is 0
+        monkeypatch.setattr(analysis, "CHUNK", 70)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 16 * 8 * 4 * 10)
+        draw = analysis.iter_replicates
+
+        def degenerate(*args, chunks=None, **kwargs):
+            pos = chunks[0] * 70
+            for X, mu, sig2 in draw(*args, chunks=chunks, **kwargs):
+                for row, answers in ((5, 13.691350663375637), (91, [0.0, 1e-170] + [0.0] * 8)):
+                    if pos <= row < pos + X.shape[0]:
+                        X[row - pos] = answers
+                pos += X.shape[0]
+                yield X, mu, sig2
+
+        monkeypatch.setattr(analysis, "iter_replicates", degenerate)
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10, fresh_gt=fresh_gt,
+                           fresh_sigmas=True)
+        s = sample_aggregate_stream(gen, base, HeuristicH(), 200, seed=3, threads=threads)
+        got = sample_condition_terms(gen, base, HeuristicH(), 200, seed=3, threads=threads)
+        want = analysis.stein_gap_terms(s.aggregates, s.psis, s.mu)
+        assert np.flatnonzero(~got.terms[0]).tolist() == [5, 91]
+        assert np.array_equal(got.terms[0], want[0])
+        for g, w in zip(got.terms[1:], want[1:]):
+            assert g.tobytes() == w.tobytes()
+        assert got.psis.tobytes() == s.psis.tobytes()
+        assert got.derivative_dots.tobytes() == s.derivative_dots.tobytes()
+        assert (got.m, got.seed) == (s.m, s.seed) == (10, 3)
+
+    def test_checks_read_the_terms_pass_as_the_stream(self):
+        gen = _gen(gt=GaussianGT(2.0, 1.0))
+        s = sample_aggregate_stream(gen, Mean(), SampleScaled(0.5), 2000, seed=9)
+        t = sample_condition_terms(gen, Mean(), SampleScaled(0.5), 2000, seed=9)
+        assert improvement_condition(t) == improvement_condition(s)
+        assert risk_decomposition(t, sigma2=1.0) == risk_decomposition(s, sigma2=1.0)
+        assert (sufficient_conditions(t, 1.0, SampleScaled(0.5), eps=0.5, delta=0.5, bound=0.1)
+                == sufficient_conditions(s, 1.0, SampleScaled(0.5), eps=0.5, delta=0.5,
+                                         bound=0.1))
 
     def test_checks_share_one_pass_over_the_stream(self, monkeypatch):
         s = self._stream(Constant(1.0), reps=1000)

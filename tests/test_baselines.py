@@ -226,12 +226,10 @@ def _unblocked_median(Xb):
 
 
 def _unblocked_distance_weighted(Xb):
-    # DistanceWeighted as it ran on the whole batch before the row blocks
+    # DistanceWeighted's formula on the whole batch at once, without row blocks
     r, n, m = Xb.shape
-    rowsq = (Xb**2).sum(axis=2)
-    gram = Xb @ Xb.transpose(0, 2, 1)
-    pairsq = np.maximum(rowsq[:, :, None] + rowsq[:, None, :] - 2.0 * gram, 0.0)
-    d = pairsq.sum(axis=2) / ((n - 1) * m) + 1e-12
+    s = ((Xb - Xb.mean(axis=1, keepdims=True)) ** 2).sum(axis=2)
+    d = (n * s + s.sum(axis=1, keepdims=True)) / ((n - 1) * m) + 1e-12
     w = 1.0 / d
     return np.einsum("...n,...nm->...m", w, Xb) / w.sum(axis=-1, keepdims=True)
 
@@ -414,6 +412,34 @@ class TestInvariances:
         base = run_td_batch(CATD(), Xb)
         scaled = run_td_batch(CATD(), c * Xb) / c
         assert np.abs(scaled - base).max() <= 1e-12 * np.abs(base).max()
+
+    # Shifting every answer by c shifts the answers by c.  Rounding X + c
+    # costs up to eps*|c|/2 an entry, and an answer is a weighted mean of
+    # entries whose weights read the shifted entries' rounding too, so the
+    # error scales with eps*|c|, not with the answers: as a norm-relative
+    # tolerance, 64*eps*|c| / max|base(X)|.  Over these 1000 draws every base
+    # measured at most 9*eps*|c| (CATD, whose 14 reweighting steps carry the
+    # rounding along) and the wrap 2.6*eps*|c|.  A Gram expansion of the
+    # pairwise distances cancelled in DistanceWeighted: 6e5*eps*|c| at 1e6.
+    @pytest.mark.parametrize("aggregate", [
+        lambda Xb: run_td_batch(Mean(), Xb),
+        lambda Xb: run_td_batch(Median(), Xb),
+        lambda Xb: run_td_batch(CRH(), Xb),
+        lambda Xb: run_td_batch(CATD(), Xb),
+        lambda Xb: run_td_batch(DistanceWeighted(), Xb),
+        lambda Xb: run_td_batch(Blue(np.linspace(0.5, 2.0, 10)), Xb),
+        lambda Xb: np.array([eb_wrap(validate_matrix(X), CRH(), HeuristicH())
+                             for X in Xb[:100]]),
+    ], ids=["mean", "median", "crh", "catd", "distance", "blue", "eb_wrap-crh"])
+    @pytest.mark.parametrize("c", [-7.0, 1e3, 1e6])
+    def test_translation_equivariance(self, aggregate, c):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=10, m=50,
+                           fresh_gt=True, fresh_sigmas=True)
+        Xb = np.concatenate([X for X, _, _ in iter_replicates(gen, 1000, seed=3)])
+        base = aggregate(Xb)
+        shifted = aggregate(Xb + c) - c
+        tol = 64 * np.finfo(float).eps * abs(c) / np.abs(base).max()
+        assert np.abs(shifted - base).max() / np.abs(base).max() <= tol
 
     @pytest.mark.parametrize("alg", [Mean(), CRH(), CATD(), DistanceWeighted()])
     def test_approximate_unbiasedness(self, alg):

@@ -269,7 +269,7 @@ class TestConfigFile:
         import ebtruth.cli as cli
 
         drawn = []
-        monkeypatch.setattr(cli, "sample_aggregate_stream", lambda *a, **k: drawn.append(1))
+        monkeypatch.setattr(cli, "sample_condition_terms", lambda *a, **k: drawn.append(1))
         out = tmp_path / "out"
         assert main(["conditions", *flags, "--replicates", "200", "--out", str(out)]) \
             == EXIT_VALIDATION
@@ -299,10 +299,18 @@ class TestOutputs:
         assert any(r["name"] == "risk_decomposition" for r in records)
 
     def test_conditions_computes_the_stein_gap_terms_once(self, tmp_path, monkeypatch):
+        # one terms pass per run, and the checks read its terms: nothing
+        # computes them again over stores
+        import ebtruth.cli as cli
+
+        def no_stores(*args):
+            raise AssertionError("stein_gap_terms called")
+
         calls = []
-        terms = ebtruth.analysis.stein_gap_terms
-        monkeypatch.setattr(ebtruth.analysis, "stein_gap_terms",
-                            lambda *args: calls.append(1) or terms(*args))
+        terms = cli.sample_condition_terms
+        monkeypatch.setattr(ebtruth.analysis, "stein_gap_terms", no_stores)
+        monkeypatch.setattr(cli, "sample_condition_terms",
+                            lambda *args, **kwargs: calls.append(1) or terms(*args, **kwargs))
         for run in (1, 2):
             assert main(["conditions", "--replicates", "500", "--m", "10", "--psi", "const:1",
                          "--out", str(tmp_path / "out")]) == EXIT_OK
@@ -612,6 +620,60 @@ def test_too_many_replicates_exits_validation_promptly(tmp_path, command):
     assert proc.stderr.startswith("error:") and "MAX_BATCH_BYTES" in proc.stderr
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--n-grid", "200", "--m-grid", "1000"]),
+    ("simulate", ["--n-grid", "1", "--m-grid", "50000"]),
+    ("conditions", ["--n", "200", "--m", "1000", "--sigmas", "indexed"]),
+    ("conditions", ["--n", "1", "--m", "50000"]),
+], ids=["simulate-block", "simulate-truths", "conditions-block", "conditions-truths"])
+def test_a_replicate_block_and_a_chunks_truths_are_counted(tmp_path, capsys, monkeypatch,
+                                                          command, flags):
+    # under a 1 MiB limit: a 200x1000 replicate is a 1.6 MB block, and three
+    # replicates of 50 000 truths take 1.2 MB, while the per-replicate
+    # arrays of three replicates take a few hundred bytes
+    from ebtruth import analysis
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew replicates over the limit")
+
+    monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", 2**20)
+    monkeypatch.setattr(analysis, "iter_replicates", no_draw)
+    out = tmp_path / "out"
+    assert main([command, *flags, "--replicates", "3", "--threads", "1",
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_BATCH_BYTES" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_conditions_memory_is_the_terms_and_one_chunk_per_thread(tmp_path, monkeypatch,
+                                                                 threads):
+    import tracemalloc
+
+    from ebtruth import analysis, baselines
+
+    m, replicates = 100, 6000
+    monkeypatch.setattr(analysis, "CHUNK", 2000)  # three chunks
+    monkeypatch.setattr(analysis, "BLOCK_BYTES", 2**16)
+    args = ["conditions", "--psi", "h", "--n", "10", "--m", str(m), "--gt", "gaussian:2,1",
+            "--sigmas", "gaussian-sq", "--sigma2", "0.1", "--threads", str(threads)]
+    assert main([*args, "--replicates", "100", "--out", str(tmp_path)]) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main([*args, "--replicates", str(replicates), "--out", str(tmp_path)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # (R,) arrays: the terms pass keeps five, and the checks' plug-ins add
+    # about a dozen; a thread holds one chunk's truths, one block and
+    # block-sized temporaries.  The (R, m) aggregate and truth stores would
+    # add 9.6 MB
+    per_thread = (8 * analysis.CHUNK * m + analysis.BLOCK_BYTES
+                  + 2 * baselines.ITERATION_BLOCK_BYTES)
+    assert peak <= 8 * replicates * 16 + threads * per_thread
+
+
 def test_conditions_chunk_failing_in_a_worker_exits_validation(tmp_path):
     # chunk 1 of 3 gets a 1e200 replicate, which sends CRH's weights to NaN
     # in a worker thread; a separate process, so a hang fails on the timeout
@@ -663,13 +725,13 @@ class TestThreads:
         import ebtruth.cli as cli
 
         seen = []
-        stream = cli.sample_aggregate_stream
+        terms = cli.sample_condition_terms
 
         def recording(*args, threads, **kwargs):
             seen.append(threads)
-            return stream(*args, threads=threads, **kwargs)
+            return terms(*args, threads=threads, **kwargs)
 
-        monkeypatch.setattr(cli, "sample_aggregate_stream", recording)
+        monkeypatch.setattr(cli, "sample_condition_terms", recording)
         assert main(["conditions", "--replicates", "300", "--threads", flag,
                      "--out", str(tmp_path)]) == EXIT_OK
         assert seen == [want or cli._threads("auto")]
@@ -724,12 +786,12 @@ EVALUATE_GOLDENS = {
     ("bucket0", "median"): (1.3944180209809822, 31.79756818157182, 44.33910209575522),
     ("bucket0", "crh"): (1.8822387924221486, 24.5567172957242, 46.221605908556015),
     ("bucket0", "catd"): (1.2240888493755577, 39.07975803385225, 47.837096045533414),
-    ("bucket0", "distance"): (1.7360034922892202, 26.002712305408977, 45.14079937118186),
+    ("bucket0", "distance"): (1.7360034922892198, 26.002712305408977, 45.140799371181856),
     ("bucket1", "mean"): (0.4045434385624492, 73.76493494837412, 29.841120429350646),
     ("bucket1", "median"): (0.4735616445845917, 59.220726376406105, 28.044664576304985),
     ("bucket1", "crh"): (0.6473189535724908, 42.64154721688205, 27.602681723144048),
     ("bucket1", "catd"): (0.561087115688132, 60.63453014709647, 34.02125363133944),
-    ("bucket1", "distance"): (0.512319267665658, 55.820797944748676, 28.59807032356631),
+    ("bucket1", "distance"): (0.5123192676656579, 55.82079794474869, 28.59807032356631),
 }
 
 
