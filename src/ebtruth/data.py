@@ -9,6 +9,13 @@ arithmetic on arrays) and walks one generator through them (``streams``):
 each sample still draws from exactly ``stream(seed, role, index)``.  Each
 spec draws with ``draw(shape, rng)``: shape (m,) or (r, m) for truths, (n,)
 or (r, n) for worker variances, so one vector and a batch share the code.
+
+A built-in ``GtSpec`` draws each value from the next ones of the stream, so
+its ``draw((r, m), rng)`` equals its row blocks ``draw((k, m), rng)`` drawn
+in turn from the same stream, with or without ``out=``, and leaves the
+stream in the same place.  ``analysis.iter_replicates(...,
+block_truths=True)`` relies on this: it draws a chunk's truths a block at a
+time from a second copy of the chunk's stream.
 """
 
 from __future__ import annotations

@@ -241,6 +241,20 @@ ALL_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted()]
 BASE_IDS = ["mean", "median", "crh", "catd", "distance"]
 
 
+class ShiftedGT:
+    """A truth spec outside ``GtSpec`` whose row blocks drawn in turn are not
+    its whole draw: each call draws one shift, then the truths.  Block truths
+    must leave it to the chunk path."""
+
+    def draw(self, shape, rng, out=None):
+        shift = rng.standard_normal()
+        if out is None:
+            out = np.empty(shape)
+        rng.standard_normal(out=out)
+        out += shift
+        return out
+
+
 class TestReplicateBlocks:
     """Blocks split each chunk's draws without changing a value."""
 
@@ -260,6 +274,24 @@ class TestReplicateBlocks:
         want = list(_reference_chunks(gen, 130, seed=4))
         for got, ref in zip(zip(*blocks), zip(*want)):
             assert np.array_equal(np.concatenate(got), np.concatenate(ref))
+
+    @pytest.mark.parametrize("gt", [GaussianGT(2.0, 1.0), ConstantGT(2.0), ShiftedGT()],
+                             ids=["gaussian", "constant", "custom"])
+    @pytest.mark.parametrize("fresh_gt", [True, False])
+    @pytest.mark.parametrize("fresh_sigmas", [False, True])
+    @pytest.mark.parametrize("block_rows", [16, 1])
+    def test_block_truths_are_the_chunks_bits(self, monkeypatch, gt, fresh_gt, fresh_sigmas,
+                                              block_rows):
+        gen = AwgGenerator(gt, REDRAWN, n=3, m=7, fresh_gt=fresh_gt, fresh_sigmas=fresh_sigmas)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * block_rows)
+        chunks = [2, 0, 1]  # 130 replicates: 50 + 50 + a short 30, out of order
+        want = list(analysis.iter_replicates(gen, 130, seed=4, chunks=chunks))
+        got = list(analysis.iter_replicates(gen, 130, seed=4, chunks=chunks, block_truths=True))
+        assert [b[0].shape[0] for b in got] == [b[0].shape[0] for b in want]
+        assert len(got) == (10 if block_rows == 16 else 130)
+        for block, ref in zip(got, want):
+            for a, b in zip(block, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("budget", [1000, 10])
     def test_no_block_exceeds_the_budget(self, monkeypatch, budget):
@@ -567,8 +599,10 @@ class TestChunkEngine:
         chunk = 8 * analysis.CHUNK * (m + 3 * n) + 4 * analysis.BLOCK_BYTES
         assert peak - losses <= threads * chunk
 
+    @pytest.mark.parametrize("block_truths", [False, True])
     @pytest.mark.parametrize("fresh_sigmas", [False, True])
-    def test_iterating_several_chunks_holds_one_chunk(self, monkeypatch, fresh_sigmas):
+    def test_iterating_several_chunks_holds_one_chunk(self, monkeypatch, fresh_sigmas,
+                                                      block_truths):
         import tracemalloc
 
         n, m = 8, 100
@@ -578,7 +612,8 @@ class TestChunkEngine:
                            fresh_gt=True, fresh_sigmas=fresh_sigmas)
         tracemalloc.start()
         try:
-            for block in analysis.iter_replicates(gen, 15_000, seed=2):
+            for block in analysis.iter_replicates(gen, 15_000, seed=2,
+                                                  block_truths=block_truths):
                 del block
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -586,9 +621,12 @@ class TestChunkEngine:
         # one chunk's truths, and with fresh worker variances those, their
         # roots and n for the draw's temporaries (fixed worker variances are
         # rooted once per call, not per chunk); the block being drawn, the one
-        # before it and small objects fit in three blocks
-        per_replicate = m + (3 * n if fresh_sigmas else 0)
-        assert peak <= 8 * analysis.CHUNK * per_replicate + 3 * analysis.BLOCK_BYTES
+        # before it and small objects fit in three blocks.  Block truths hold
+        # no chunk of truths: a block's truths, the one before them and the
+        # buffer that draws past a chunk's truths are each 1/n of a block
+        per_replicate = (0 if block_truths else m) + (3 * n if fresh_sigmas else 0)
+        blocks = 3 + (3 / n if block_truths else 0)
+        assert peak <= 8 * analysis.CHUNK * per_replicate + blocks * analysis.BLOCK_BYTES
 
     def test_several_chunks_are_the_chunks_drawn_one_at_a_time(self):
         gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=False)
@@ -704,6 +742,37 @@ class TestConditions:
                 == sufficient_conditions(s, 1.0, SampleScaled(0.5), eps=0.5, delta=0.5,
                                          bound=0.1))
 
+    def _terms(self, reps):
+        gen = _gen(m=10, worker_sigmas=GaussianSqSigmas())
+        return sample_condition_terms(gen, Mean(), SampleScaled(0.5), reps, seed=6)
+
+    def test_checks_give_the_whole_array_formulas_bits(self):
+        t = self._terms(3000)
+        psi = SampleScaled(0.5)
+        got = (improvement_condition(t), risk_decomposition(t, sigma2=0.7),
+               sufficient_conditions(t, 0.7, psi, eps=0.5, delta=0.5, bound=0.1))
+        assert got == _whole_array_checks(t, 0.7, psi, eps=0.5, delta=0.5, bound=0.1)
+
+    def test_checks_build_only_the_plug_ins_they_read(self):
+        import tracemalloc
+
+        reps = 200_000
+        t = self._terms(reps)
+        peaks = {}
+        for name, check in (("improvement", lambda: improvement_condition(t)),
+                            ("decomposition", lambda: risk_decomposition(t, sigma2=1.0))):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                check()
+                peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / (8 * reps)
+            finally:
+                tracemalloc.stop()
+        # in (R,) arrays over the terms: building s^2 and all three plug-ins
+        # for every check took 5.0 and 7.0
+        assert peaks["improvement"] <= 3
+        assert peaks["decomposition"] < 7
+
     def test_checks_share_one_pass_over_the_stream(self, monkeypatch):
         s = self._stream(Constant(1.0), reps=1000)
         calls = []
@@ -781,6 +850,37 @@ class TestConditions:
         s = self._stream(Constant(3.0), reps=2000)
         reports = {r.name: r for r in sufficient_conditions(s, 1.0, Constant(3.0))}
         assert not reports["constant_guess_condition"].satisfied  # 3 > 2
+
+
+def _whole_array_checks(s, sigma2, psi, eps, delta, bound):
+    """The three condition checks on a stream as whole-array expressions,
+    every plug-in built up front, with the checks' operation order."""
+    m, alpha = s.m, s.m - 3
+    _, ss, cov, quad = s.terms
+    s2 = ss / (m - 1)
+    e_psi2, e_psi, e_dot = s.psis**2 / s2, s.psis / s2, s.derivative_dots / ((m - 3) * s2)
+    se = analysis._std_error
+    t = 2 * alpha * cov - alpha**2 * quad
+    improvement = analysis.ConditionReport(
+        name="improvement_condition", lhs=float(t.mean()), rhs=0.0, direction=">",
+        satisfied=float(t.mean()) > 0.0, std_errors=(se(t),))
+    lhs_r = -2 * alpha * cov + alpha**2 * s.psis**2 / ss
+    rhs_r = (alpha**2 / (m - 1)) * (e_psi2 - 2 * sigma2 * (e_psi + e_dot))
+    resid = lhs_r - rhs_r
+    decomposition = {"lhs_gap": float(lhs_r.mean()), "rhs_formula": float(rhs_r.mean()),
+                     "residual": float(resid.mean()), "residual_se": se(resid),
+                     "agree": bool(abs(resid.mean()) < 3 * se(resid))}
+    lhs6 = float(e_psi2.mean() / float(e_psi.mean() + e_dot.mean()))
+    lhs7 = float(e_psi2.mean() / float(e_psi.mean()))
+    sufficient = [
+        analysis.ConditionReport(
+            name="general_ratio_condition", lhs=lhs6, rhs=2 * sigma2, direction="<",
+            satisfied=lhs6 < 2 * sigma2, std_errors=(se(e_psi2), se(e_psi), se(e_dot))),
+        analysis.ConditionReport(
+            name="mean_adjusted_ratio_condition", lhs=lhs7, rhs=2 * sigma2, direction="<",
+            satisfied=lhs7 < 2 * sigma2, std_errors=(se(e_psi2), se(e_psi))),
+    ] + sufficient_conditions(s, sigma2, psi, eps=eps, delta=delta, bound=bound)[2:]
+    return improvement, decomposition, sufficient
 
 
 def _unblocked_stein_gap_terms(aggregates, psis, mu):

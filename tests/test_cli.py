@@ -647,7 +647,7 @@ def test_a_replicate_block_and_a_chunks_truths_are_counted(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_conditions_memory_is_the_terms_and_one_chunk_per_thread(tmp_path, monkeypatch,
+def test_conditions_memory_is_the_terms_and_one_block_per_thread(tmp_path, monkeypatch,
                                                                  threads):
     import tracemalloc
 
@@ -666,11 +666,10 @@ def test_conditions_memory_is_the_terms_and_one_chunk_per_thread(tmp_path, monke
     finally:
         tracemalloc.stop()
     # (R,) arrays: the terms pass keeps five, and the checks' plug-ins add
-    # about a dozen; a thread holds one chunk's truths, one block and
-    # block-sized temporaries.  The (R, m) aggregate and truth stores would
-    # add 9.6 MB
-    per_thread = (8 * analysis.CHUNK * m + analysis.BLOCK_BYTES
-                  + 2 * baselines.ITERATION_BLOCK_BYTES)
+    # a few; a thread holds one block, its truths and block-sized
+    # temporaries.  A chunk's (CHUNK, m) truths would add 1.6 MB a thread,
+    # and the (R, m) aggregate and truth stores 9.6 MB
+    per_thread = analysis.BLOCK_BYTES + 2 * baselines.ITERATION_BLOCK_BYTES
     assert peak <= 8 * replicates * 16 + threads * per_thread
 
 

@@ -103,6 +103,25 @@ class TestDrawInPlace:
         # the stream goes on from the same place
         assert got_rng.standard_normal(5).tobytes() == want_rng.standard_normal(5).tobytes()
 
+    @pytest.mark.parametrize("gt", TRUTH_SPECS, ids=repr)
+    @pytest.mark.parametrize("rows", [1, 3, 16, 40])
+    def test_row_blocks_drawn_in_turn_are_the_whole_draw(self, gt, rows):
+        # the contract behind iter_replicates' block truths
+        want_rng, got_rng = stream(3, 100, 1), stream(3, 100, 1)
+        want = gt.draw((40, 7), want_rng)
+        blocks = [gt.draw((min(rows, 40 - lo), 7), got_rng) for lo in range(0, 40, rows)]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        buffer = np.empty((rows, 7))
+        skip_rng = stream(3, 100, 1)
+        for lo in range(0, 40, rows):
+            k = min(rows, 40 - lo)
+            gt.draw((k, 7), skip_rng, out=buffer[:k])
+        # drawing the blocks, or past them through one buffer, leaves each
+        # stream where the whole draw left it
+        tail = want_rng.standard_normal(5).tobytes()
+        assert got_rng.standard_normal(5).tobytes() == tail
+        assert skip_rng.standard_normal(5).tobytes() == tail
+
 
 class TestFileFormat:
     def test_round_trip_exact(self, tmp_path):
