@@ -8,11 +8,11 @@ streams; ``BLOCK_BYTES`` changes no value.  Each chunk's truths and worker
 variances are drawn first, (CHUNK, m) and (CHUNK, n), and its noise then
 follows from the same stream in blocks of at most ``BLOCK_BYTES``, built in
 place.  Splitting sequential draws changes no value, so the replicate tensor
-per worker thread stays L2-cache-sized whatever n and m are.  With
-``block_truths`` the chunk's stream draws past its truths, and a second copy
-of it draws each block's truths, so a chunk holds no (CHUNK, m) truths (see
-``iter_replicates``).  A chunk's arrays are dropped before the next chunk's
-truths are drawn.  ``mc_risk`` runs a first stage that several pipelines
+per worker thread stays L2-cache-sized whatever n and m are.  Where a
+second truth draw is cheap (``_draws_block_truths``) the chunk's stream
+draws past its truths, and a second copy of it draws each block's truths, so
+a chunk holds no (CHUNK, m) truths (see ``iter_replicates``).  A chunk's
+arrays are dropped before the next chunk's truths are drawn.  ``mc_risk`` runs a first stage that several pipelines
 share, such as ``blue``, once per block (see ``Pipeline``).
 
 Chunks are independent, so ``iter_replicates(..., chunks=)`` draws any of
@@ -20,12 +20,9 @@ them alone.  ``mc_risk``, ``sample_aggregate_stream`` and
 ``sample_condition_terms`` share one chunk engine, ``_each_chunk``: each task
 draws one chunk and writes its rows of preallocated outputs, serially or
 side by side on a thread pool, so the numbers are the same at any thread
-count and a thread holds one chunk at a time.  Only
-``sample_condition_terms`` draws block truths: at conditions' n = 10 the
-second truth draw is a tenth of the noise draw, while simulate's n = 1 cells
-would draw as many truths again as noise.  Every base answers a replicate
-the same in any batch (CRH and CATD stop each row on its own weights), so
-every consumer takes ``BLOCK_BYTES`` blocks.  ψ, ∂ψ and the
+count and a thread holds one chunk at a time.  Every base answers a
+replicate the same in any batch (CRH and CATD stop each row on its own
+weights), so every consumer takes ``BLOCK_BYTES`` blocks.  ψ, ∂ψ and the
 Stein-gap terms run in row blocks (``baselines.block_rows``), so their
 temporaries stay block-sized.
 
@@ -33,7 +30,7 @@ The condition checks read a stream's Stein-gap terms, ψ and ∂ψ, all (R,)
 arrays.  ``sample_condition_terms``, behind ``ebtruth conditions``, writes a
 block's terms next to its ψ and ∂ψ and then drops the block's aggregates
 and truths, so it keeps no (R, m) array.  Each check builds s² once and
-only the plug-ins it reads, in place.  ``sample_aggregate_stream`` keeps
+only the plug-ins it reads.  ``sample_aggregate_stream`` keeps
 the (R, m) aggregates and truths as well, for callers that read them: each
 chunk's truths are drawn into its truth store (``iter_replicates(...,
 truths=)``) and the base writes its answers into its aggregate store
@@ -66,7 +63,9 @@ from .baselines import TdAlgorithm, block_rows, blue, by_row_blocks, run_td_batc
 from .data import (
     ROLE_GT,
     ROLE_SIGMA,
+    ConstantGT,
     Dataset,
+    GaussianGT,
     GtSpec,
     SigmaSpec,
     SyntheticSpec,
@@ -103,6 +102,11 @@ BLOCK_BYTES = 2**20
 KEPT_BATCH_BYTES = 16 * 2**20
 
 REPLICATE_ROLE = 100  # stream role for Monte Carlo replicate chunks
+# Fewest workers at which a chunk's Gaussian truths are drawn a block at a
+# time: the second truth draw is then at most a tenth of the noise draw.  On
+# a 2-vCPU VM at m = 50 it made the conditions pass 3-5 % slower at n = 10
+# and 30 % slower at n = 1, where it draws as many truths again as noise.
+BLOCK_TRUTHS_MIN_N = 10
 
 # Most bytes one request may allocate: ``improvement_ratios``' sample batch
 # and its scoring (``batch_bytes``), or the per-replicate arrays of
@@ -174,8 +178,7 @@ class AwgGenerator:
             raise EmptyMatrixError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
 
 
-def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, truths=None,
-                    block_truths: bool = False):
+def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, truths=None):
     """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) blocks, deterministically.
 
     A block holds at most ``BLOCK_BYTES`` of X (but at least one replicate);
@@ -188,29 +191,26 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, 
     rows of the store, and every mu yielded is a view of it, so the chunk
     allocates no (r, m) truths of its own.
 
-    ``block_truths`` draws a chunk's fresh truths a block at a time when
-    there is no store and ``gen.gt`` is a built-in ``GtSpec``.  The chunk's
-    stream draws past its truths through one block-sized buffer and then
-    draws the worker variances and noise as before; a second copy of the
-    stream draws each block's truth rows just before they are added.  A
-    built-in spec's row blocks drawn in turn are its whole draw (see
-    ``data``), so the blocks carry the same bits, and the chunk holds one
-    block of truths instead of (r, m).  It costs a second truth draw, which
-    is cheap only when the noise, n times larger, dominates.
+    Without a store, a chunk whose truths ``_draws_block_truths`` chooses
+    draws them a block at a time.  The chunk's stream draws past its truths
+    through one block-sized buffer and then draws the worker variances and
+    noise as before; a second copy of the stream draws each block's truth
+    rows just before they are added.  A built-in spec's row blocks drawn in
+    turn are its whole draw (see ``data``), so the blocks carry the same
+    bits, and the chunk holds one block of truths instead of (r, m).
     """
     fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
     fixed_sig2 = (None if gen.fresh_sigmas
                   else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
     fixed_sd = None if fixed_sig2 is None else np.sqrt(fixed_sig2)
-    block_truths = (block_truths and gen.fresh_gt and truths is None
-                    and type(gen.gt) in GtSpec.__args__)
     for chunk_index in range(n_chunks(replicates)) if chunks is None else chunks:
         start = chunk_index * CHUNK
         r = min(CHUNK, replicates - start)
         rows = min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
         rng = stream(seed, REPLICATE_ROLE, chunk_index)
         store = None if truths is None else truths[start:start + r]
-        if block_truths:
+        by_block = store is None and _draws_block_truths(gen, r, rows)
+        if by_block:
             # draw past the truths; truth_rng, at the chunk's start, redraws them
             truth_rng = stream(seed, REPLICATE_ROLE, chunk_index)
             skip = np.empty((rows, gen.m))
@@ -235,13 +235,25 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, 
             hi = min(lo + rows, r)
             X = rng.standard_normal(size=(hi - lo, gen.n, gen.m))
             X *= sd[lo:hi]
-            mu_block = (gen.gt.draw((hi - lo, gen.m), truth_rng) if block_truths
-                        else mu[lo:hi])
+            mu_block = gen.gt.draw((hi - lo, gen.m), truth_rng) if by_block else mu[lo:hi]
             X += mu_block[:, None, :]
             yield X, mu_block, sig2[lo:hi]
         # drop this chunk's arrays, views included, before the next chunk's
         # truths are drawn
         del X, mu, mu_block, sig2, sd, store
+
+
+def _draws_block_truths(gen: AwgGenerator, r: int, rows: int) -> bool:
+    """Whether ``iter_replicates`` draws a chunk's r fresh truths a block of
+    ``rows`` at a time.  Only a chunk of several blocks holds less that way,
+    and only a built-in spec may be drawn in blocks: ``ConstantGT`` draws
+    nothing from the stream, so its second draw is free, and ``GaussianGT``
+    draws m values a replicate against the noise's n·m, so it is drawn twice
+    only from ``BLOCK_TRUTHS_MIN_N`` workers up."""
+    if not gen.fresh_gt or rows >= r:
+        return False
+    return (type(gen.gt) is ConstantGT
+            or (type(gen.gt) is GaussianGT and gen.n >= BLOCK_TRUTHS_MIN_N))
 
 
 def n_chunks(replicates: int) -> int:
@@ -391,12 +403,12 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
 
 
 def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int, on_block,
-                truths=None, block_truths: bool = False) -> None:
+                truths=None) -> None:
     """Call ``on_block(pos, X, mu, sig2)`` on every block of every chunk,
     ``pos`` being the block's first replicate; the chunk engine behind
     ``mc_risk``, ``sample_aggregate_stream`` and ``sample_condition_terms``.
-    ``truths`` and ``block_truths`` are passed to ``iter_replicates``, so the
-    chunks draw their truths into that store, or a block at a time.
+    ``truths`` is passed to ``iter_replicates``, so the chunks draw their
+    truths into that store.
 
     One task draws one chunk, through ``iter_replicates(..., chunks=[i])``,
     and drops it when it returns, so a thread never holds two chunks.
@@ -414,7 +426,7 @@ def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int, on_
     def run_chunk(chunk_index):
         pos = chunk_index * CHUNK
         for X, mu, sig2 in iter_replicates(gen, replicates, seed, chunks=[chunk_index],
-                                           truths=truths, block_truths=block_truths):
+                                           truths=truths):
             on_block(pos, X, mu, sig2)
             pos += X.shape[0]
 
@@ -516,9 +528,9 @@ def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
 
     Each block's Stein-gap terms are written next to its ψ and ∂ψ, and the
     block's aggregates and truths are then dropped, so the pass keeps (R,)
-    arrays only.  The chunks draw their truths a block at a time
-    (``iter_replicates(..., block_truths=True)``), so a thread holds one
-    block and its truths, not a chunk's (CHUNK, m) truths.  A
+    arrays only, and a thread holds one block and, unless the chunk draws
+    its truths a block at a time (``_draws_block_truths``), its chunk's
+    truths.  A
     row's terms do not depend on its block, so they are the bits that
     ``stein_gap_terms`` gives on the stores of ``sample_aggregate_stream``
     with the same arguments, at any ``threads``.  Its checks are those of
@@ -538,7 +550,7 @@ def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
         dots[rows] = psi_derivative_dot_batch(psi, X, xa)
         _write_gap_terms(xa, psis[rows], mu, ok[rows], ss[rows], cov[rows])
 
-    _each_chunk(gen, replicates, seed, threads, on_block, block_truths=True)
+    _each_chunk(gen, replicates, seed, threads, on_block)
     return ConditionTerms(terms=_kept_terms(ok, ss, cov, psis), psis=psis,
                           derivative_dots=dots, m=gen.m, seed=seed)
 
@@ -633,17 +645,14 @@ def _stream_terms(s: AggregateStream | ConditionTerms):
     return ss, cov, quad
 
 
-def _plug_in(s: AggregateStream | ConditionTerms, s2: np.ndarray, k: int) -> np.ndarray:
-    """The k-th s^2-normalised plug-in of a stream, a fresh (R,) array:
-    psi^2/s^2 (k = 0), psi/s^2 (k = 1) or dot/((m-3) s^2) (k = 2), with
-    s^2 = ss/(m-1).  A check builds only those it reads, one at a time."""
-    if k == 0:
-        out = s.psis**2
-        return np.divide(out, s2, out=out)
-    if k == 1:
-        return s.psis / s2
-    out = (s.m - 3) * s2
-    return np.divide(s.derivative_dots, out, out=out)
+def _plug_ins(s: AggregateStream | ConditionTerms, ss: np.ndarray):
+    """Yield a stream's s^2-normalised plug-ins psi^2/s^2, psi/s^2 and
+    dot/((m-3) s^2) in turn, each a fresh (R,) array, with s^2 = ss/(m-1)
+    built once."""
+    s2 = ss / (s.m - 1)
+    yield s.psis**2 / s2
+    yield s.psis / s2
+    yield s.derivative_dots / ((s.m - 3) * s2)
 
 
 def improvement_condition(s: AggregateStream | ConditionTerms) -> ConditionReport:
@@ -653,8 +662,7 @@ def improvement_condition(s: AggregateStream | ConditionTerms) -> ConditionRepor
     comparison."""
     _, cov_term, quad_term = _stream_terms(s)
     alpha = s.m - 3
-    t = 2 * alpha * cov_term
-    t -= alpha**2 * quad_term
+    t = 2 * alpha * cov_term - alpha**2 * quad_term
     se = _std_error(t)
     lhs = float(t.mean())
     return ConditionReport(name="improvement_condition", lhs=lhs, rhs=0.0,
@@ -674,31 +682,16 @@ def risk_decomposition(s: AggregateStream | ConditionTerms, sigma2: float) -> di
     ss, cov_term, _ = _stream_terms(s)
     m = s.m
     alpha = m - 3
-    # rhs = alpha^2/(m-1) * (e_psi2 - 2 sigma2 (e_psi + e_dot)), in place
-    s2 = ss / (m - 1)
-    e_psi = _plug_in(s, s2, 1)
-    e_psi += _plug_in(s, s2, 2)
-    e_psi *= 2 * sigma2
-    rhs_r = _plug_in(s, s2, 0)
-    del s2
-    rhs_r -= e_psi
-    del e_psi
-    rhs_r *= alpha**2 / (m - 1)
-    # the paired per-replicate gap via the exact algebraic expansion of the loss
-    lhs_r = -2 * alpha * cov_term
-    quad = s.psis**2
-    quad *= alpha**2
-    quad /= ss
-    lhs_r += quad
-    del quad
-    lhs_gap, rhs_formula = float(lhs_r.mean()), float(rhs_r.mean())
-    resid = lhs_r
-    resid -= rhs_r
-    del rhs_r
+    e_psi2, e_psi, e_dot = _plug_ins(s, ss)
+    rhs_r = (alpha**2 / (m - 1)) * (e_psi2 - 2 * sigma2 * (e_psi + e_dot))
+    del e_psi2, e_psi, e_dot
+    # paired per-replicate gap via the exact algebraic expansion of the loss
+    lhs_r = -2 * alpha * cov_term + alpha**2 * s.psis**2 / ss
+    resid = lhs_r - rhs_r
     se = _std_error(resid)
     return {
-        "lhs_gap": lhs_gap,
-        "rhs_formula": rhs_formula,
+        "lhs_gap": float(lhs_r.mean()),
+        "rhs_formula": float(rhs_r.mean()),
         "residual": float(resid.mean()),
         "residual_se": se,
         "agree": bool(abs(resid.mean()) < 3 * se if se > 0 else resid.mean() == 0),
@@ -728,14 +721,11 @@ def sufficient_conditions(s: AggregateStream | ConditionTerms, sigma2: float,
     """
     check_deviation_inputs(eps, delta, bound)
     ss, _, _ = _stream_terms(s)
-    s2 = ss / (s.m - 1)
-    # the mean and standard error of psi^2/s^2, psi/s^2 and dot/((m-3) s^2)
+    # each plug-in's mean and standard error, one plug-in at a time
     means, ses = [], []
-    for k in range(3):
-        e = _plug_in(s, s2, k)
+    for e in _plug_ins(s, ss):
         means.append(e.mean())
         ses.append(_std_error(e))
-    del e, s2
     (m_psi2, m_psi, m_dot), (se_psi2, se_psi, se_dot) = means, ses
     reports = []
 

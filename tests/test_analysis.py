@@ -284,14 +284,38 @@ class TestReplicateBlocks:
                                               block_rows):
         gen = AwgGenerator(gt, REDRAWN, n=3, m=7, fresh_gt=fresh_gt, fresh_sigmas=fresh_sigmas)
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * block_rows)
+        monkeypatch.setattr(analysis, "BLOCK_TRUTHS_MIN_N", 1)
+        by_block = fresh_gt and not isinstance(gt, ShiftedGT)
+        assert analysis._draws_block_truths(gen, 50, block_rows) == by_block
         chunks = [2, 0, 1]  # 130 replicates: 50 + 50 + a short 30, out of order
-        want = list(analysis.iter_replicates(gen, 130, seed=4, chunks=chunks))
-        got = list(analysis.iter_replicates(gen, 130, seed=4, chunks=chunks, block_truths=True))
-        assert [b[0].shape[0] for b in got] == [b[0].shape[0] for b in want]
+        got = list(analysis.iter_replicates(gen, 130, seed=4, chunks=chunks))
         assert len(got) == (10 if block_rows == 16 else 130)
-        for block, ref in zip(got, want):
-            for a, b in zip(block, ref):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        want = list(_reference_chunks(gen, 130, seed=4))
+        for parts, ref in zip(zip(*got), zip(*[want[c] for c in chunks])):
+            assert np.concatenate(parts).tobytes() == np.concatenate(ref).tobytes()
+
+    @pytest.mark.parametrize("gt, n, fresh_gt, r, rows, by_block", [
+        (GaussianGT(2.0, 1.0), 10, True, 50, 16, True),
+        (GaussianGT(2.0, 1.0), 9, True, 50, 16, False),  # a second draw over a ninth
+        (GaussianGT(2.0, 1.0), 1, True, 50, 16, False),
+        (ConstantGT(2.0), 1, True, 50, 16, True),  # draws nothing from the stream
+        (ConstantGT(2.0), 10, False, 50, 16, False),  # fixed truths
+        (GaussianGT(2.0, 1.0), 10, True, 50, 50, False),  # one block holds the chunk
+        (ShiftedGT(), 10, True, 50, 16, False),  # not a built-in spec
+    ])
+    def test_block_truths_are_drawn_where_they_are_cheap(self, gt, n, fresh_gt, r, rows,
+                                                         by_block):
+        gen = AwgGenerator(gt, REDRAWN, n=n, m=7, fresh_gt=fresh_gt)
+        assert analysis._draws_block_truths(gen, r, rows) == by_block
+
+    def test_a_truth_store_keeps_the_chunk_path(self, monkeypatch):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=10, m=7)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 10 * 7 * 16)
+        store = np.empty((130, 7))
+        blocks = list(analysis.iter_replicates(gen, 130, seed=4, truths=store))
+        assert all(np.shares_memory(mu, store) for _, mu, _ in blocks)
+        want = list(_reference_chunks(gen, 130, seed=4))
+        assert np.array_equal(store, np.concatenate([mu for _, mu, _ in want]))
 
     @pytest.mark.parametrize("budget", [1000, 10])
     def test_no_block_exceeds_the_budget(self, monkeypatch, budget):
@@ -599,21 +623,21 @@ class TestChunkEngine:
         chunk = 8 * analysis.CHUNK * (m + 3 * n) + 4 * analysis.BLOCK_BYTES
         assert peak - losses <= threads * chunk
 
-    @pytest.mark.parametrize("block_truths", [False, True])
+    @pytest.mark.parametrize("n, block_truths", [(8, False), (10, True)])
     @pytest.mark.parametrize("fresh_sigmas", [False, True])
-    def test_iterating_several_chunks_holds_one_chunk(self, monkeypatch, fresh_sigmas,
+    def test_iterating_several_chunks_holds_one_chunk(self, monkeypatch, fresh_sigmas, n,
                                                       block_truths):
         import tracemalloc
 
-        n, m = 8, 100
+        m = 100
         monkeypatch.setattr(analysis, "CHUNK", 5000)
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 2**16)
         gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=n, m=m,
                            fresh_gt=True, fresh_sigmas=fresh_sigmas)
+        assert analysis._draws_block_truths(gen, 5000, 2**16 // (8 * n * m)) == block_truths
         tracemalloc.start()
         try:
-            for block in analysis.iter_replicates(gen, 15_000, seed=2,
-                                                  block_truths=block_truths):
+            for block in analysis.iter_replicates(gen, 15_000, seed=2):
                 del block
             peak = tracemalloc.get_traced_memory()[1]
         finally:
