@@ -12,8 +12,9 @@ per worker thread stays L2-cache-sized whatever n and m are.  Where a
 second truth draw is cheap (``_draws_block_truths``) the chunk's stream
 draws past its truths, and a second copy of it draws each block's truths, so
 a chunk holds no (CHUNK, m) truths (see ``iter_replicates``).  A chunk's
-arrays are dropped before the next chunk's truths are drawn.  ``mc_risk`` runs a first stage that several pipelines
-share, such as ``blue``, once per block (see ``Pipeline``).
+arrays are dropped before the next chunk's truths are drawn.  ``mc_risk``
+runs a first stage that several pipelines share, such as ``blue``, once per
+block (see ``Pipeline``).
 
 Chunks are independent, so ``iter_replicates(..., chunks=)`` draws any of
 them alone.  ``mc_risk``, ``sample_aggregate_stream`` and

@@ -13,9 +13,9 @@ or (r, n) for worker variances, so one vector and a batch share the code.
 A built-in ``GtSpec`` draws each value from the next ones of the stream, so
 its ``draw((r, m), rng)`` equals its row blocks ``draw((k, m), rng)`` drawn
 in turn from the same stream, with or without ``out=``, and leaves the
-stream in the same place.  ``analysis.iter_replicates(...,
-block_truths=True)`` relies on this: it draws a chunk's truths a block at a
-time from a second copy of the chunk's stream.
+stream in the same place.  ``analysis.iter_replicates`` relies on this when
+it draws a chunk's truths a block at a time from a second copy of the
+chunk's stream.
 """
 
 from __future__ import annotations
