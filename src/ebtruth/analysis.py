@@ -31,12 +31,10 @@ The condition checks read a stream's Stein-gap terms, ψ and ∂ψ, all (R,)
 arrays.  ``sample_condition_terms``, behind ``ebtruth conditions``, writes a
 block's terms next to its ψ and ∂ψ and then drops the block's aggregates
 and truths, so it keeps no (R, m) array.  Each check builds s² once and
-only the plug-ins it reads.  ``sample_aggregate_stream`` keeps
-the (R, m) aggregates and truths as well, for callers that read them: each
-chunk's truths are drawn into its truth store (``iter_replicates(...,
-truths=)``) and the base writes its answers into its aggregate store
-(``run_td_batch(..., out=)``), so neither is held twice; its checks share
-one ``stein_gap_terms`` pass per ``AggregateStream``.  A row's terms are the
+only the plug-ins it reads.  ``sample_aggregate_stream`` keeps the (R, m)
+aggregates and truths as well, for callers that read them: it copies each
+block's answers and truths into its stores, and its checks share one
+``stein_gap_terms`` pass per ``AggregateStream``.  A row's terms are the
 same bits either way.  Every array a request sizes (an improvement-ratio
 batch, the per-replicate condition arrays or stores, the Monte Carlo losses,
 each with one replicate block and one chunk's truths, which bound the two
@@ -179,7 +177,7 @@ class AwgGenerator:
             raise EmptyMatrixError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
 
 
-def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, truths=None):
+def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None):
     """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) blocks, deterministically.
 
     A block holds at most ``BLOCK_BYTES`` of X (but at least one replicate);
@@ -187,16 +185,14 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, 
     needs a whole chunk.  ``chunks`` selects chunk indices (all
     ``n_chunks(replicates)`` of them by default); a chunk's blocks are the
     same whichever others are drawn, so chunks can be drawn in any order or
-    side by side.  ``truths``, a (replicates, m) float array, is a store for
-    the truths: each chunk's truths, fresh or fixed, are written into its
-    rows of the store, and every mu yielded is a view of it, so the chunk
-    allocates no (r, m) truths of its own.
+    side by side.
 
-    Without a store, a chunk whose truths ``_draws_block_truths`` chooses
-    draws them a block at a time.  The chunk's stream draws past its truths
-    through one block-sized buffer and then draws the worker variances and
-    noise as before; a second copy of the stream draws each block's truth
-    rows just before they are added.  A built-in spec's row blocks drawn in
+    A chunk whose truths ``_draws_block_truths`` chooses draws them a block
+    at a time.  The chunk's stream draws past its truths a block at a time,
+    dropping each block, and then draws the worker variances and noise as
+    before; a second copy of the stream draws each block's truth rows just
+    before they are added.  Any other chunk draws its (r, m) truths, or
+    broadcasts fixed ones, in one go.  A built-in spec's row blocks drawn in
     turn are its whole draw (see ``data``), so the blocks carry the same
     bits, and the chunk holds one block of truths instead of (r, m).
     """
@@ -209,23 +205,17 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, 
         r = min(CHUNK, replicates - start)
         rows = min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
         rng = stream(seed, REPLICATE_ROLE, chunk_index)
-        store = None if truths is None else truths[start:start + r]
-        by_block = store is None and _draws_block_truths(gen, r, rows)
+        by_block = _draws_block_truths(gen, r, rows)
         if by_block:
             # draw past the truths; truth_rng, at the chunk's start, redraws them
             truth_rng = stream(seed, REPLICATE_ROLE, chunk_index)
-            skip = np.empty((rows, gen.m))
             for lo in range(0, r, rows):
-                k = min(rows, r - lo)
-                gen.gt.draw((k, gen.m), rng, out=skip[:k])
-            mu = skip = None
+                gen.gt.draw((min(rows, r - lo), gen.m), rng)
+            mu = None
         elif gen.fresh_gt:
-            mu = gen.gt.draw((r, gen.m), rng, out=store)
-        elif store is None:
-            mu = np.broadcast_to(fixed_mu, (r, gen.m))
+            mu = gen.gt.draw((r, gen.m), rng)
         else:
-            store[...] = fixed_mu
-            mu = store
+            mu = np.broadcast_to(fixed_mu, (r, gen.m))
         if gen.fresh_sigmas:
             sig2 = gen.worker_sigmas.draw((r, gen.n), rng)
             sd = np.sqrt(sig2)[:, :, None]
@@ -241,16 +231,18 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None, 
             yield X, mu_block, sig2[lo:hi]
         # drop this chunk's arrays, views included, before the next chunk's
         # truths are drawn
-        del X, mu, mu_block, sig2, sd, store
+        del X, mu, mu_block, sig2, sd
 
 
 def _draws_block_truths(gen: AwgGenerator, r: int, rows: int) -> bool:
     """Whether ``iter_replicates`` draws a chunk's r fresh truths a block of
-    ``rows`` at a time.  Only a chunk of several blocks holds less that way,
-    and only a built-in spec may be drawn in blocks: ``ConstantGT`` draws
-    nothing from the stream, so its second draw is free, and ``GaussianGT``
-    draws m values a replicate against the noise's n·m, so it is drawn twice
-    only from ``BLOCK_TRUTHS_MIN_N`` workers up."""
+    ``rows`` at a time, for every consumer alike (``mc_risk``,
+    ``sample_aggregate_stream`` and ``sample_condition_terms``).  Only a
+    chunk of several blocks holds less that way, and only a built-in spec
+    may be drawn in blocks: ``ConstantGT`` draws nothing from the stream, so
+    its second draw is free, and ``GaussianGT`` draws m values a replicate
+    against the noise's n·m, so it is drawn twice only from
+    ``BLOCK_TRUTHS_MIN_N`` workers up."""
     if not gen.fresh_gt or rows >= r:
         return False
     return (type(gen.gt) is ConstantGT
@@ -403,13 +395,11 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     return McResult(reports=reports, losses=losses, seed=seed, convention=convention)
 
 
-def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int, on_block,
-                truths=None) -> None:
+def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int,
+                on_block) -> None:
     """Call ``on_block(pos, X, mu, sig2)`` on every block of every chunk,
     ``pos`` being the block's first replicate; the chunk engine behind
     ``mc_risk``, ``sample_aggregate_stream`` and ``sample_condition_terms``.
-    ``truths`` is passed to ``iter_replicates``, so the chunks draw their
-    truths into that store.
 
     One task draws one chunk, through ``iter_replicates(..., chunks=[i])``,
     and drops it when it returns, so a thread never holds two chunks.
@@ -426,8 +416,7 @@ def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int, on_
 
     def run_chunk(chunk_index):
         pos = chunk_index * CHUNK
-        for X, mu, sig2 in iter_replicates(gen, replicates, seed, chunks=[chunk_index],
-                                           truths=truths):
+        for X, mu, sig2 in iter_replicates(gen, replicates, seed, chunks=[chunk_index]):
             on_block(pos, X, mu, sig2)
             pos += X.shape[0]
 
@@ -496,12 +485,14 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
 
     The chunks run on ``threads`` threads, each writing its own rows of the
     stores, so the result does not depend on ``threads`` (see
-    ``_each_chunk``).  The stores are written in place: each chunk draws its
-    truths into ``mu`` and the base writes each block's answers into
-    ``aggregates``, so a thread holds no (CHUNK, m) array of its own.
-    Fewer than 2 replicates raise InsufficientReplicatesError, and a request
-    over ``MAX_BATCH_BYTES`` (see ``_check_replicates``)
-    RequestTooLargeError, before anything is drawn.
+    ``_each_chunk``).  Each block's answers and truths are copied into the
+    ``aggregates`` and ``mu`` stores, so a thread holds one block of answers,
+    and one block of truths where its chunk draws them a block at a time
+    (``_draws_block_truths``); otherwise it holds its chunk's (CHUNK, m)
+    truths, which ``_check_replicates`` counts.  Fewer than 2 replicates
+    raise InsufficientReplicatesError, and a request over
+    ``MAX_BATCH_BYTES`` (see ``_check_replicates``) RequestTooLargeError,
+    before anything is drawn.
     """
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
@@ -513,11 +504,12 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
 
     def on_block(pos, X, mu, sig2):
         rows = slice(pos, pos + X.shape[0])
-        xa = run_td_batch(base, X, out=aggregates[rows])
+        aggregates[rows] = xa = run_td_batch(base, X)
+        mus[rows] = mu
         psis[rows] = psi_batch(psi, X, xa)
         dots[rows] = psi_derivative_dot_batch(psi, X, xa)
 
-    _each_chunk(gen, replicates, seed, threads, on_block, truths=mus)
+    _each_chunk(gen, replicates, seed, threads, on_block)
     return AggregateStream(aggregates=aggregates, psis=psis, derivative_dots=dots,
                            mu=mus, seed=seed)
 
@@ -535,10 +527,13 @@ def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
     row's terms do not depend on its block, so they are the bits that
     ``stein_gap_terms`` gives on the stores of ``sample_aggregate_stream``
     with the same arguments, at any ``threads``.  Its checks are those of
-    ``sample_aggregate_stream``.
+    ``sample_aggregate_stream``, and m <= 3, which every condition check
+    refuses, raises InsufficientDataError before anything is drawn too.
     """
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
+    if gen.m <= 3:
+        raise InsufficientDataError("condition needs m > 3")
     # ψ, ∂ψ, ss, the covariance and quadratic terms, and the mask
     _check_replicates(gen, replicates, 5 * 8 + 1, "condition terms")
     ok = np.empty(replicates, dtype=bool)
@@ -611,7 +606,8 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
 
     ``aggregates`` is (replicates, m), ``sigma2_hats`` is (replicates,), and
     ``mu`` the known ground truth (synthetic benchmarks only: the covariances
-    are taken around the truth).  The estimate is the mean covariance term
+    are taken around the truth); other shapes raise
+    InsufficientReplicatesError.  The estimate is the mean covariance term
     over the mean quadratic term of ``stein_gap_terms``; the risk in alpha is
     a parabola maximized at that ratio.  Replicates with zero dispersion
     (flat, or whose ss underflows) are left out.  No questions (m = 0) raise
@@ -620,12 +616,18 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     aggregates = np.asarray(aggregates, dtype=float)
     sigma2_hats = np.asarray(sigma2_hats, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if aggregates.ndim != 2 or aggregates.shape[1] != mu.shape[0]:
-        raise InsufficientReplicatesError("aggregates must be (replicates, m) matching mu")
+    if aggregates.ndim != 2 or mu.shape != aggregates.shape[1:]:
+        raise InsufficientReplicatesError(
+            f"aggregates must be (replicates, m) matching mu, got shapes {aggregates.shape} "
+            f"and {mu.shape}")
     if aggregates.shape[1] == 0:
         raise EmptyMatrixError("expected questions, got m = 0")
     r = aggregates.shape[0]
-    if r < 30 or sigma2_hats.shape[0] != r:
+    if sigma2_hats.shape != (r,):
+        raise InsufficientReplicatesError(
+            f"sigma2_hats must be ({r},) for aggregates of shape {aggregates.shape}, "
+            f"got shape {sigma2_hats.shape}")
+    if r < 30:
         raise InsufficientReplicatesError(f"need >= 30 replicates, got {r}")
     ok, _, cov, quad = stein_gap_terms(aggregates, sigma2_hats,
                                        np.broadcast_to(mu, aggregates.shape))

@@ -1,12 +1,11 @@
 """Black-box truth-discovery baselines producing one aggregated answer vector.
 
 Each baseline's ``aggregate`` method maps a (replicates, n, m) stack to
-(replicates, m), written into ``out`` when it is given; the single-matrix
-form is that method at batch size 1.  Every base works over the stack in
-cache-sized row blocks (``ITERATION_BLOCK_BYTES``), so its temporaries stay
-block-sized: Median and DistanceWeighted in one pass (``by_row_blocks``),
-CRH and CATD iterating each block until its rows stop, each row on its own
-weights.  So no base's answer for a replicate depends on the batch around it.
+(replicates, m); the single-matrix form is that method at batch size 1.
+Every base works over the stack in cache-sized row blocks
+(``ITERATION_BLOCK_BYTES``), so its temporaries stay block-sized: Median and
+DistanceWeighted in one pass (``by_row_blocks``), CRH and CATD iterating
+each block until its rows stop, each row on its own weights.  So no base's answer for a replicate depends on the batch around it.
 """
 
 from __future__ import annotations
@@ -32,15 +31,14 @@ DEFAULT_CONVERGENCE_TOL = 1e-8
 ITERATION_BLOCK_BYTES = 512 * 1024
 
 
-def blue(values: np.ndarray, sigma2s: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def blue(values: np.ndarray, sigma2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """BLUE kernel: values (..., n, m) and worker variances (..., n) give the
-    inverse-variance-weighted answers (..., m), into ``out`` when it is
-    given, and the aggregated-worker variance (...), the reciprocal of the
-    summed reciprocal variances."""
+    inverse-variance-weighted answers (..., m) and the aggregated-worker
+    variance (...), the reciprocal of the summed reciprocal variances."""
     if sigma2s.shape[-1] != values.shape[-2]:
         raise LengthMismatchError(f"{sigma2s.shape[-1]} variances for {values.shape[-2]} workers")
     w = 1.0 / sigma2s
-    return _weighted_mean(values, w, out), 1.0 / w.sum(axis=-1)
+    return _weighted_mean(values, w), 1.0 / w.sum(axis=-1)
 
 
 def _weighted_mean(values: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -66,22 +64,13 @@ def by_row_blocks(f, out: np.ndarray, Xb: np.ndarray, *rest) -> np.ndarray:
     return out
 
 
-def _answers(Xb: np.ndarray, out) -> np.ndarray:
-    """``out``, or a new (r, m) array when it is None."""
-    return np.empty((Xb.shape[0], Xb.shape[2])) if out is None else out
+def _answers(Xb: np.ndarray) -> np.ndarray:
+    """A new (r, m) array for the answers to a (r, n, m) stack."""
+    return np.empty((Xb.shape[0], Xb.shape[2]))
 
 
-def _lone_worker(Xb: np.ndarray, out) -> np.ndarray:
-    """A one-worker stack's answers, which are its aggregate."""
-    if out is None:
-        return Xb[:, 0, :]
-    out[...] = Xb[:, 0, :]
-    return out
-
-
-def _iterate_batch(Xb: np.ndarray, weight_rule, alg, out=None) -> np.ndarray:
-    """CRH/CATD reweighting on a (r, n, m) batch, returning the (r, m) truths
-    (``out`` when it is given).
+def _iterate_batch(Xb: np.ndarray, weight_rule, alg) -> np.ndarray:
+    """CRH/CATD reweighting on a (r, n, m) batch, returning the (r, m) truths.
 
     Every row stops on its own weights, so its truths do not depend on the
     batch it runs in: a row stops after iteration i >= 1 when its largest
@@ -92,7 +81,7 @@ def _iterate_batch(Xb: np.ndarray, weight_rule, alg, out=None) -> np.ndarray:
     in a row still iterating raises ``IterationDivergenceError``.
     """
     rows = block_rows(Xb)
-    t = _answers(Xb, out)
+    t = _answers(Xb)
     for lo in range(0, Xb.shape[0], rows):
         _iterate_rows(Xb[lo:lo + rows], weight_rule, alg, t[lo:lo + rows])
     return t
@@ -157,14 +146,14 @@ class Blue:
             self, "variances", tuple(float(v) for v in validate_variances(variances))
         )
 
-    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
-        return blue(Xb, np.asarray(self.variances), out)[0]
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        return blue(Xb, np.asarray(self.variances))[0]
 
 
 @dataclass(frozen=True)
 class Mean:
-    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
-        return Xb.mean(axis=1, out=out)
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        return Xb.mean(axis=1)
 
     def aggregated_variance(self, sigma2s: np.ndarray) -> float:
         """Variance of the mean answer of workers with these variances."""
@@ -173,8 +162,8 @@ class Mean:
 
 @dataclass(frozen=True)
 class Median:
-    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
-        return by_row_blocks(_median_rows, _answers(Xb, out), Xb)
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        return by_row_blocks(_median_rows, _answers(Xb), Xb)
 
 
 def _median_rows(Xb: np.ndarray) -> np.ndarray:
@@ -199,13 +188,12 @@ class CRH:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
-    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
         if Xb.shape[1] == 1:
             # a lone worker's log-ratio weight is -log(1) = 0, which would
-            # leave 0/0 truths
-            return _lone_worker(Xb, out)
-        return _iterate_batch(Xb, lambda d: -np.log(d / d.sum(axis=1, keepdims=True)), self,
-                              out)
+            # leave 0/0 truths; its answers are the aggregate
+            return Xb[:, 0, :]
+        return _iterate_batch(Xb, lambda d: -np.log(d / d.sum(axis=1, keepdims=True)), self)
 
 
 @dataclass(frozen=True)
@@ -217,8 +205,8 @@ class CATD:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
-    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
-        return _iterate_batch(Xb, _normalised_inverse, self, out)
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
+        return _iterate_batch(Xb, _normalised_inverse, self)
 
 
 def _normalised_inverse(d: np.ndarray) -> np.ndarray:
@@ -230,10 +218,10 @@ def _normalised_inverse(d: np.ndarray) -> np.ndarray:
 class DistanceWeighted:
     """Single-pass weights from average pairwise distance between workers."""
 
-    def aggregate(self, Xb: np.ndarray, out=None) -> np.ndarray:
+    def aggregate(self, Xb: np.ndarray) -> np.ndarray:
         if Xb.shape[1] == 1:
-            return _lone_worker(Xb, out)
-        return by_row_blocks(_distance_weighted_rows, _answers(Xb, out), Xb)
+            return Xb[:, 0, :]  # a lone worker's answers are the aggregate
+        return by_row_blocks(_distance_weighted_rows, _answers(Xb), Xb)
 
 
 def _distance_weighted_rows(Xb: np.ndarray) -> np.ndarray:
@@ -257,13 +245,11 @@ def blue_aggregate(X: ObservationMatrix, sigma2s) -> tuple[np.ndarray, float]:
     return answers, float(aggregated_variance)
 
 
-def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray, out=None) -> np.ndarray:
+def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray) -> np.ndarray:
     """Run a baseline on a (replicates, n, m) stack, returning (replicates, m).
 
-    With ``out``, a float (replicates, m) array, the answers are written into
-    it and it is returned; the values are the same either way.  An empty
-    batch (replicates = 0) gives an empty (0, m) result; no workers or no
-    questions (n = 0 or m = 0) raise ``EmptyMatrixError``, as an
+    An empty batch (replicates = 0) gives an empty (0, m) result; no workers
+    or no questions (n = 0 or m = 0) raise ``EmptyMatrixError``, as an
     ``ObservationMatrix`` does.
     """
     Xb = np.asarray(Xb, dtype=float)
@@ -271,10 +257,7 @@ def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray, out=None) -> np.ndarray:
         raise ValueError(f"expected a (replicates, n, m) stack, got shape {Xb.shape}")
     if Xb.shape[1] == 0 or Xb.shape[2] == 0:
         raise EmptyMatrixError(f"expected workers and questions, got shape {Xb.shape}")
-    if out is not None and (out.shape != (Xb.shape[0], Xb.shape[2]) or out.dtype != float):
-        raise ValueError(f"out must be a float {(Xb.shape[0], Xb.shape[2])} array, "
-                         f"got {out.dtype} {out.shape}")
-    return alg.aggregate(Xb, out=out)
+    return alg.aggregate(Xb)
 
 
 def run_td(alg: TdAlgorithm, X: ObservationMatrix) -> np.ndarray:

@@ -223,9 +223,12 @@ def _threads(value: str) -> int:
         if hasattr(os, "sched_getaffinity"):
             return min(8, len(os.sched_getaffinity(0)))
         return min(8, os.cpu_count() or 1)
-    n = int(value)
-    if n < 1:
-        raise ValidationError("--threads must be >= 1 or 'auto'")
+    try:
+        n = int(value)
+    except ValueError:
+        n = None
+    if n is None or n < 1:
+        raise ValidationError(f"--threads must be >= 1 or 'auto', got {value!r}")
     return n
 
 

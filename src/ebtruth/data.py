@@ -12,10 +12,9 @@ or (r, n) for worker variances, so one vector and a batch share the code.
 
 A built-in ``GtSpec`` draws each value from the next ones of the stream, so
 its ``draw((r, m), rng)`` equals its row blocks ``draw((k, m), rng)`` drawn
-in turn from the same stream, with or without ``out=``, and leaves the
-stream in the same place.  ``analysis.iter_replicates`` relies on this when
-it draws a chunk's truths a block at a time from a second copy of the
-chunk's stream.
+in turn from the same stream, and leaves the stream in the same place.
+``analysis.iter_replicates`` relies on this when it draws a chunk's truths
+a block at a time from a second copy of the chunk's stream.
 """
 
 from __future__ import annotations
@@ -180,12 +179,8 @@ class ConstantGT:
     def __post_init__(self):
         _check_params(self)
 
-    def draw(self, shape: tuple, rng: np.random.Generator, out=None) -> np.ndarray:
-        """The truths, into ``out`` (of ``shape``) when it is given."""
-        if out is None:
-            return np.full(shape, float(self.value))
-        out.fill(float(self.value))
-        return out
+    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        return np.full(shape, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -196,17 +191,8 @@ class GaussianGT:
     def __post_init__(self):
         _check_params(self, ("variance",))
 
-    def draw(self, shape: tuple, rng: np.random.Generator, out=None) -> np.ndarray:
-        """The truths, into ``out`` (of ``shape``) when it is given.  numpy's
-        normal is mean + sd * z, and IEEE + and * commute, so scaling and
-        shifting standard normals in place gives the same bits."""
-        sd = np.sqrt(self.variance)
-        if out is None:
-            return rng.normal(self.mean, sd, size=shape)
-        rng.standard_normal(out=out)
-        out *= sd
-        out += self.mean
-        return out
+    def draw(self, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(self.mean, np.sqrt(self.variance), size=shape)
 
 
 @dataclass(frozen=True)

@@ -242,17 +242,14 @@ BASE_IDS = ["mean", "median", "crh", "catd", "distance"]
 
 
 class ShiftedGT:
-    """A truth spec outside ``GtSpec`` whose row blocks drawn in turn are not
-    its whole draw: each call draws one shift, then the truths.  Block truths
-    must leave it to the chunk path."""
+    """A truth spec outside ``GtSpec``, of its ``draw(shape, rng)`` protocol,
+    whose row blocks drawn in turn are not its whole draw: each call draws
+    one shift, then the truths.  Block truths must leave it to the chunk
+    path."""
 
-    def draw(self, shape, rng, out=None):
+    def draw(self, shape, rng):
         shift = rng.standard_normal()
-        if out is None:
-            out = np.empty(shape)
-        rng.standard_normal(out=out)
-        out += shift
-        return out
+        return rng.standard_normal(size=shape) + shift
 
 
 class TestReplicateBlocks:
@@ -308,14 +305,24 @@ class TestReplicateBlocks:
         gen = AwgGenerator(gt, REDRAWN, n=n, m=7, fresh_gt=fresh_gt)
         assert analysis._draws_block_truths(gen, r, rows) == by_block
 
-    def test_a_truth_store_keeps_the_chunk_path(self, monkeypatch):
-        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=10, m=7)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 10 * 7 * 16)
-        store = np.empty((130, 7))
-        blocks = list(analysis.iter_replicates(gen, 130, seed=4, truths=store))
-        assert all(np.shares_memory(mu, store) for _, mu, _ in blocks)
-        want = list(_reference_chunks(gen, 130, seed=4))
-        assert np.array_equal(store, np.concatenate([mu for _, mu, _ in want]))
+    @pytest.mark.parametrize("block_rows", [16, 50])
+    def test_a_spec_of_the_draw_protocol_runs_through_every_pass(self, monkeypatch, block_rows):
+        # a spec whose draw takes (shape, rng) only, with fresh truths, on the
+        # chunk path; 130 replicates: 50 + 50 + a short 30
+        gen = AwgGenerator(ShiftedGT(), REDRAWN, n=3, m=7, fresh_sigmas=True)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * block_rows)
+        chunks = list(_reference_chunks(gen, 130, seed=4))
+        X, mu, _ = (np.concatenate(a) for a in zip(*chunks))
+        xa = run_td_batch(Mean(), X)
+        res = mc_risk(gen, [pipeline_base(Mean(), "mean")], 130, seed=4)
+        assert res.losses["mean"].tobytes() == loss(xa, mu).tobytes()
+        s = sample_aggregate_stream(gen, Mean(), HeuristicH(), 130, seed=4)
+        assert s.mu.tobytes() == mu.tobytes()
+        assert s.aggregates.tobytes() == xa.tobytes()
+        t = sample_condition_terms(gen, Mean(), HeuristicH(), 130, seed=4)
+        psis = psi_batch(HeuristicH(), X, xa)
+        for got, want in zip(t.terms, analysis.stein_gap_terms(xa, psis, mu)):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("budget", [1000, 10])
     def test_no_block_exceeds_the_budget(self, monkeypatch, budget):
@@ -404,16 +411,15 @@ class TestThreadedStream:
                            fresh_gt=fresh_gt, fresh_sigmas=True)
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
         every = list(analysis.iter_replicates(gen, 200, seed=4))
-        store = np.full((200, 7), np.nan)
-        picked = list(analysis.iter_replicates(gen, 200, seed=4, chunks=[2, 0, 1],
-                                               truths=store))
+        picked = list(analysis.iter_replicates(gen, 200, seed=4, chunks=[2, 0, 1]))
         # 70-replicate chunks in 16-replicate blocks: 5 blocks each, 4 in the last
         assert len(picked) == len(every) == 14
         for got, want in zip(picked, every[10:] + every[:10]):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-            assert np.shares_memory(got[1], store)
-        assert np.array_equal(store, np.concatenate([mu for _, mu, _ in every]))
+        # chunks that finish in any order fill sample_aggregate_stream's store
+        s = sample_aggregate_stream(gen, Mean(), HeuristicH(), 200, seed=4, threads=3)
+        assert np.array_equal(s.mu, np.concatenate([mu for _, mu, _ in every]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e200 row overflows
     @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -187,32 +187,6 @@ ALL_BASES = [Mean(), Median(), CRH(), CATD(), DistanceWeighted(), Blue([1.0, 2.0
 BASE_IDS = ["mean", "median", "crh", "catd", "distance", "blue"]
 
 
-class TestAnswersInPlace:
-    """``run_td_batch(out=)`` writes the allocating call's answers into ``out``."""
-
-    @pytest.mark.parametrize("alg", ALL_BASES, ids=BASE_IDS)
-    @pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (11, 1), (11, 2), (11, 5)])
-    def test_returns_out_equal_to_the_allocating_call(self, alg, r, n, monkeypatch):
-        if isinstance(alg, Blue):
-            alg = Blue(np.arange(1.0, n + 1))
-        rng = np.random.default_rng(10 * r + n)
-        Xb = rng.normal(2.0, 1.0, size=(r, n, 6)) * rng.uniform(0.5, 2.0, size=(r, n, 1))
-        # 4-replicate row blocks, so 11 replicates span three
-        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 4 * 8 * n * 6)
-        want = run_td_batch(alg, Xb)
-        store = np.full((r + 3, 6), np.nan)
-        out = store[1:1 + r]
-        assert run_td_batch(alg, Xb, out=out) is out
-        assert _same_bits(out, want)
-        assert np.isnan(store[0]).all() and np.isnan(store[1 + r:]).all()
-
-    @pytest.mark.parametrize("out", [np.empty((3, 5)), np.empty((2, 4)), np.empty((3, 4), "f4")],
-                             ids=["questions", "replicates", "float32"])
-    def test_an_out_of_another_shape_or_dtype_is_rejected(self, out):
-        with pytest.raises(ValueError, match="out must be a float"):
-            run_td_batch(Mean(), np.zeros((3, 2, 4)), out=out)
-
-
 def _unblocked_median(Xb):
     # Median as it ran on the whole batch before the row blocks
     s = np.sort(Xb, axis=1)

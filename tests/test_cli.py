@@ -99,12 +99,19 @@ class TestExitCodes:
         ["conditions", "--n", "0", "--sigmas", "gaussian-sq"],
         ["conditions", "--replicates", "0"],
         ["conditions", "--replicates", "1"],
+        ["conditions", "--m", "3"],  # every condition check needs m > 3
     ])
-    def test_empty_shape_or_too_few_replicates_is_validation(self, tmp_path, capsys, argv):
+    def test_empty_shape_or_too_few_replicates_is_validation(self, tmp_path, capsys,
+                                                             monkeypatch, argv):
+        import ebtruth.analysis as analysis
+
+        drawn = []
+        monkeypatch.setattr(analysis, "iter_replicates", lambda *a, **k: drawn.append(a))
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not (tmp_path / "out").exists()
+        assert drawn == [], "drew replicates before refusing the request"
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--n-grid", "0"],
@@ -760,12 +767,26 @@ class TestThreads:
     @pytest.mark.parametrize("command", ["simulate", "evaluate", "conditions"])
     def test_every_command_rejects_a_bad_count(self, tmp_path, dataset_csv, capsys,
                                                command, value):
-        argv = [command, "--threads", value, "--out", str(tmp_path / "out")]
-        if command == "evaluate":
+        self._rejects(tmp_path, dataset_csv, capsys, value,
+                      [command, "--threads", value, "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("value", ["0", "foo"])
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "conditions"])
+    def test_a_bad_count_in_a_config_file_names_its_flag(self, tmp_path, dataset_csv, capsys,
+                                                         command, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": value}))
+        self._rejects(tmp_path, dataset_csv, capsys, value,
+                      [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    @staticmethod
+    def _rejects(tmp_path, dataset_csv, capsys, value, argv):
+        if argv[0] == "evaluate":
             argv += ["--data", dataset_csv]
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "--threads" in err[0] and repr(value) in err[0], err
         assert not (tmp_path / "out").exists()
 
     def test_explicit_counts(self):

@@ -87,21 +87,8 @@ TRUTH_SPECS = [GaussianGT(mean, variance) for mean in (2.0, -3.7, 0.0)
                for variance in (1.0, 100.0, 0.37, 0.0)] + [ConstantGT(2.0), ConstantGT(-0.0)]
 
 
-class TestDrawInPlace:
-    """``draw(out=)`` writes the allocating draw's bits into ``out``."""
-
-    @pytest.mark.parametrize("gt", TRUTH_SPECS, ids=repr)
-    def test_equals_the_allocating_draw_and_returns_out(self, gt):
-        want_rng, got_rng = stream(3, 100, 1), stream(3, 100, 1)
-        want = gt.draw((40, 7), want_rng)
-        store = np.full((50, 7), np.nan)
-        out = store[5:45]
-        assert gt.draw((40, 7), got_rng, out=out) is out
-        # bytes, so a -0.0 against a 0.0 differs
-        assert out.tobytes() == want.tobytes()
-        assert np.isnan(store[:5]).all() and np.isnan(store[45:]).all()
-        # the stream goes on from the same place
-        assert got_rng.standard_normal(5).tobytes() == want_rng.standard_normal(5).tobytes()
+class TestRowBlockDraws:
+    """A built-in truth spec's row blocks drawn in turn are its whole draw."""
 
     @pytest.mark.parametrize("gt", TRUTH_SPECS, ids=repr)
     @pytest.mark.parametrize("rows", [1, 3, 16, 40])
@@ -110,17 +97,10 @@ class TestDrawInPlace:
         want_rng, got_rng = stream(3, 100, 1), stream(3, 100, 1)
         want = gt.draw((40, 7), want_rng)
         blocks = [gt.draw((min(rows, 40 - lo), 7), got_rng) for lo in range(0, 40, rows)]
+        # bytes, so a -0.0 against a 0.0 differs
         assert np.concatenate(blocks).tobytes() == want.tobytes()
-        buffer = np.empty((rows, 7))
-        skip_rng = stream(3, 100, 1)
-        for lo in range(0, 40, rows):
-            k = min(rows, 40 - lo)
-            gt.draw((k, 7), skip_rng, out=buffer[:k])
-        # drawing the blocks, or past them through one buffer, leaves each
-        # stream where the whole draw left it
-        tail = want_rng.standard_normal(5).tobytes()
-        assert got_rng.standard_normal(5).tobytes() == tail
-        assert skip_rng.standard_normal(5).tobytes() == tail
+        # drawing the blocks leaves the stream where the whole draw left it
+        assert got_rng.standard_normal(5).tobytes() == want_rng.standard_normal(5).tobytes()
 
 
 class TestFileFormat:

@@ -126,6 +126,22 @@ class TestAlphaStar:
         with pytest.raises(InsufficientReplicatesError):
             estimate_alpha_star(np.zeros((40, 5)), np.zeros(40), np.zeros(4))
 
+    @pytest.mark.parametrize("sigma2_hats, shape", [
+        (np.ones(39), "(39,)"), (np.ones((40, 2)), "(40, 2)"), (1.0, "()"),
+    ], ids=["one-short", "matrix", "scalar"])
+    def test_sigma2_hats_of_another_shape(self, sigma2_hats, shape):
+        aggregates = np.random.default_rng(0).normal(size=(40, 5))
+        with pytest.raises(InsufficientReplicatesError) as exc:
+            estimate_alpha_star(aggregates, sigma2_hats, np.zeros(5))
+        assert "(40, 5)" in str(exc.value) and f"got shape {shape}" in str(exc.value)
+
+    @pytest.mark.parametrize("mu", [0.0, np.zeros((5, 2))], ids=["scalar", "matrix"])
+    def test_mu_of_another_shape(self, mu):
+        # these raised a bare IndexError and a numpy broadcast ValueError
+        aggregates = np.random.default_rng(0).normal(size=(40, 5))
+        with pytest.raises(InsufficientReplicatesError, match=r"\(40, 5\)"):
+            estimate_alpha_star(aggregates, np.ones(40), mu)
+
     def test_zero_signal(self):
         with pytest.raises(InsufficientSignalError):
             estimate_alpha_star(np.ones((40, 5)), np.ones(40), np.ones(5))

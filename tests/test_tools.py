@@ -1,0 +1,33 @@
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SOURCE = '''"""A module docstring
+over two lines."""
+
+# a comment
+x = 1  # a comment after code
+def f():
+    """A function docstring."""
+'''
+
+
+def test_counts_code_lines_only():
+    assert _code_lines().code_lines(SOURCE) == 2
+
+
+def test_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "b.py").write_text("y = (1,\n     2)\n")
+    assert _code_lines().main(["code_lines.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split("\n") == ["     2 a.py", "     2 b.py", "     4 total",
+                                                   ""]
