@@ -13,6 +13,7 @@ from ebtruth import (
     CATD,
     CRH,
     AwgGenerator,
+    Blue,
     DistanceWeighted,
     EmptyMatrixError,
     Median,
@@ -352,6 +353,48 @@ class TestReplicateBlocks:
         assert np.array_equal(s.aggregates, np.concatenate(xas))
         assert np.array_equal(s.psis, np.concatenate(
             [psi_batch(HeuristicH(), X, xa) for (X, _, _), xa in zip(chunks, xas)]))
+
+
+TRUTH_SPECS = [GaussianGT(mean, variance) for mean in (2.0, -3.7, 0.0)
+               for variance in (1.0, 100.0, 0.37, 0.0)] + [ConstantGT(2.0), ConstantGT(-0.0)]
+
+
+class TestStores:
+    """``sample_aggregate_stream`` copies each block's answers and truths into
+    its stores: every row holds the bits of the single-chunk formula."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(analysis, "CHUNK", 50)
+
+    @pytest.mark.parametrize("fresh_gt", [True, False])
+    @pytest.mark.parametrize("gt", TRUTH_SPECS, ids=repr)
+    def test_the_truth_store_holds_every_specs_bits(self, monkeypatch, gt, fresh_gt):
+        gen = AwgGenerator(gt, REDRAWN, n=3, m=7, fresh_gt=fresh_gt, fresh_sigmas=True)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
+        monkeypatch.setattr(analysis, "BLOCK_TRUTHS_MIN_N", 1)
+        assert analysis._draws_block_truths(gen, 50, 16) == fresh_gt
+        # 130 replicates: 50 + 50 + a short 30, on two threads
+        s = sample_aggregate_stream(gen, Mean(), HeuristicH(), 130, seed=4, threads=2)
+        want = np.concatenate([mu for _, mu, _ in _reference_chunks(gen, 130, seed=4)])
+        # bytes, so a -0.0 against a 0.0 differs
+        assert s.mu.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alg", ALL_BASES + [Blue([1.0])], ids=BASE_IDS + ["blue"])
+    @pytest.mark.parametrize("replicates,n", [(2, 3), (11, 1), (11, 2), (11, 5), (130, 3)])
+    def test_the_aggregate_store_holds_the_whole_batchs_answers(self, monkeypatch, alg,
+                                                                replicates, n):
+        if isinstance(alg, Blue):
+            alg = Blue(np.arange(1.0, n + 1))
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=n, m=6,
+                           fresh_gt=True, fresh_sigmas=True)
+        X = np.concatenate([X for X, _, _ in _reference_chunks(gen, replicates, seed=9)])
+        want = run_td_batch(alg, X)
+        # 4-replicate blocks, each run in 3-replicate iteration blocks
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * n * 6 * 4)
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 8 * n * 6 * 3)
+        s = sample_aggregate_stream(gen, alg, HeuristicH(), replicates, seed=9)
+        assert s.aggregates.tobytes() == want.tobytes()
 
 
 class TestThreadedStream:
