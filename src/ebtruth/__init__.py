@@ -19,6 +19,7 @@ from .analysis import (
     RiskReport,
     SUM_SQUARED,
     bayes_risk_gap,
+    blue_risks,
     estimate_alpha_star,
     sufficient_conditions,
     improvement_ratio,

@@ -2,19 +2,18 @@
 and the optimal-alpha plug-in.
 
 Replicates are generated in chunks of ``CHUNK``, each from its own keyed
-counter-based stream, so every estimate is bit-reproducible from
+counter-based streams, so every estimate is bit-reproducible from
 (seed, config) under any evaluation order.  ``CHUNK`` fixes the random
-streams; ``BLOCK_BYTES`` changes no value.  Each chunk's truths and worker
-variances are drawn first, (CHUNK, m) and (CHUNK, n), and its noise then
+streams; ``BLOCK_BYTES`` changes no value for a built-in truth spec.  Each
+chunk's worker variances, (CHUNK, n), are drawn first, and its noise then
 follows from the same stream in blocks of at most ``BLOCK_BYTES``, built in
-place.  Splitting sequential draws changes no value, so the replicate tensor
-per worker thread stays L2-cache-sized whatever n and m are.  Where a
-second truth draw is cheap (``_draws_block_truths``) the chunk's stream
-draws past its truths, and a second copy of it draws each block's truths, so
-a chunk holds no (CHUNK, m) truths (see ``iter_replicates``).  A chunk's
-arrays are dropped before the next chunk's truths are drawn.  ``mc_risk``
-runs a first stage that several pipelines share, such as ``blue``, once per
-block (see ``Pipeline``).
+place.  Fresh truths come from a second stream of the chunk, a block's rows
+at a time (see ``iter_replicates``).  Splitting sequential draws changes no
+value, so the replicate tensor and its truths per worker thread stay
+L2-cache-sized whatever n and m are, and no chunk holds (CHUNK, m) truths.
+A chunk's arrays are dropped before the next chunk's are drawn.
+``mc_risk`` runs a first stage that several pipelines share, such as
+``blue``, once per block (see ``Pipeline``).
 
 Chunks are independent, so ``iter_replicates(..., chunks=)`` draws any of
 them alone.  ``mc_risk``, ``sample_aggregate_stream`` and
@@ -37,9 +36,8 @@ block's answers and truths into its stores, and its checks share one
 ``stein_gap_terms`` pass per ``AggregateStream``.  A row's terms are the
 same bits either way.  Every array a request sizes (an improvement-ratio
 batch, the per-replicate condition arrays or stores, the Monte Carlo losses,
-each with one replicate block and one chunk's truths, which bound the two
-(rows, m) arrays of block truths) is checked against ``MAX_BATCH_BYTES``
-before anything is allocated.
+each with one replicate block and its truths) is checked against
+``MAX_BATCH_BYTES`` before anything is allocated.
 
 The improvement ratio keeps the last synthetic sample batch it drew, read-only
 and only up to ``KEPT_BATCH_BYTES``, so calling ``improvement_ratio`` once per base
@@ -62,9 +60,7 @@ from .baselines import TdAlgorithm, block_rows, blue, by_row_blocks, run_td_batc
 from .data import (
     ROLE_GT,
     ROLE_SIGMA,
-    ConstantGT,
     Dataset,
-    GaussianGT,
     GtSpec,
     SigmaSpec,
     SyntheticSpec,
@@ -83,6 +79,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import check_alpha, flat_rows, shrink_batch, stein
+from .model import validate_variances
 from .pipelines import shrink_aggregate
 from .variance import VarianceEstimator
 
@@ -101,16 +98,12 @@ BLOCK_BYTES = 2**20
 KEPT_BATCH_BYTES = 16 * 2**20
 
 REPLICATE_ROLE = 100  # stream role for Monte Carlo replicate chunks
-# Fewest workers at which a chunk's Gaussian truths are drawn a block at a
-# time: the second truth draw is then at most a tenth of the noise draw.  On
-# a 2-vCPU VM at m = 50 it made the conditions pass 3-5 % slower at n = 10
-# and 30 % slower at n = 1, where it draws as many truths again as noise.
-BLOCK_TRUTHS_MIN_N = 10
+TRUTH_ROLE = 101  # stream role for the fresh truths of those chunks
 
 # Most bytes one request may allocate: ``improvement_ratios``' sample batch
 # and its scoring (``batch_bytes``), or the per-replicate arrays of
 # ``sample_aggregate_stream``, ``sample_condition_terms`` or ``mc_risk`` with
-# one replicate block and one chunk's truths (``_check_replicates``).  It is
+# one replicate block and its truths (``_check_replicates``).  It is
 # fixed, not read from the host or the thread count, so a request's exit
 # code does not depend on the machine; 1000 samples at n=10, m=50 take about
 # 10 MB.
@@ -187,14 +180,13 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None):
     same whichever others are drawn, so chunks can be drawn in any order or
     side by side.
 
-    A chunk whose truths ``_draws_block_truths`` chooses draws them a block
-    at a time.  The chunk's stream draws past its truths a block at a time,
-    dropping each block, and then draws the worker variances and noise as
-    before; a second copy of the stream draws each block's truth rows just
-    before they are added.  Any other chunk draws its (r, m) truths, or
-    broadcasts fixed ones, in one go.  A built-in spec's row blocks drawn in
-    turn are its whole draw (see ``data``), so the blocks carry the same
-    bits, and the chunk holds one block of truths instead of (r, m).
+    A chunk's worker variances, (r, n), and then its noise, a block at a
+    time, come from ``stream(seed, REPLICATE_ROLE, chunk)``.  Fresh truths
+    come from their own stream, ``stream(seed, TRUTH_ROLE, chunk)``: each
+    block's truth rows are drawn from it in turn just before they are added
+    to the block's noise, so a chunk holds one block of truths and draws
+    each truth once.  Fixed truths are drawn once per call from
+    ``stream(seed, ROLE_GT, 0)`` and broadcast.
     """
     fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
     fixed_sig2 = (None if gen.fresh_sigmas
@@ -205,17 +197,7 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None):
         r = min(CHUNK, replicates - start)
         rows = min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
         rng = stream(seed, REPLICATE_ROLE, chunk_index)
-        by_block = _draws_block_truths(gen, r, rows)
-        if by_block:
-            # draw past the truths; truth_rng, at the chunk's start, redraws them
-            truth_rng = stream(seed, REPLICATE_ROLE, chunk_index)
-            for lo in range(0, r, rows):
-                gen.gt.draw((min(rows, r - lo), gen.m), rng)
-            mu = None
-        elif gen.fresh_gt:
-            mu = gen.gt.draw((r, gen.m), rng)
-        else:
-            mu = np.broadcast_to(fixed_mu, (r, gen.m))
+        truth_rng = stream(seed, TRUTH_ROLE, chunk_index)
         if gen.fresh_sigmas:
             sig2 = gen.worker_sigmas.draw((r, gen.n), rng)
             sd = np.sqrt(sig2)[:, :, None]
@@ -226,27 +208,13 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None):
             hi = min(lo + rows, r)
             X = rng.standard_normal(size=(hi - lo, gen.n, gen.m))
             X *= sd[lo:hi]
-            mu_block = gen.gt.draw((hi - lo, gen.m), truth_rng) if by_block else mu[lo:hi]
-            X += mu_block[:, None, :]
-            yield X, mu_block, sig2[lo:hi]
+            mu = (gen.gt.draw((hi - lo, gen.m), truth_rng) if gen.fresh_gt
+                  else np.broadcast_to(fixed_mu, (hi - lo, gen.m)))
+            X += mu[:, None, :]
+            yield X, mu, sig2[lo:hi]
         # drop this chunk's arrays, views included, before the next chunk's
-        # truths are drawn
-        del X, mu, mu_block, sig2, sd
-
-
-def _draws_block_truths(gen: AwgGenerator, r: int, rows: int) -> bool:
-    """Whether ``iter_replicates`` draws a chunk's r fresh truths a block of
-    ``rows`` at a time, for every consumer alike (``mc_risk``,
-    ``sample_aggregate_stream`` and ``sample_condition_terms``).  Only a
-    chunk of several blocks holds less that way, and only a built-in spec
-    may be drawn in blocks: ``ConstantGT`` draws nothing from the stream, so
-    its second draw is free, and ``GaussianGT`` draws m values a replicate
-    against the noise's n·m, so it is drawn twice only from
-    ``BLOCK_TRUTHS_MIN_N`` workers up."""
-    if not gen.fresh_gt or rows >= r:
-        return False
-    return (type(gen.gt) is ConstantGT
-            or (type(gen.gt) is GaussianGT and gen.n >= BLOCK_TRUTHS_MIN_N))
+        # worker variances are drawn
+        del X, mu, sig2, sd
 
 
 def n_chunks(replicates: int) -> int:
@@ -486,10 +454,8 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
     The chunks run on ``threads`` threads, each writing its own rows of the
     stores, so the result does not depend on ``threads`` (see
     ``_each_chunk``).  Each block's answers and truths are copied into the
-    ``aggregates`` and ``mu`` stores, so a thread holds one block of answers,
-    and one block of truths where its chunk draws them a block at a time
-    (``_draws_block_truths``); otherwise it holds its chunk's (CHUNK, m)
-    truths, which ``_check_replicates`` counts.  Fewer than 2 replicates
+    ``aggregates`` and ``mu`` stores, so a thread holds one block of answers
+    and one of truths.  Fewer than 2 replicates
     raise InsufficientReplicatesError, and a request over
     ``MAX_BATCH_BYTES`` (see ``_check_replicates``) RequestTooLargeError,
     before anything is drawn.
@@ -521,10 +487,8 @@ def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
 
     Each block's Stein-gap terms are written next to its ψ and ∂ψ, and the
     block's aggregates and truths are then dropped, so the pass keeps (R,)
-    arrays only, and a thread holds one block and, unless the chunk draws
-    its truths a block at a time (``_draws_block_truths``), its chunk's
-    truths.  A
-    row's terms do not depend on its block, so they are the bits that
+    arrays only, and a thread holds one block with its truths.  A row's
+    terms do not depend on its block, so they are the bits that
     ``stein_gap_terms`` gives on the stores of ``sample_aggregate_stream``
     with the same arguments, at any ``threads``.  Its checks are those of
     ``sample_aggregate_stream``, and m <= 3, which every condition check
@@ -776,6 +740,23 @@ def bayes_risk_gap(sigma2: float, sigma0_2: float) -> float:
     return sigma2**2 / (sigma0_2 + sigma2)
 
 
+def blue_risks(m: int, sigma2s, tau2: float) -> dict:
+    """Closed-form sum-squared risks of ``pipeline_blue`` and
+    ``pipeline_eb_blue`` (α = m - 3) in ``simulate``'s setting:
+    ``GaussianGT(μ0, τ²)`` truths drawn afresh for each replicate (``ConstantGT``
+    is τ² = 0) and fixed worker variances ``sigma2s``.  With
+    σ² = 1/Σ 1/σ_i², blue's risk is mσ² and eb_blue's
+    mσ² - (m-3)σ⁴/(τ²+σ²) (Efron & Morris, JASA 1973, 68:117), whatever μ0
+    is.  m <= 3 raises InsufficientDataError, and a variance <= 0 or
+    τ² < 0 NonPositiveVarianceError."""
+    if m <= 3:
+        raise InsufficientDataError(f"eb_blue's risk needs m > 3, got m = {m}")
+    if not tau2 >= 0:
+        raise NonPositiveVarianceError(f"tau2 must be >= 0, got {tau2!r}")
+    sigma2 = 1.0 / float((1.0 / validate_variances(sigma2s)).sum())
+    return {"blue": m * sigma2, "eb_blue": m * sigma2 - (m - 3) * sigma2**2 / (tau2 + sigma2)}
+
+
 # ---------------------------------------------------------------------------
 # Improvement Ratio
 
@@ -863,11 +844,11 @@ def _check_request(need: int, what: str) -> None:
 def _check_replicates(gen: AwgGenerator, replicates: int, per_replicate: int,
                       what: str) -> None:
     """``_check_request`` for a pass over ``replicates`` replicates of
-    ``gen`` that keeps ``per_replicate`` bytes a replicate: it counts those,
-    one replicate block (8·n·m; a block holds at least one replicate) and
-    one chunk's (r, m) truths, once each, not once per thread.  ``what``
-    names the per-replicate arrays."""
-    _check_request(replicates * per_replicate + 8 * gen.m * (gen.n + min(CHUNK, replicates)),
+    ``gen`` that keeps ``per_replicate`` bytes a replicate: it counts those
+    and one replicate block with its truths (8·n·m and 8·m; a block holds at
+    least one replicate), once each, not once per thread.  ``what`` names
+    the per-replicate arrays."""
+    _check_request(replicates * per_replicate + 8 * gen.m * (gen.n + 1),
                    f"{replicates} replicates of {gen.n}x{gen.m} ({what})")
 
 

@@ -10,11 +10,15 @@ each sample still draws from exactly ``stream(seed, role, index)``.  Each
 spec draws with ``draw(shape, rng)``: shape (m,) or (r, m) for truths, (n,)
 or (r, n) for worker variances, so one vector and a batch share the code.
 
-A built-in ``GtSpec`` draws each value from the next ones of the stream, so
-its ``draw((r, m), rng)`` equals its row blocks ``draw((k, m), rng)`` drawn
-in turn from the same stream, and leaves the stream in the same place.
-``analysis.iter_replicates`` relies on this when it draws a chunk's truths
-a block at a time from a second copy of the chunk's stream.
+``analysis.iter_replicates`` draws a chunk's fresh truths from the chunk's
+own truth stream as row blocks ``draw((k, m), rng)`` taken in turn, k being
+the block row count, which n and m fix.  A built-in ``GtSpec`` draws each
+value from the next ones of the stream, so those row blocks make up its
+whole ``draw((r, m), rng)`` and leave the stream in the same place: its
+truths do not depend on the block size.  Any other spec of the
+``draw(shape, rng)`` protocol gets its row-block draws as they come, which
+may depend on the block row count, and so on n and m, but not on the
+thread count or the order in which chunks are drawn.
 """
 
 from __future__ import annotations
@@ -293,7 +297,8 @@ class Dataset:
 
     def __post_init__(self):
         if self.ground_truth is not None:
-            gt = as_answer_vector(self.ground_truth)
+            # a read-only copy, so the caller's array stays writeable
+            gt = as_answer_vector(self.ground_truth).copy()
             if gt.shape[0] != self.matrix.n_questions:
                 raise LengthMismatchError("ground truth length != question count")
             gt.setflags(write=False)

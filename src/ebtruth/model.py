@@ -19,7 +19,9 @@ class ObservationMatrix:
     """A complete n x m matrix of worker answers (row = worker, column = question).
 
     Entries must all be finite; missing values are rejected outright because
-    every downstream sum runs over all (worker, question) pairs.
+    every downstream sum runs over all (worker, question) pairs.  ``values``
+    is a read-only copy of the input, so the caller's array stays writeable
+    and a later write to it, or to a view of it, does not reach the matrix.
     """
 
     values: np.ndarray
@@ -27,7 +29,7 @@ class ObservationMatrix:
     question_ids: tuple = field(default=None)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] == 0 or values.shape[1] == 0:
             raise EmptyMatrixError(f"expected a non-empty 2-D matrix, got shape {values.shape}")
@@ -65,8 +67,9 @@ class DispersionStats:
 
 
 def validate_matrix(values, worker_ids=None, question_ids=None) -> ObservationMatrix:
-    """Validate raw values into an ObservationMatrix; never silently repairs data."""
-    return ObservationMatrix(np.asarray(values, dtype=float), worker_ids, question_ids)
+    """Validate raw values into an ObservationMatrix, which keeps a read-only
+    copy of them; never silently repairs data."""
+    return ObservationMatrix(values, worker_ids, question_ids)
 
 
 def _check_finite(values: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """Monte Carlo risk machinery, condition checks, and report serialization."""
 
+import csv
 import json
 import os
 import subprocess
@@ -37,6 +38,7 @@ from ebtruth import (
     SampleScaled,
     SUM_SQUARED,
     bayes_risk_gap,
+    blue_risks,
     estimate_alpha_star,
     sufficient_conditions,
     gen_synthetic,
@@ -220,16 +222,23 @@ class TestSharedFirstStage:
                                       seed=5).losses["mean"])
 
 
-def _reference_chunks(gen, replicates, seed):
-    """The single-chunk formula: each chunk's tensor built in one expression."""
+def _reference_chunks(gen, replicates, seed, rows=None):
+    """The single-chunk formula: each chunk's tensor built in one expression.
+    Fresh truths come from the chunk's truth stream, drawn in row blocks of
+    ``rows`` taken in turn (one block by default, which is a built-in spec's
+    whole draw for any ``rows``)."""
     fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
     fixed_sig2 = (None if gen.fresh_sigmas
                   else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
     for index, start in enumerate(range(0, replicates, analysis.CHUNK)):
         r = min(analysis.CHUNK, replicates - start)
         rng = stream(seed, analysis.REPLICATE_ROLE, index)
-        mu = (gen.gt.draw((r, gen.m), rng) if gen.fresh_gt
-              else np.broadcast_to(fixed_mu, (r, gen.m)))
+        if gen.fresh_gt:
+            truth_rng, k = stream(seed, analysis.TRUTH_ROLE, index), rows or r
+            mu = np.concatenate([gen.gt.draw((min(k, r - lo), gen.m), truth_rng)
+                                 for lo in range(0, r, k)])
+        else:
+            mu = np.broadcast_to(fixed_mu, (r, gen.m))
         sig2 = (gen.worker_sigmas.draw((r, gen.n), rng) if gen.fresh_sigmas
                 else np.broadcast_to(fixed_sig2, (r, gen.n)))
         noise = rng.normal(size=(r, gen.n, gen.m))
@@ -245,8 +254,9 @@ BASE_IDS = ["mean", "median", "crh", "catd", "distance"]
 class ShiftedGT:
     """A truth spec outside ``GtSpec``, of its ``draw(shape, rng)`` protocol,
     whose row blocks drawn in turn are not its whole draw: each call draws
-    one shift, then the truths.  Block truths must leave it to the chunk
-    path."""
+    one shift, then the truths.  Its truths are the row blocks that
+    ``iter_replicates`` draws in turn, so they depend on the block row
+    count."""
 
     def draw(self, shape, rng):
         shift = rng.standard_normal()
@@ -282,37 +292,61 @@ class TestReplicateBlocks:
                                               block_rows):
         gen = AwgGenerator(gt, REDRAWN, n=3, m=7, fresh_gt=fresh_gt, fresh_sigmas=fresh_sigmas)
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * block_rows)
-        monkeypatch.setattr(analysis, "BLOCK_TRUTHS_MIN_N", 1)
-        by_block = fresh_gt and not isinstance(gt, ShiftedGT)
-        assert analysis._draws_block_truths(gen, 50, block_rows) == by_block
         chunks = [2, 0, 1]  # 130 replicates: 50 + 50 + a short 30, out of order
         got = list(analysis.iter_replicates(gen, 130, seed=4, chunks=chunks))
         assert len(got) == (10 if block_rows == 16 else 130)
-        want = list(_reference_chunks(gen, 130, seed=4))
+        # a built-in spec's truths are its whole draw at any block row count
+        rows = block_rows if isinstance(gt, ShiftedGT) else None
+        want = list(_reference_chunks(gen, 130, seed=4, rows=rows))
         for parts, ref in zip(zip(*got), zip(*[want[c] for c in chunks])):
             assert np.concatenate(parts).tobytes() == np.concatenate(ref).tobytes()
 
-    @pytest.mark.parametrize("gt, n, fresh_gt, r, rows, by_block", [
-        (GaussianGT(2.0, 1.0), 10, True, 50, 16, True),
-        (GaussianGT(2.0, 1.0), 9, True, 50, 16, False),  # a second draw over a ninth
-        (GaussianGT(2.0, 1.0), 1, True, 50, 16, False),
-        (ConstantGT(2.0), 1, True, 50, 16, True),  # draws nothing from the stream
-        (ConstantGT(2.0), 10, False, 50, 16, False),  # fixed truths
-        (GaussianGT(2.0, 1.0), 10, True, 50, 50, False),  # one block holds the chunk
-        (ShiftedGT(), 10, True, 50, 16, False),  # not a built-in spec
-    ])
-    def test_block_truths_are_drawn_where_they_are_cheap(self, gt, n, fresh_gt, r, rows,
-                                                         by_block):
-        gen = AwgGenerator(gt, REDRAWN, n=n, m=7, fresh_gt=fresh_gt)
-        assert analysis._draws_block_truths(gen, r, rows) == by_block
+    @pytest.mark.parametrize("gt", [GaussianGT(2.0, 1.0), ConstantGT(2.0), ShiftedGT()],
+                             ids=["gaussian", "constant", "custom"])
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_each_truth_is_drawn_once_a_block_at_a_time(self, monkeypatch, gt, n):
+        # the spec's draws for a chunk are its blocks' rows, in order, each
+        # from that chunk's truth stream, whatever n is
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * n * 7 * 16)
+        draws = []
+
+        class Recording:
+            def draw(self, shape, rng):
+                draws.append((shape, rng.bit_generator.state["state"]["key"].tolist()))
+                return gt.draw(shape, rng)
+
+        gen = AwgGenerator(Recording(), REDRAWN, n=n, m=7, fresh_sigmas=True)
+        blocks = list(analysis.iter_replicates(gen, 130, seed=4))
+        keys = [stream(4, analysis.TRUTH_ROLE, c).bit_generator.state["state"]["key"].tolist()
+                for c in range(3)]
+        assert draws == [((k, 7), keys[c]) for c, r in enumerate((50, 50, 30))
+                         for k in [16] * (r // 16) + [r % 16]]
+        assert [mu.shape for _, mu, _ in blocks] == [shape for shape, _ in draws]
+
+    @pytest.mark.parametrize("fresh_sigmas", [True, False])
+    def test_the_truth_stream_leaves_the_replicate_stream_alone(self, fresh_sigmas):
+        # fresh truths draw from their own stream, so the worker variances,
+        # and the noise that zero truths leave bare, are the bits they are
+        # under truths that draw nothing
+        def blocks(gt):
+            gen = AwgGenerator(gt, REDRAWN, n=3, m=7, fresh_sigmas=fresh_sigmas)
+            return list(analysis.iter_replicates(gen, 130, seed=4))
+
+        for drawn, constant in [(GaussianGT(2.0, 1.0), ConstantGT(2.0)),
+                                (GaussianGT(0.0, 0.0), ConstantGT(0.0))]:
+            for (X, mu, sig2), (Xc, _, sig2c) in zip(blocks(drawn), blocks(constant)):
+                assert sig2.tobytes() == sig2c.tobytes()
+                if drawn.mean == 0.0:
+                    assert X.tobytes() == Xc.tobytes()
 
     @pytest.mark.parametrize("block_rows", [16, 50])
     def test_a_spec_of_the_draw_protocol_runs_through_every_pass(self, monkeypatch, block_rows):
-        # a spec whose draw takes (shape, rng) only, with fresh truths, on the
-        # chunk path; 130 replicates: 50 + 50 + a short 30
+        # a spec whose draw takes (shape, rng) only, with fresh truths, drawn
+        # in blocks of 16 rows or one block a chunk; 130 replicates: 50 + 50
+        # + a short 30
         gen = AwgGenerator(ShiftedGT(), REDRAWN, n=3, m=7, fresh_sigmas=True)
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * block_rows)
-        chunks = list(_reference_chunks(gen, 130, seed=4))
+        chunks = list(_reference_chunks(gen, 130, seed=4, rows=block_rows))
         X, mu, _ = (np.concatenate(a) for a in zip(*chunks))
         xa = run_td_batch(Mean(), X)
         res = mc_risk(gen, [pipeline_base(Mean(), "mean")], 130, seed=4)
@@ -372,8 +406,6 @@ class TestStores:
     def test_the_truth_store_holds_every_specs_bits(self, monkeypatch, gt, fresh_gt):
         gen = AwgGenerator(gt, REDRAWN, n=3, m=7, fresh_gt=fresh_gt, fresh_sigmas=True)
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
-        monkeypatch.setattr(analysis, "BLOCK_TRUTHS_MIN_N", 1)
-        assert analysis._draws_block_truths(gen, 50, 16) == fresh_gt
         # 130 replicates: 50 + 50 + a short 30, on two threads
         s = sample_aggregate_stream(gen, Mean(), HeuristicH(), 130, seed=4, threads=2)
         want = np.concatenate([mu for _, mu, _ in _reference_chunks(gen, 130, seed=4)])
@@ -533,9 +565,9 @@ class TestThreadedStream:
         (lambda r: mc_risk(_gen(), [pipeline_blue(), pipeline_eb_blue()], r, seed=0), 8 * 2),
     ], ids=["sample_aggregate_stream", "sample_condition_terms", "mc_risk"])
     def test_replicate_bound_is_checked_before_drawing(self, monkeypatch, call, per_replicate):
-        # the per-replicate arrays, one 1x10 replicate block and one
-        # chunk's truths, 70x10 (see ``small_chunks``)
-        need = 150 * per_replicate + 8 * 10 * (1 + analysis.CHUNK)
+        # the per-replicate arrays and one 1x10 replicate block with its
+        # truths, 1x10
+        need = 150 * per_replicate + 8 * 10 * (1 + 1)
         monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need)
         call(150)
 
@@ -546,6 +578,16 @@ class TestThreadedStream:
         monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need - 1)
         with pytest.raises(RequestTooLargeError):
             call(150)
+
+
+def test_a_chunk_of_fresh_truths_is_not_counted(monkeypatch):
+    # no thread holds a chunk's (CHUNK, m) truths, so a request that fits
+    # with one block's truths runs: the stores of 150 replicates, one 1x10
+    # block and its truths
+    gen = AwgGenerator(GaussianGT(2.0, 1.0), ExplicitSigmas([1.0]), n=1, m=10)
+    monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", 150 * 8 * (2 * 10 + 2) + 8 * 10 * 2)
+    s = sample_aggregate_stream(gen, Mean(), Constant(1.0), 150, seed=0)
+    assert s.mu.shape == (150, 10) and np.isfinite(s.mu).all()
 
 
 def _poison_chunk(monkeypatch, chunk_index):
@@ -665,17 +707,16 @@ class TestChunkEngine:
         finally:
             tracemalloc.stop()
         losses = 8 * replicates * len(pipelines)
-        # one chunk's arrays: per replicate its truths (m), worker variances
-        # and their roots (2*n) and n for (r, n) temporaries of the draw, and
-        # one block with its pipelines' temporaries; a thread that held the
-        # previous chunk's truths while drawing the next would add m per replicate
-        chunk = 8 * analysis.CHUNK * (m + 3 * n) + 4 * analysis.BLOCK_BYTES
+        # one chunk's arrays: per replicate its worker variances and their
+        # roots (2*n) and n for (r, n) temporaries of the draw, and one block
+        # with its truths and its pipelines' temporaries; a thread that held
+        # a chunk's (CHUNK, m) truths would add m per replicate
+        chunk = 8 * analysis.CHUNK * 3 * n + 4 * analysis.BLOCK_BYTES
         assert peak - losses <= threads * chunk
 
-    @pytest.mark.parametrize("n, block_truths", [(8, False), (10, True)])
+    @pytest.mark.parametrize("n", [1, 8])
     @pytest.mark.parametrize("fresh_sigmas", [False, True])
-    def test_iterating_several_chunks_holds_one_chunk(self, monkeypatch, fresh_sigmas, n,
-                                                      block_truths):
+    def test_iterating_several_chunks_holds_one_chunk(self, monkeypatch, fresh_sigmas, n):
         import tracemalloc
 
         m = 100
@@ -683,7 +724,7 @@ class TestChunkEngine:
         monkeypatch.setattr(analysis, "BLOCK_BYTES", 2**16)
         gen = AwgGenerator(GaussianGT(2.0, 1.0), GaussianSqSigmas(), n=n, m=m,
                            fresh_gt=True, fresh_sigmas=fresh_sigmas)
-        assert analysis._draws_block_truths(gen, 5000, 2**16 // (8 * n * m)) == block_truths
+        list(analysis.iter_replicates(gen, 100, seed=2))
         tracemalloc.start()
         try:
             for block in analysis.iter_replicates(gen, 15_000, seed=2):
@@ -691,15 +732,14 @@ class TestChunkEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one chunk's truths, and with fresh worker variances those, their
-        # roots and n for the draw's temporaries (fixed worker variances are
-        # rooted once per call, not per chunk); the block being drawn, the one
-        # before it and small objects fit in three blocks.  Block truths hold
-        # no chunk of truths: a block's truths, the one before them and the
-        # buffer that draws past a chunk's truths are each 1/n of a block
-        per_replicate = (0 if block_truths else m) + (3 * n if fresh_sigmas else 0)
-        blocks = 3 + (3 / n if block_truths else 0)
-        assert peak <= 8 * analysis.CHUNK * per_replicate + blocks * analysis.BLOCK_BYTES
+        # with fresh worker variances, a chunk's variances, their roots and n
+        # for the draw's temporaries (fixed worker variances are rooted once
+        # per call, not per chunk); the block being drawn and the one before
+        # it, each with its truths (1/n of a block), and small objects fit in
+        # three blocks and two blocks' truths.  A chunk's (CHUNK, m) truths
+        # would add 4 MB
+        per_replicate = 3 * n if fresh_sigmas else 0
+        assert peak <= 8 * analysis.CHUNK * per_replicate + (3 + 2 / n) * analysis.BLOCK_BYTES
 
     def test_several_chunks_are_the_chunks_drawn_one_at_a_time(self):
         gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=False)
@@ -987,6 +1027,56 @@ class TestBayesGap:
         gap = (((X[:4000] - mu[:4000]) ** 2).sum(axis=1).mean()
                - ((post - mu[:4000]) ** 2).sum(axis=1).mean()) / m
         assert gap == pytest.approx(bayes_risk_gap(sigma2, sigma0_2), rel=0.1)
+
+
+class TestBlueRisks:
+    """``blue_risks``, blue's and eb_blue's closed-form risk, against Monte Carlo."""
+
+    def test_formula(self):
+        # sigma^2 = 1/(1 + 1/4) = 0.8
+        risks = blue_risks(10, [1.0, 4.0], 1.0)
+        assert risks["blue"] == pytest.approx(8.0)
+        assert risks["eb_blue"] == pytest.approx(8.0 - 7 * 0.64 / 1.8)
+        # constant truths: eb_blue keeps three coordinates' risk
+        assert blue_risks(10, [1.0, 4.0], 0.0)["eb_blue"] == pytest.approx(3 * 0.8)
+
+    @pytest.mark.parametrize("args, error", [
+        ((3, [1.0], 1.0), InsufficientDataError),
+        ((10, [1.0, 0.0], 1.0), NonPositiveVarianceError),
+        ((10, [1.0], -1.0), NonPositiveVarianceError),
+        ((10, [1.0], float("nan")), NonPositiveVarianceError),
+    ], ids=["m3", "zero-variance", "negative-tau2", "nan-tau2"])
+    def test_validation(self, args, error):
+        with pytest.raises(error):
+            blue_risks(*args)
+
+    def test_the_default_simulate_grid_matches_the_closed_form(self, tmp_path):
+        from ebtruth.cli import main
+
+        # the default grid (GaussianGT(2, 1) truths, worker i of variance
+        # i^2) at 40k replicates, seed 1
+        assert main(["simulate", "--replicates", "40000", "--seed", "1", "--threads", "2",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "simulate.csv", newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.DictReader(line for line in fh if not line.startswith("#"))
+                    if row["pipeline"] in ("blue", "eb_blue")]
+        assert len(rows) == 32
+        for row in rows:
+            n, m, name = int(row["n"]), int(row["m"]), row["pipeline"]
+            want = blue_risks(m, np.arange(1.0, n + 1) ** 2, 1.0)[name]
+            error = abs(float(row["mean_loss"]) - want)
+            if name == "eb_blue" and m == 5:
+                # E[1/ss^2] is infinite for m - 1 <= 4, so this row's
+                # std_error is no consistent standard error: 2 % instead
+                assert error <= 0.02 * want, (n, m, name)
+            else:
+                assert error <= 4 * float(row["std_error"]), (n, m, name)
+
+    def test_constant_truths_match_the_closed_form(self):
+        gen = AwgGenerator(ConstantGT(2.0), IndexedSigmas(), n=2, m=10)
+        res = mc_risk(gen, [pipeline_blue(), pipeline_eb_blue()], 40_000, seed=1)
+        for name, want in blue_risks(10, [1.0, 4.0], 0.0).items():
+            assert abs(res.risk(name) - want) <= 4 * res.reports[name].std_error, name
 
 
 class TestImprovementRatio:

@@ -629,15 +629,16 @@ def test_too_many_replicates_exits_validation_promptly(tmp_path, command):
 
 @pytest.mark.parametrize("command, flags", [
     ("simulate", ["--n-grid", "200", "--m-grid", "1000"]),
-    ("simulate", ["--n-grid", "1", "--m-grid", "50000"]),
+    ("simulate", ["--n-grid", "1", "--m-grid", "70000"]),
     ("conditions", ["--n", "200", "--m", "1000", "--sigmas", "indexed"]),
-    ("conditions", ["--n", "1", "--m", "50000"]),
+    ("conditions", ["--n", "1", "--m", "70000"]),
 ], ids=["simulate-block", "simulate-truths", "conditions-block", "conditions-truths"])
-def test_a_replicate_block_and_a_chunks_truths_are_counted(tmp_path, capsys, monkeypatch,
-                                                          command, flags):
-    # under a 1 MiB limit: a 200x1000 replicate is a 1.6 MB block, and three
-    # replicates of 50 000 truths take 1.2 MB, while the per-replicate
-    # arrays of three replicates take a few hundred bytes
+def test_a_replicate_block_and_its_truths_are_counted(tmp_path, capsys, monkeypatch,
+                                                     command, flags):
+    # under a 1 MiB limit: a 200x1000 replicate is a 1.6 MB block, and a
+    # 1x70 000 replicate a 0.56 MB block that its 70 000 truths take to
+    # 1.12 MB, while the per-replicate arrays of three replicates take a few
+    # hundred bytes
     from ebtruth import analysis
 
     def no_draw(*args, **kwargs):

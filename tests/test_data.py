@@ -103,6 +103,17 @@ class TestRowBlockDraws:
         assert got_rng.standard_normal(5).tobytes() == want_rng.standard_normal(5).tobytes()
 
 
+class TestDataset:
+    def test_the_callers_ground_truth_stays_writeable_and_apart(self):
+        g = np.array([1.0, 2.0])
+        view = g[:]
+        ds = Dataset(matrix=validate_matrix(np.ones((3, 2))), ground_truth=g)
+        assert g.flags.writeable and not ds.ground_truth.flags.writeable
+        view[0] = np.nan
+        g[1] = 99.0
+        assert np.array_equal(ds.ground_truth, [1.0, 2.0])
+
+
 class TestFileFormat:
     def test_round_trip_exact(self, tmp_path):
         ds = gen_synthetic(_spec())

@@ -8,11 +8,13 @@ from ebtruth import (
     DispersionStats,
     EmptyMatrixError,
     LengthMismatchError,
+    Mean,
     NonFiniteError,
     NonPositiveVarianceError,
     ObservationMatrix,
     as_answer_vector,
     dispersion,
+    run_td,
     validate_matrix,
     validate_variances,
 )
@@ -36,6 +38,19 @@ class TestObservationMatrix:
         X = validate_matrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
             X.values[0, 0] = 5.0
+
+    @pytest.mark.parametrize("make", [validate_matrix, ObservationMatrix],
+                             ids=["validate_matrix", "ObservationMatrix"])
+    def test_the_callers_array_stays_writeable_and_apart(self, make):
+        a = np.arange(6.0).reshape(2, 3)
+        view = a[:]
+        X = make(a)
+        assert a.flags.writeable and not X.values.flags.writeable
+        # a write through a view taken before, or to the array itself
+        view[0, 0] = np.nan
+        a[1, 2] = 99.0
+        assert np.array_equal(X.values, np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(run_td(Mean(), X), [1.5, 2.5, 3.5])
 
     def test_non_finite_rejected_with_position(self):
         with pytest.raises(NonFiniteError) as exc:
