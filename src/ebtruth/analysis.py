@@ -89,10 +89,17 @@ MEAN_SQUARED = "mean"
 # Chunk size is part of the algorithm definition (it fixes the RNG stream
 # layout), not a tuning knob.
 CHUNK = 20_000
-# Upper bound on one yielded (r, n, m) replicate block; it changes no value.
-# A block this size stays in a core's L2 cache while the draw, the scaling
-# and the pipelines pass over it, and it bounds memory.
+# Upper bound on one yielded (r, n, m) replicate block, a replicate counted
+# as at least ``BLOCK_MIN_WORKERS`` workers; it changes no value for a
+# built-in truth spec.  A block this size stays in a core's L2 cache while
+# the draw, the scaling and the pipelines pass over it, and it bounds memory.
 BLOCK_BYTES = 2**20
+# A block's truths, and each answer or temporary the pipelines make from it,
+# are (r, m) arrays, several of them alive at once.  Counting a replicate as
+# at least this many workers keeps each of them within a quarter of
+# ``BLOCK_BYTES``: at n = 1 they would each be as large as the noise block,
+# spill L2, and be returned to the kernel and faulted back in every block.
+BLOCK_MIN_WORKERS = 4
 # Most bytes of one synthetic sample batch ``_sample_batch`` keeps for the
 # next call; evaluate's 1000 samples at n=10, m=50 take 4.4 MB.
 KEPT_BATCH_BYTES = 16 * 2**20
@@ -173,9 +180,10 @@ class AwgGenerator:
 def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None):
     """Yield (X (r,n,m), mu (r,m), sigma2 (r,n)) blocks, deterministically.
 
-    A block holds at most ``BLOCK_BYTES`` of X (but at least one replicate);
-    every base answers each replicate the same in any batch, so no consumer
-    needs a whole chunk.  ``chunks`` selects chunk indices (all
+    A block holds at most ``BLOCK_BYTES`` of X, fewer than
+    ``BLOCK_MIN_WORKERS`` workers counted as that many (but at least one
+    replicate); every base answers each replicate the same in any batch, so
+    no consumer needs a whole chunk.  ``chunks`` selects chunk indices (all
     ``n_chunks(replicates)`` of them by default); a chunk's blocks are the
     same whichever others are drawn, so chunks can be drawn in any order or
     side by side.
@@ -195,7 +203,7 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None):
     for chunk_index in range(n_chunks(replicates)) if chunks is None else chunks:
         start = chunk_index * CHUNK
         r = min(CHUNK, replicates - start)
-        rows = min(r, max(1, BLOCK_BYTES // (8 * gen.n * gen.m)))
+        rows = min(r, max(1, BLOCK_BYTES // (8 * max(gen.n, BLOCK_MIN_WORKERS) * gen.m)))
         rng = stream(seed, REPLICATE_ROLE, chunk_index)
         truth_rng = stream(seed, TRUTH_ROLE, chunk_index)
         if gen.fresh_sigmas:

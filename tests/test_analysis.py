@@ -147,6 +147,12 @@ class TestMcRisk:
             mc_risk(_gen(m=1), [pipeline_eb_wrap(Mean(), psi)], 100, seed=0)
 
 
+def _block_bytes(n, m, rows):
+    """The ``BLOCK_BYTES`` that makes blocks of ``rows`` replicates of n x m:
+    a replicate counts as at least ``BLOCK_MIN_WORKERS`` workers."""
+    return 8 * max(n, analysis.BLOCK_MIN_WORKERS) * m * rows
+
+
 def _count_blocks(monkeypatch):
     """A list that records the replicates of each block ``analysis.iter_replicates``
     yields from now on."""
@@ -183,7 +189,7 @@ class TestSharedFirstStage:
     @pytest.fixture
     def gen(self, monkeypatch):
         monkeypatch.setattr(analysis, "CHUNK", 120)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 50)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(3, 7, 50))
         return AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=True)
 
     def test_blue_runs_once_per_block_and_each_loss_is_its_own(self, monkeypatch, gen,
@@ -276,7 +282,7 @@ class TestReplicateBlocks:
                                                             fresh_sigmas):
         gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7,
                            fresh_gt=fresh_gt, fresh_sigmas=fresh_sigmas)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(3, 7, 16))
         blocks = list(analysis.iter_replicates(gen, 130, seed=4))
         assert [b[0].shape[0] for b in blocks] == [16, 16, 16, 2] * 2 + [16, 14]
         want = list(_reference_chunks(gen, 130, seed=4))
@@ -291,7 +297,7 @@ class TestReplicateBlocks:
     def test_block_truths_are_the_chunks_bits(self, monkeypatch, gt, fresh_gt, fresh_sigmas,
                                               block_rows):
         gen = AwgGenerator(gt, REDRAWN, n=3, m=7, fresh_gt=fresh_gt, fresh_sigmas=fresh_sigmas)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * block_rows)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(3, 7, block_rows))
         chunks = [2, 0, 1]  # 130 replicates: 50 + 50 + a short 30, out of order
         got = list(analysis.iter_replicates(gen, 130, seed=4, chunks=chunks))
         assert len(got) == (10 if block_rows == 16 else 130)
@@ -307,7 +313,7 @@ class TestReplicateBlocks:
     def test_each_truth_is_drawn_once_a_block_at_a_time(self, monkeypatch, gt, n):
         # the spec's draws for a chunk are its blocks' rows, in order, each
         # from that chunk's truth stream, whatever n is
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * n * 7 * 16)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(n, 7, 16))
         draws = []
 
         class Recording:
@@ -345,7 +351,7 @@ class TestReplicateBlocks:
         # in blocks of 16 rows or one block a chunk; 130 replicates: 50 + 50
         # + a short 30
         gen = AwgGenerator(ShiftedGT(), REDRAWN, n=3, m=7, fresh_sigmas=True)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * block_rows)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(3, 7, block_rows))
         chunks = list(_reference_chunks(gen, 130, seed=4, rows=block_rows))
         X, mu, _ = (np.concatenate(a) for a in zip(*chunks))
         xa = run_td_batch(Mean(), X)
@@ -359,14 +365,19 @@ class TestReplicateBlocks:
         for got, want in zip(t.terms, analysis.stein_gap_terms(xa, psis, mu)):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("budget", [1000, 10])
-    def test_no_block_exceeds_the_budget(self, monkeypatch, budget):
-        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=True)
+    def test_no_block_exceeds_the_budget(self, monkeypatch, budget, n):
+        gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=n, m=7, fresh_sigmas=True)
         monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
-        one_replicate = 8 * 3 * 7
-        sizes = [X.nbytes for X, _, _ in analysis.iter_replicates(gen, 120, seed=1)]
-        assert sum(sizes) == 120 * one_replicate
-        assert max(sizes) <= max(budget, one_replicate)
+        one_replicate = 8 * n * 7
+        blocks = list(analysis.iter_replicates(gen, 120, seed=1))
+        assert sum(X.nbytes for X, _, _ in blocks) == 120 * one_replicate
+        assert max(X.nbytes for X, _, _ in blocks) <= max(budget, one_replicate)
+        # the truths, like each (r, m) array made from a block, take at most
+        # a quarter of the budget, however few workers there are
+        truths = max(mu.nbytes for _, mu, _ in blocks)
+        assert truths <= max(budget // analysis.BLOCK_MIN_WORKERS, 8 * 7)
 
     @pytest.mark.parametrize("base", ALL_BASES, ids=BASE_IDS)
     def test_blocks_equal_whole_chunks_for_every_base(self, monkeypatch, base):
@@ -405,7 +416,7 @@ class TestStores:
     @pytest.mark.parametrize("gt", TRUTH_SPECS, ids=repr)
     def test_the_truth_store_holds_every_specs_bits(self, monkeypatch, gt, fresh_gt):
         gen = AwgGenerator(gt, REDRAWN, n=3, m=7, fresh_gt=fresh_gt, fresh_sigmas=True)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(3, 7, 16))
         # 130 replicates: 50 + 50 + a short 30, on two threads
         s = sample_aggregate_stream(gen, Mean(), HeuristicH(), 130, seed=4, threads=2)
         want = np.concatenate([mu for _, mu, _ in _reference_chunks(gen, 130, seed=4)])
@@ -423,7 +434,7 @@ class TestStores:
         X = np.concatenate([X for X, _, _ in _reference_chunks(gen, replicates, seed=9)])
         want = run_td_batch(alg, X)
         # 4-replicate blocks, each run in 3-replicate iteration blocks
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * n * 6 * 4)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(n, 6, 4))
         monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 8 * n * 6 * 3)
         s = sample_aggregate_stream(gen, alg, HeuristicH(), replicates, seed=9)
         assert s.aggregates.tobytes() == want.tobytes()
@@ -442,7 +453,7 @@ class TestThreadedStream:
         gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10,
                            fresh_gt=True, fresh_sigmas=True)
         # the mean base takes 16-replicate blocks, so a chunk has several
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 16 * 8 * 4 * 10)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(4, 10, 16))
         runs = [sample_aggregate_stream(gen, base, HeuristicH(), 200, seed=3, threads=t)
                 for t in (1, 2, 3)]
         chunks = list(_reference_chunks(gen, 200, seed=3))
@@ -471,7 +482,7 @@ class TestThreadedStream:
 
     def test_chunk_selector_yields_those_chunks_in_any_order(self, monkeypatch):
         gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7, fresh_sigmas=True)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(3, 7, 16))
         every = list(analysis.iter_replicates(gen, 200, seed=4))
         picked = list(analysis.iter_replicates(gen, 200, seed=4, chunks=[2, 0]))
         # 70-replicate chunks in 16-replicate blocks: 5 blocks each, 4 in the last
@@ -484,7 +495,7 @@ class TestThreadedStream:
     def test_a_truth_store_gets_every_chunks_rows_in_any_order(self, monkeypatch, fresh_gt):
         gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=3, m=7,
                            fresh_gt=fresh_gt, fresh_sigmas=True)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 8 * 3 * 7 * 16)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(3, 7, 16))
         every = list(analysis.iter_replicates(gen, 200, seed=4))
         picked = list(analysis.iter_replicates(gen, 200, seed=4, chunks=[2, 0, 1]))
         # 70-replicate chunks in 16-replicate blocks: 5 blocks each, 4 in the last
@@ -561,12 +572,14 @@ class TestThreadedStream:
     @pytest.mark.parametrize("call, per_replicate", [
         (lambda r: sample_aggregate_stream(_gen(), Mean(), Constant(1.0), r, seed=0),
          8 * (2 * 10 + 2)),
+        (lambda r: sample_aggregate_stream(_gen(gt=GaussianGT(2.0, 1.0), fresh_gt=True), Mean(),
+                                           Constant(1.0), r, seed=0), 8 * (2 * 10 + 2)),
         (lambda r: sample_condition_terms(_gen(), Mean(), Constant(1.0), r, seed=0), 8 * 5 + 1),
         (lambda r: mc_risk(_gen(), [pipeline_blue(), pipeline_eb_blue()], r, seed=0), 8 * 2),
-    ], ids=["sample_aggregate_stream", "sample_condition_terms", "mc_risk"])
+    ], ids=["sample_aggregate_stream", "fresh_truths", "sample_condition_terms", "mc_risk"])
     def test_replicate_bound_is_checked_before_drawing(self, monkeypatch, call, per_replicate):
         # the per-replicate arrays and one 1x10 replicate block with its
-        # truths, 1x10
+        # truths, 1x10: no thread holds a chunk's truths, fresh or fixed
         need = 150 * per_replicate + 8 * 10 * (1 + 1)
         monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need)
         call(150)
@@ -578,16 +591,6 @@ class TestThreadedStream:
         monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need - 1)
         with pytest.raises(RequestTooLargeError):
             call(150)
-
-
-def test_a_chunk_of_fresh_truths_is_not_counted(monkeypatch):
-    # no thread holds a chunk's (CHUNK, m) truths, so a request that fits
-    # with one block's truths runs: the stores of 150 replicates, one 1x10
-    # block and its truths
-    gen = AwgGenerator(GaussianGT(2.0, 1.0), ExplicitSigmas([1.0]), n=1, m=10)
-    monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", 150 * 8 * (2 * 10 + 2) + 8 * 10 * 2)
-    s = sample_aggregate_stream(gen, Mean(), Constant(1.0), 150, seed=0)
-    assert s.mu.shape == (150, 10) and np.isfinite(s.mu).all()
 
 
 def _poison_chunk(monkeypatch, chunk_index):
@@ -616,7 +619,7 @@ class TestChunkEngine:
         gen = AwgGenerator(GaussianGT(2.0, 1.0), REDRAWN, n=4, m=10,
                            fresh_gt=True, fresh_sigmas=True)
         # the BLUE pipelines take 16-replicate blocks, so a chunk has several
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 16 * 8 * 4 * 10)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(4, 10, 16))
         coupled = pipeline_eb_wrap(CRH(), HeuristicH())
         pipelines = [factory() for factory in BLUE_PIPELINES] + [coupled]
         runs = [mc_risk(gen, pipelines, 200, seed=3, threads=t) for t in (1, 2, 3)]
@@ -819,7 +822,7 @@ class TestConditions:
         # flat, and every worker of replicate 91 (chunk 1) answers a row whose
         # squared deviations underflow, so its ss is 0
         monkeypatch.setattr(analysis, "CHUNK", 70)
-        monkeypatch.setattr(analysis, "BLOCK_BYTES", 16 * 8 * 4 * 10)
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(4, 10, 16))
         draw = analysis.iter_replicates
 
         def degenerate(*args, chunks=None, **kwargs):
