@@ -738,9 +738,9 @@ class TestChunkEngine:
         # with fresh worker variances, a chunk's variances, their roots and n
         # for the draw's temporaries (fixed worker variances are rooted once
         # per call, not per chunk); the block being drawn and the one before
-        # it, each with its truths (1/n of a block), and small objects fit in
-        # three blocks and two blocks' truths.  A chunk's (CHUNK, m) truths
-        # would add 4 MB
+        # it, each with its truths (at most 1/n of ``BLOCK_BYTES``), and small
+        # objects fit in three blocks and two blocks' truths.  A chunk's (CHUNK, m)
+        # truths would add 4 MB
         per_replicate = 3 * n if fresh_sigmas else 0
         assert peak <= 8 * analysis.CHUNK * per_replicate + (3 + 2 / n) * analysis.BLOCK_BYTES
 
