@@ -116,10 +116,7 @@ from .variance import (
     VarianceEstimator,
     finite_difference,
     is_mean_adjusted,
-    oracle_reduce,
     psi_derivative,
-    psi_h,
-    psi_s,
     psi_value,
 )
 

@@ -27,16 +27,17 @@ Stein-gap terms run in row blocks (``baselines.block_rows``), so their
 temporaries stay block-sized.
 
 The condition checks read a stream's Stein-gap terms, ψ and ∂ψ, all (R,)
-arrays.  ``sample_condition_terms``, behind ``ebtruth conditions``, writes a
-block's terms next to its ψ and ∂ψ and then drops the block's aggregates
-and truths, so it keeps no (R, m) array.  Each check builds s² once and
-only the plug-ins it reads.  ``sample_aggregate_stream`` keeps the (R, m)
-aggregates and truths as well, for callers that read them: it copies each
-block's answers and truths into its stores, and its checks share one
-``stein_gap_terms`` pass per ``AggregateStream``.  A row's terms are the
-same bits either way.  Every array a request sizes (an improvement-ratio
-batch, the per-replicate condition arrays or stores, the Monte Carlo losses,
-each with one replicate block and its truths) is checked against
+arrays, from a ``ConditionTerms``.  One block pass makes them: it writes
+each block's terms next to its ψ and ∂ψ and then drops the block's
+aggregates and truths, so ``sample_condition_terms``, behind ``ebtruth
+conditions``, keeps no (R, m) array.  ``sample_aggregate_stream`` runs the
+same pass and also copies each block's answers and truths into (R, m)
+stores, for callers that read them; its ``AggregateStream`` is a
+``ConditionTerms``, so the checks take either and a row's terms are the
+same bits in both.  Each check builds s² once and only the plug-ins it
+reads.  Every array a request sizes (an improvement-ratio batch, the
+per-replicate condition arrays and stores, the Monte Carlo losses, each
+with one replicate block and its truths) is checked against
 ``MAX_BATCH_BYTES`` before anything is allocated.
 
 The improvement ratio keeps the last synthetic sample batch it drew, read-only
@@ -50,7 +51,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextvars
 import csv
-import functools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -74,6 +74,7 @@ from .errors import (
     InsufficientReplicatesError,
     InsufficientSignalError,
     LengthMismatchError,
+    NonFiniteParameterError,
     NonPositiveVarianceError,
     RequestTooLargeError,
     ValidationError,
@@ -197,8 +198,7 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None):
     ``stream(seed, ROLE_GT, 0)`` and broadcast.
     """
     fixed_mu = None if gen.fresh_gt else gen.gt.draw((gen.m,), stream(seed, ROLE_GT, 0))
-    fixed_sig2 = (None if gen.fresh_sigmas
-                  else gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0)))
+    fixed_sig2 = None if gen.fresh_sigmas else fixed_worker_variances(gen, seed)
     fixed_sd = None if fixed_sig2 is None else np.sqrt(fixed_sig2)
     for chunk_index in range(n_chunks(replicates)) if chunks is None else chunks:
         start = chunk_index * CHUNK
@@ -223,6 +223,13 @@ def iter_replicates(gen: AwgGenerator, replicates: int, seed: int, chunks=None):
         # drop this chunk's arrays, views included, before the next chunk's
         # worker variances are drawn
         del X, mu, sig2, sd
+
+
+def fixed_worker_variances(gen: AwgGenerator, seed: int) -> np.ndarray:
+    """The (n,) worker variances that every replicate of ``gen`` at ``seed``
+    shares when they are not redrawn (``fresh_sigmas`` false), drawn once
+    from ``stream(seed, ROLE_SIGMA, 0)``."""
+    return gen.worker_sigmas.draw((gen.n,), stream(seed, ROLE_SIGMA, 0))
 
 
 def n_chunks(replicates: int) -> int:
@@ -418,34 +425,11 @@ def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int,
 
 
 @dataclass(frozen=True)
-class AggregateStream:
-    """Replicated (aggregate, sigma-hat^2, derivative dot, truth) draws for one
-    base algorithm and variance estimator under an AWG generator."""
-
-    aggregates: np.ndarray   # (R, m)
-    psis: np.ndarray         # (R,)
-    derivative_dots: np.ndarray  # (R,) sum_j psi'_j (xa_j - mean)
-    mu: np.ndarray           # (R, m)
-    seed: int
-
-    @property
-    def m(self) -> int:
-        return self.aggregates.shape[1]
-
-    @functools.cached_property
-    def terms(self):
-        """``stein_gap_terms`` of the stream, computed on first use and then
-        kept, since every condition check reads them.  A stream's arrays are
-        not written after it is built."""
-        return stein_gap_terms(self.aggregates, self.psis, self.mu)
-
-
-@dataclass(frozen=True)
 class ConditionTerms:
-    """What the condition checks read of a replicate stream, as
-    ``sample_condition_terms`` keeps it: the ``stein_gap_terms``, ψ and ∂ψ
-    per replicate, the question count and the seed, without the (R, m)
-    aggregates and truths."""
+    """What the condition checks read of a replicate stream of one base
+    algorithm and variance estimator under an AWG generator: the
+    ``stein_gap_terms``, ψ and ∂ψ per replicate, the question count and the
+    seed."""
 
     terms: tuple             # (ok, ss, cov, quad), as stein_gap_terms returns them
     psis: np.ndarray         # (R,)
@@ -454,73 +438,74 @@ class ConditionTerms:
     seed: int
 
 
+@dataclass(frozen=True)
+class AggregateStream(ConditionTerms):
+    """``ConditionTerms`` with the replicates' aggregates and truths kept."""
+
+    aggregates: np.ndarray   # (R, m)
+    mu: np.ndarray           # (R, m)
+
+
 def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
                             psi: VarianceEstimator, replicates: int,
                             seed: int, threads: int = 1) -> AggregateStream:
-    """Run ``base`` and ``psi`` over ``replicates`` replicates of ``gen``.
-
-    The chunks run on ``threads`` threads, each writing its own rows of the
-    stores, so the result does not depend on ``threads`` (see
-    ``_each_chunk``).  Each block's answers and truths are copied into the
-    ``aggregates`` and ``mu`` stores, so a thread holds one block of answers
-    and one of truths.  Fewer than 2 replicates
-    raise InsufficientReplicatesError, and a request over
-    ``MAX_BATCH_BYTES`` (see ``_check_replicates``) RequestTooLargeError,
-    before anything is drawn.
-    """
-    if replicates < 2:
-        raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
-    _check_replicates(gen, replicates, 8 * (2 * gen.m + 2), "aggregates and truths")
-    aggregates = np.empty((replicates, gen.m))
-    psis = np.empty(replicates)
-    dots = np.empty(replicates)
-    mus = np.empty((replicates, gen.m))
-
-    def on_block(pos, X, mu, sig2):
-        rows = slice(pos, pos + X.shape[0])
-        aggregates[rows] = xa = run_td_batch(base, X)
-        mus[rows] = mu
-        psis[rows] = psi_batch(psi, X, xa)
-        dots[rows] = psi_derivative_dot_batch(psi, X, xa)
-
-    _each_chunk(gen, replicates, seed, threads, on_block)
-    return AggregateStream(aggregates=aggregates, psis=psis, derivative_dots=dots,
-                           mu=mus, seed=seed)
+    """``sample_condition_terms``' pass, which also copies each block's
+    answers and truths into the ``aggregates`` and ``mu`` stores, so a
+    thread holds one block of answers and one of truths.  Its checks are
+    those of ``sample_condition_terms`` but for the one on m."""
+    return AggregateStream(**_terms_pass(gen, base, psi, replicates, seed, threads,
+                                         ("aggregates", "mu")))
 
 
 def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
                            psi: VarianceEstimator, replicates: int,
                            seed: int, threads: int = 1) -> ConditionTerms:
-    """``sample_aggregate_stream`` reduced to what the condition checks read.
+    """Run ``base`` and ``psi`` over ``replicates`` replicates of ``gen``
+    and keep what the condition checks read.
 
     Each block's Stein-gap terms are written next to its ψ and ∂ψ, and the
     block's aggregates and truths are then dropped, so the pass keeps (R,)
     arrays only, and a thread holds one block with its truths.  A row's
     terms do not depend on its block, so they are the bits that
-    ``stein_gap_terms`` gives on the stores of ``sample_aggregate_stream``
-    with the same arguments, at any ``threads``.  Its checks are those of
-    ``sample_aggregate_stream``, and m <= 3, which every condition check
-    refuses, raises InsufficientDataError before anything is drawn too.
+    ``stein_gap_terms`` gives on the whole stream.  The chunks run on
+    ``threads`` threads, each writing its own rows, so the result does not
+    depend on ``threads`` (see ``_each_chunk``).  Fewer than 2 replicates
+    raise InsufficientReplicatesError, m <= 3, which every condition check
+    refuses, InsufficientDataError, and a request over ``MAX_BATCH_BYTES``
+    (see ``_check_replicates``) RequestTooLargeError, all before anything is
+    drawn.
     """
-    if replicates < 2:
-        raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
     if gen.m <= 3:
         raise InsufficientDataError("condition needs m > 3")
-    # ψ, ∂ψ, ss, the covariance and quadratic terms, and the mask
-    _check_replicates(gen, replicates, 5 * 8 + 1, "condition terms")
+    return ConditionTerms(**_terms_pass(gen, base, psi, replicates, seed, threads, ()))
+
+
+def _terms_pass(gen, base, psi, replicates, seed, threads, kept) -> dict:
+    """The fields of ``ConditionTerms`` from one block pass, and an (R, m)
+    store of the blocks' aggregates (``"aggregates"``) or truths (``"mu"``)
+    for each name in ``kept``."""
+    if replicates < 2:
+        raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
+    # ψ, ∂ψ, ss, the covariance and quadratic terms, the mask, and the stores
+    _check_replicates(gen, replicates, 5 * 8 + 1 + 8 * gen.m * len(kept),
+                      ", ".join(("condition terms",) + kept))
+    stores = {name: np.empty((replicates, gen.m)) for name in kept}
     ok = np.empty(replicates, dtype=bool)
     ss, cov, psis, dots = (np.empty(replicates) for _ in range(4))
 
     def on_block(pos, X, mu, sig2):
         rows = slice(pos, pos + X.shape[0])
         xa = run_td_batch(base, X)
+        for name, block in (("aggregates", xa), ("mu", mu)):
+            if name in stores:
+                stores[name][rows] = block
         psis[rows] = psi_batch(psi, X, xa)
         dots[rows] = psi_derivative_dot_batch(psi, X, xa)
         _write_gap_terms(xa, psis[rows], mu, ok[rows], ss[rows], cov[rows])
 
     _each_chunk(gen, replicates, seed, threads, on_block)
-    return ConditionTerms(terms=_kept_terms(ok, ss, cov, psis), psis=psis,
-                          derivative_dots=dots, m=gen.m, seed=seed)
+    return dict(terms=_kept_terms(ok, ss, cov, psis), psis=psis, derivative_dots=dots,
+                m=gen.m, seed=seed, **stores)
 
 
 def _std_error(x: np.ndarray) -> float:
@@ -608,10 +593,9 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     return float(cov.mean() / quad.mean())
 
 
-def _stream_terms(s: AggregateStream | ConditionTerms):
+def _stream_terms(s: ConditionTerms):
     """ss, covariance and quadratic terms (``s.terms``) of a stream all of
-    whose replicates have dispersion.  The checks need m > 3, and take an
-    ``AggregateStream`` or ``ConditionTerms`` alike."""
+    whose replicates have dispersion.  The checks need m > 3."""
     if s.m <= 3:
         raise InsufficientDataError("condition needs m > 3")
     ok, ss, cov, quad = s.terms
@@ -620,7 +604,7 @@ def _stream_terms(s: AggregateStream | ConditionTerms):
     return ss, cov, quad
 
 
-def _plug_ins(s: AggregateStream | ConditionTerms, ss: np.ndarray):
+def _plug_ins(s: ConditionTerms, ss: np.ndarray):
     """Yield a stream's s^2-normalised plug-ins psi^2/s^2, psi/s^2 and
     dot/((m-3) s^2) in turn, each a fresh (R,) array, with s^2 = ss/(m-1)
     built once."""
@@ -630,7 +614,7 @@ def _plug_ins(s: AggregateStream | ConditionTerms, ss: np.ndarray):
     yield s.derivative_dots / ((s.m - 3) * s2)
 
 
-def improvement_condition(s: AggregateStream | ConditionTerms) -> ConditionReport:
+def improvement_condition(s: ConditionTerms) -> ConditionReport:
     """Improvement condition for an unbiased base: twice the covariance term
     must outweigh the quadratic term.  The per-replicate statistic equals the
     paired loss difference base-minus-wrapped, so the sign doubles as a risk
@@ -644,7 +628,7 @@ def improvement_condition(s: AggregateStream | ConditionTerms) -> ConditionRepor
                            direction=">", satisfied=lhs > 0.0, std_errors=(se,))
 
 
-def risk_decomposition(s: AggregateStream | ConditionTerms, sigma2: float) -> dict:
+def risk_decomposition(s: ConditionTerms, sigma2: float) -> dict:
     """Two-sided check of the normal-model risk decomposition.
 
     lhs: paired Monte Carlo gap risk(wrapped) - risk(base).  rhs: the
@@ -652,8 +636,7 @@ def risk_decomposition(s: AggregateStream | ConditionTerms, sigma2: float) -> di
     compensating prefactor.  They agree when the residual is within 3
     standard errors of zero.
     """
-    if sigma2 <= 0:
-        raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
+    check_sigma2(sigma2)
     ss, cov_term, _ = _stream_terms(s)
     m = s.m
     alpha = m - 3
@@ -673,6 +656,15 @@ def risk_decomposition(s: AggregateStream | ConditionTerms, sigma2: float) -> di
     }
 
 
+def check_sigma2(sigma2: float) -> None:
+    """Raise NonFiniteParameterError for a NaN or infinite aggregated-worker
+    variance, and NonPositiveVarianceError for one <= 0."""
+    if not np.isfinite(sigma2):
+        raise NonFiniteParameterError(f"sigma2 must be finite, got {sigma2!r}")
+    if sigma2 <= 0:
+        raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
+
+
 def check_deviation_inputs(eps: float | None = None, delta: float | None = None,
                            bound: float | None = None) -> None:
     """Raise ValidationError, naming the value, for a non-finite eps, delta or
@@ -684,7 +676,7 @@ def check_deviation_inputs(eps: float | None = None, delta: float | None = None,
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
 
 
-def sufficient_conditions(s: AggregateStream | ConditionTerms, sigma2: float,
+def sufficient_conditions(s: ConditionTerms, sigma2: float,
                           psi: VarianceEstimator, eps: float | None = None,
                           delta: float | None = None,
                           bound: float | None = None) -> list[ConditionReport]:
@@ -692,8 +684,10 @@ def sufficient_conditions(s: AggregateStream | ConditionTerms, sigma2: float,
 
     The deviation-bound conditions take eps/delta/bound as declared properties
     of the supplied estimator and check the closed-form brackets; inputs that
-    ``check_deviation_inputs`` refuses raise ValidationError.
+    ``check_deviation_inputs`` refuses raise ValidationError, and so does a
+    ``sigma2`` that ``check_sigma2`` refuses.
     """
+    check_sigma2(sigma2)
     check_deviation_inputs(eps, delta, bound)
     ss, _, _ = _stream_terms(s)
     # each plug-in's mean and standard error, one plug-in at a time

@@ -39,13 +39,13 @@ from .analysis import (
     improvement_condition,
     risk_decomposition,
     check_deviation_inputs,
+    check_sigma2,
     sufficient_conditions,
     loss,
     report_record,
 )
 from .baselines import CATD, CRH, DistanceWeighted, Mean, Median, blue_aggregate
 from .data import (
-    ROLE_SIGMA,
     ConstantGT,
     ExplicitSigmas,
     GaussianGT,
@@ -53,7 +53,6 @@ from .data import (
     IndexedSigmas,
     load_csv,
     partition_questions,
-    stream,
 )
 from .errors import EbtruthError, ParseError, ValidationError
 from .estimators import ebe
@@ -377,16 +376,16 @@ def cmd_conditions(cfg: dict) -> int:
     base = _parse_base(cfg["base"])
     n, m, seed = cfg["n"], cfg["m"], cfg["seed"]
     gen = AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
-    terms = sample_condition_terms(gen, base, psi, cfg["replicates"], seed,
-                                   threads=_threads(cfg["threads"]))
-
     sigma2 = cfg["sigma2"]
     if sigma2 is None:
         derive = getattr(base, "aggregated_variance", None)
         if derive is None:
             raise ValidationError(
                 "aggregated variance is only derivable for the mean base; pass --sigma2")
-        sigma2 = derive(sigmas.draw((n,), stream(seed, ROLE_SIGMA, 0)))
+        sigma2 = derive(analysis.fixed_worker_variances(gen, seed))
+    check_sigma2(sigma2)
+    terms = sample_condition_terms(gen, base, psi, cfg["replicates"], seed,
+                                   threads=_threads(cfg["threads"]))
 
     records = [report_record(improvement_condition(terms))]
     for rep in sufficient_conditions(terms, sigma2, psi, eps=cfg["eps"],

@@ -3,10 +3,11 @@
 Each built-in estimator has one kernel, ``evaluate(values, xa)``, mapping
 observations (..., n, m) and aggregates (..., m) to a sigma-hat^2 >= 0 per
 aggregate, and its analytic ``gradient`` with respect to the aggregate, which
-the risk-condition checks need.  Every pipeline, ``eb_wrap`` included,
-calls ``evaluate``; ``value(X, x_a)``, the validated single-matrix entry,
-serves only ``psi_value`` and the finite-difference fallback in
-``psi_derivative``.
+the risk-condition checks need.  Every pipeline calls ``evaluate``, and so
+does ``psi_value``, on a batch of one, so no built-in has a scalar twin.  A
+plug-in with no ``evaluate``, such as an adversarial one, may define
+``value(X, x_a)`` alone: ``psi_value`` calls it, and ``psi_derivative``
+differentiates it by finite differences.  Parameters must be finite.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_params
 from .errors import LengthMismatchError, NonPositiveVarianceError
 from .model import ObservationMatrix, as_answer_vector, validate_variances
 
@@ -28,12 +30,12 @@ def _dof(m: int, name: str) -> int:
 
 
 class _DataIndependent:
-    """A constant value and a zero derivative, whatever the data."""
+    """A constant value ``c`` and a zero derivative, whatever the data."""
 
     data_independent = True
 
     def evaluate(self, values, xa: np.ndarray) -> np.ndarray:
-        return np.full(xa.shape[:-1], self.value(values, xa))
+        return np.full(xa.shape[:-1], float(self.c))
 
     def gradient(self, values, xa: np.ndarray) -> np.ndarray:
         return np.zeros_like(xa)
@@ -44,21 +46,20 @@ class HeuristicH:
     """Average of per-worker variance proxies, using the aggregate as truth proxy."""
 
     def evaluate(self, values: np.ndarray, xa: np.ndarray) -> np.ndarray:
-        n, m = values.shape[-2:]
+        n, m = _matrix(values).shape[-2:]
         return ((values - xa[..., None, :]) ** 2).sum(axis=(-2, -1)) / (n * _dof(m, "psi_h"))
 
     def gradient(self, values, xa: np.ndarray) -> np.ndarray:
         # the raw matrix is held fixed: the derivative runs through the aggregate only
-        if values is None:
-            raise LengthMismatchError("the residual heuristic needs the observation matrix")
-        return 2.0 * (xa - values.mean(axis=-2)) / _dof(xa.shape[-1], "psi_h")
+        return 2.0 * (xa - _matrix(values).mean(axis=-2)) / _dof(xa.shape[-1], "psi_h")
 
-    def value(self, X: ObservationMatrix, x_a) -> float:
-        x_a = as_answer_vector(x_a)
-        m = X.n_questions
-        if x_a.shape[0] != m:
-            raise LengthMismatchError(f"aggregate length {x_a.shape[0]} != question count {m}")
-        return float(self.evaluate(X.values, x_a))
+
+def _matrix(values):
+    """``values``, which the residual heuristic reads, or LengthMismatchError
+    when there are none."""
+    if values is None:
+        raise LengthMismatchError("the residual heuristic needs the observation matrix")
+    return values
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,7 @@ class SampleScaled:
     c: float = 1.0
 
     def __post_init__(self):
+        _check_params(self)
         if self.c < 0:
             raise ValueError(f"scale must be >= 0, got {self.c}")
 
@@ -78,9 +80,6 @@ class SampleScaled:
     def gradient(self, values, xa: np.ndarray) -> np.ndarray:
         return 2.0 * self.c * (xa - xa.mean(axis=-1, keepdims=True)) / _dof(xa.shape[-1], "psi_s")
 
-    def value(self, X, x_a) -> float:
-        return float(self.evaluate(None, as_answer_vector(x_a)))
-
 
 @dataclass(frozen=True)
 class Constant(_DataIndependent):
@@ -89,19 +88,18 @@ class Constant(_DataIndependent):
     c: float
 
     def __post_init__(self):
+        _check_params(self)
         if self.c < 0:
             raise NonPositiveVarianceError(f"constant guess must be >= 0, got {self.c}")
-
-    def value(self, X, x_a) -> float:
-        return float(self.c)
 
 
 @dataclass(frozen=True)
 class OracleReduced(_DataIndependent):
     """Per-worker variance guesses reduced to one aggregated-worker variance.
 
-    The guesses are treated as constants, so the reduction is the reciprocal
-    of the summed reciprocals (the inverse-variance-weighted combination).
+    The guesses are treated as constants, so the reduction ``c`` is the
+    reciprocal of the summed reciprocals (the inverse-variance-weighted
+    combination).
     """
 
     guesses: tuple
@@ -109,32 +107,26 @@ class OracleReduced(_DataIndependent):
     def __init__(self, guesses):
         object.__setattr__(self, "guesses", tuple(float(g) for g in validate_variances(guesses)))
 
-    def value(self, X, x_a) -> float:
-        return oracle_reduce(self.guesses)
+    @property
+    def c(self) -> float:
+        return float(1.0 / (1.0 / np.array(self.guesses)).sum())
 
 
 VarianceEstimator = HeuristicH | SampleScaled | Constant | OracleReduced
 
 
-def psi_h(X: ObservationMatrix, x_a) -> float:
-    """Per-worker squared residuals against the aggregate, averaged over workers."""
-    return HeuristicH().value(X, x_a)
-
-
-def psi_s(v, c: float) -> float:
-    """c times the sample variance of v."""
-    return SampleScaled(c).value(None, v)
-
-
-def oracle_reduce(guesses) -> float:
-    """Reciprocal of summed reciprocals of per-worker variance guesses."""
-    g = validate_variances(guesses)
-    return float(1.0 / (1.0 / g).sum())
-
-
-def psi_value(est: VarianceEstimator, X: ObservationMatrix, x_a) -> float:
-    """Evaluate any estimator with a ``value(X, x_a)`` method on a matrix and its aggregate."""
-    return float(est.value(X, x_a))
+def psi_value(est: VarianceEstimator, X: ObservationMatrix | None, x_a) -> float:
+    """psi of one matrix (None for an estimator that does not read it) and
+    its aggregate: ``evaluate`` on a batch of one, or ``value(X, x_a)`` for
+    an estimator with no ``evaluate``.  An aggregate whose length is not
+    X's question count raises LengthMismatchError."""
+    if not hasattr(est, "evaluate"):
+        return float(est.value(X, x_a))
+    x_a = as_answer_vector(x_a)
+    if X is not None and x_a.shape[0] != X.n_questions:
+        raise LengthMismatchError(
+            f"aggregate length {x_a.shape[0]} != question count {X.n_questions}")
+    return float(est.evaluate(None if X is None else X.values, x_a))
 
 
 def psi_derivative(est: VarianceEstimator, v, j: int, X: ObservationMatrix | None = None) -> float:

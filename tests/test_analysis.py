@@ -32,6 +32,7 @@ from ebtruth import (
     Mean,
     MEAN_SQUARED,
     NonFiniteError,
+    NonFiniteParameterError,
     NonPositiveVarianceError,
     RequestTooLargeError,
     ValidationError,
@@ -63,7 +64,7 @@ from ebtruth import (
     write_reports_jsonl,
 )
 from ebtruth import analysis, baselines
-from ebtruth.analysis import AggregateStream, psi_batch, report_record, shrink_aggregate
+from ebtruth.analysis import ConditionTerms, psi_batch, report_record, shrink_aggregate
 from ebtruth.data import ROLE_GT, ROLE_SIGMA
 
 
@@ -538,13 +539,15 @@ class TestThreadedStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stores = 8 * replicates * (2 * m + 2)
+        # the (R, m) stores, and ψ, ∂ψ, ss, the covariance and quadratic
+        # terms and the mask
+        stores = replicates * (8 * 2 * m + 5 * 8 + 1)
         # the truths and aggregates go straight into the stores, so a thread
-        # holds one block of noise and block-sized temporaries, whatever the
-        # base.  A chunk's own (CHUNK, m) truths or answers would add 0.8 MB
-        # each, and a whole chunk of noise 8 MB
-        held = analysis.BLOCK_BYTES
-        assert peak - stores <= threads * (held + 2 * baselines.ITERATION_BLOCK_BYTES)
+        # holds one block of noise and a few block-sized temporaries (at most
+        # 3.9 blocks, whatever the base).  A chunk's own (CHUNK, m) truths or
+        # answers would add 0.8 MB, 12 blocks, each, and a whole chunk of
+        # noise 8 MB
+        assert peak - stores <= threads * 5 * analysis.BLOCK_BYTES
 
     def test_memory_of_the_condition_checks_is_the_stores_and_one_block(self, monkeypatch):
         import tracemalloc
@@ -571,9 +574,9 @@ class TestThreadedStream:
 
     @pytest.mark.parametrize("call, per_replicate", [
         (lambda r: sample_aggregate_stream(_gen(), Mean(), Constant(1.0), r, seed=0),
-         8 * (2 * 10 + 2)),
+         8 * 5 + 1 + 8 * 2 * 10),
         (lambda r: sample_aggregate_stream(_gen(gt=GaussianGT(2.0, 1.0), fresh_gt=True), Mean(),
-                                           Constant(1.0), r, seed=0), 8 * (2 * 10 + 2)),
+                                           Constant(1.0), r, seed=0), 8 * 5 + 1 + 8 * 2 * 10),
         (lambda r: sample_condition_terms(_gen(), Mean(), Constant(1.0), r, seed=0), 8 * 5 + 1),
         (lambda r: mc_risk(_gen(), [pipeline_blue(), pipeline_eb_blue()], r, seed=0), 8 * 2),
     ], ids=["sample_aggregate_stream", "fresh_truths", "sample_condition_terms", "mc_risk"])
@@ -782,8 +785,8 @@ class TestConditions:
         # the rounded mean misses this constant row by an ulp, so ss ~ 1.9e-29
         aggregates = np.arange(24.0).reshape(4, 6)
         aggregates[2] = 13.691350663375637
-        s = AggregateStream(aggregates=aggregates, psis=np.ones(4), derivative_dots=np.zeros(4),
-                            mu=np.zeros((4, 6)), seed=0)
+        terms = analysis.stein_gap_terms(aggregates, np.ones(4), np.zeros((4, 6)))
+        s = ConditionTerms(terms=terms, psis=np.ones(4), derivative_dots=np.zeros(4), m=6, seed=0)
         with pytest.raises(InsufficientDataError):
             improvement_condition(s)
         # the terms are kept, but every check still rejects the stream
@@ -890,18 +893,19 @@ class TestConditions:
         assert peaks["decomposition"] < 7
 
     def test_checks_share_one_pass_over_the_stream(self, monkeypatch):
+        # the stream's block pass writes its terms: neither the stream nor a
+        # check computes them again over the stores
+        def no_stores(*args):
+            raise AssertionError("stein_gap_terms called")
+
+        monkeypatch.setattr(analysis, "stein_gap_terms", no_stores)
         s = self._stream(Constant(1.0), reps=1000)
-        calls = []
-        terms = analysis.stein_gap_terms
-        monkeypatch.setattr(analysis, "stein_gap_terms",
-                            lambda *args: calls.append(1) or terms(*args))
+        assert isinstance(s, ConditionTerms)
         expected = (improvement_condition(s), risk_decomposition(s, sigma2=1.0),
                     sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0)))
-        assert len(calls) == 1
         fresh = self._stream(Constant(1.0), reps=1000)
         assert expected == (improvement_condition(fresh), risk_decomposition(fresh, sigma2=1.0),
                             sufficient_conditions(fresh, sigma2=1.0, psi=Constant(1.0)))
-        assert len(calls) == 2
 
     def test_alpha_star_golden(self):
         # frozen from the release before the Stein-gap terms were shared; row 7
@@ -925,6 +929,14 @@ class TestConditions:
     def test_decomposition_validates_variance(self):
         with pytest.raises(NonPositiveVarianceError):
             risk_decomposition(self._stream(Constant(1.0), reps=1000), sigma2=0.0)
+
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
+    def test_checks_reject_a_non_finite_variance(self, sigma2):
+        s = self._stream(Constant(1.0), reps=100)
+        with pytest.raises(NonFiniteParameterError, match="sigma2 must be finite"):
+            risk_decomposition(s, sigma2)
+        with pytest.raises(NonFiniteParameterError, match="sigma2 must be finite"):
+            sufficient_conditions(s, sigma2, Constant(1.0))
 
     def test_sufficient_condition_reports(self):
         s = self._stream(Constant(1.0), reps=5000)

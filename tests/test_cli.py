@@ -270,6 +270,10 @@ class TestConfigFile:
         (["--eps", "0.1", "--delta", "-1", "--bound", "0.1"], "delta must be in (0, 1], got -1.0"),
         (["--eps", "nan"], "eps must be finite, got nan"),
         (["--eps", "0.1", "--delta", "0.5", "--bound", "inf"], "bound must be finite, got inf"),
+        (["--sigma2", "nan"], "sigma2 must be finite, got nan"),
+        (["--sigma2", "inf"], "sigma2 must be finite, got inf"),
+        (["--sigma2", "0"], "sigma2 must be > 0, got 0.0"),
+        (["--psi", "s:inf"], "SampleScaled: c must be finite, got inf"),
     ])
     def test_bad_deviation_inputs_exit_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                       flags, message):
@@ -282,6 +286,24 @@ class TestConfigFile:
             == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
         assert drawn == [] and not out.exists()
+
+
+    @pytest.mark.parametrize("psi, message", [
+        ("const:nan", "Constant: c must be finite, got nan"),
+        ("s:inf", "SampleScaled: c must be finite, got inf"),
+    ])
+    def test_evaluate_rejects_a_non_finite_psi_before_sampling(self, tmp_path, capsys,
+                                                               monkeypatch, dataset_csv,
+                                                               psi, message):
+        import ebtruth.cli as cli
+
+        sampled = []
+        monkeypatch.setattr(cli, "improvement_ratios", lambda *a, **k: sampled.append(1))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--psi", psi, "--data", dataset_csv, "--out", str(out)]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sampled == [] and not out.exists()
 
 
 class TestOutputs:

@@ -1,7 +1,11 @@
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+BENCH = ROOT / "perfbench"
 
 
 def _code_lines():
@@ -31,3 +35,24 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     assert _code_lines().main(["code_lines.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.split("\n") == ["     2 a.py", "     2 b.py", "     4 total",
                                                    ""]
+
+
+def test_the_benchmark_wraps_functions_the_package_has(monkeypatch):
+    # the benchmark times each layer by wrapping package functions it names;
+    # a name deleted or renamed in the package fails here, not in a
+    # benchmark run
+    monkeypatch.syspath_prepend(str(BENCH))
+    own = ("workloads", "tracing", "metrics")
+    loaded = [name for name in own if name in sys.modules]
+    try:
+        workloads = importlib.import_module("workloads")
+        pairs = workloads.layer_wrappers(importlib.import_module("tracing").Tracer())
+    finally:
+        for name in own:
+            if name not in loaded:
+                sys.modules.pop(name, None)
+    assert pairs
+    for original, wrapper in pairs:
+        assert original.__module__.startswith("ebtruth."), original
+        assert getattr(sys.modules[original.__module__], original.__name__) is original
+        assert callable(wrapper)

@@ -10,15 +10,13 @@ from ebtruth import (
     Constant,
     HeuristicH,
     LengthMismatchError,
+    NonFiniteParameterError,
     NonPositiveVarianceError,
     OracleReduced,
     SampleScaled,
     finite_difference,
     is_mean_adjusted,
-    oracle_reduce,
     psi_derivative,
-    psi_h,
-    psi_s,
     psi_value,
     validate_matrix,
 )
@@ -44,18 +42,17 @@ class FlippedSampleScaled:
 class TestValues:
     def test_residual_heuristic_golden(self):
         X = validate_matrix(TABLE)
-        assert psi_h(X, BLUE_ROW) == pytest.approx(PSI_H_GOLDEN, rel=1e-12)
         assert psi_value(HeuristicH(), X, BLUE_ROW) == pytest.approx(PSI_H_GOLDEN, rel=1e-12)
 
     def test_sample_scaled_is_scaled_sample_variance(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        assert psi_s(v, 2.0) == pytest.approx(2.0 * np.var(v, ddof=1))
+        assert psi_value(SampleScaled(2.0), None, v) == pytest.approx(2.0 * np.var(v, ddof=1))
         assert psi_value(SampleScaled(0.5), None, v) == pytest.approx(0.5 * np.var(v, ddof=1))
 
     def test_oracle_reduction_golden(self):
-        assert oracle_reduce([93.5, 11.0, 34.5, 56.5]) == pytest.approx(ORACLE_GOLDEN, rel=1e-12)
         est = OracleReduced([93.5, 11.0, 34.5, 56.5])
-        assert psi_value(est, None, np.zeros(4)) == pytest.approx(ORACLE_GOLDEN, rel=1e-12)
+        assert est.c == pytest.approx(ORACLE_GOLDEN, rel=1e-12)
+        assert psi_value(est, None, np.zeros(4)) == est.c
 
     def test_constant(self):
         assert psi_value(Constant(3.5), None, np.zeros(4)) == 3.5
@@ -65,15 +62,25 @@ class TestValues:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             SampleScaled(-0.1)
-        with pytest.raises(ValueError):
-            psi_s([1.0, 2.0], -1.0)
+
+    @pytest.mark.parametrize("make", [Constant, SampleScaled], ids=["const", "s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_are_rejected(self, make, value):
+        with pytest.raises(NonFiniteParameterError, match="c must be finite"):
+            make(value)
 
     def test_length_guards(self):
         X = validate_matrix(TABLE)
         with pytest.raises(LengthMismatchError):
-            psi_h(X, np.zeros(3))
+            psi_value(HeuristicH(), X, np.zeros(3))
         with pytest.raises(LengthMismatchError):
-            psi_s(np.array([1.0]), 1.0)
+            psi_value(SampleScaled(1.0), None, np.array([1.0]))
+
+    def test_residual_heuristic_value_needs_matrix(self):
+        with pytest.raises(LengthMismatchError, match="needs the observation matrix"):
+            psi_value(HeuristicH(), None, np.zeros(4))
+        with pytest.raises(LengthMismatchError, match="needs the observation matrix"):
+            HeuristicH().evaluate(None, np.zeros((2, 4)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("est", [HeuristicH(), SampleScaled(1.0)], ids=["h", "s"])
@@ -85,7 +92,7 @@ class TestValues:
         with pytest.raises(LengthMismatchError):
             getattr(est, kernel)(values[0], values[0].mean(axis=-2))
         with pytest.raises(LengthMismatchError):
-            est.value(validate_matrix(values[0]), values[0].mean(axis=-2))
+            psi_value(est, validate_matrix(values[0]), values[0].mean(axis=-2))
 
     def test_duck_typed_plugin(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
