@@ -80,7 +80,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import check_alpha, flat_rows, shrink_batch, stein
-from .model import validate_variances
+from .model import check_sigma2, validate_variances
 from .pipelines import shrink_aggregate
 from .variance import VarianceEstimator
 
@@ -568,7 +568,8 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     over the mean quadratic term of ``stein_gap_terms``; the risk in alpha is
     a parabola maximized at that ratio.  Replicates with zero dispersion
     (flat, or whose ss underflows) are left out.  No questions (m = 0) raise
-    EmptyMatrixError.
+    EmptyMatrixError, and a NaN or infinite ``sigma2_hats`` entry
+    NonFiniteParameterError; an entry of 0 (ψ on flat data) is allowed.
     """
     aggregates = np.asarray(aggregates, dtype=float)
     sigma2_hats = np.asarray(sigma2_hats, dtype=float)
@@ -586,6 +587,8 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
             f"got shape {sigma2_hats.shape}")
     if r < 30:
         raise InsufficientReplicatesError(f"need >= 30 replicates, got {r}")
+    if not np.isfinite(sigma2_hats).all():
+        raise NonFiniteParameterError("sigma2_hats must be finite")
     ok, _, cov, quad = stein_gap_terms(aggregates, sigma2_hats,
                                        np.broadcast_to(mu, aggregates.shape))
     if not np.any(ok) or quad.mean() == 0.0:
@@ -654,15 +657,6 @@ def risk_decomposition(s: ConditionTerms, sigma2: float) -> dict:
         "residual_se": se,
         "agree": bool(abs(resid.mean()) < 3 * se if se > 0 else resid.mean() == 0),
     }
-
-
-def check_sigma2(sigma2: float) -> None:
-    """Raise NonFiniteParameterError for a NaN or infinite aggregated-worker
-    variance, and NonPositiveVarianceError for one <= 0."""
-    if not np.isfinite(sigma2):
-        raise NonFiniteParameterError(f"sigma2 must be finite, got {sigma2!r}")
-    if sigma2 <= 0:
-        raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
 
 
 def check_deviation_inputs(eps: float | None = None, delta: float | None = None,
@@ -736,9 +730,8 @@ def sufficient_conditions(s: ConditionTerms, sigma2: float,
 
 def bayes_risk_gap(sigma2: float, sigma0_2: float) -> float:
     """Per-coordinate identity-minus-posterior-mean risk gap under the
-    hierarchical generator."""
-    if sigma2 <= 0 or sigma0_2 <= 0:
-        raise NonPositiveVarianceError("both variances must be > 0")
+    hierarchical generator; both variances must pass ``check_sigma2``."""
+    check_sigma2((sigma2, sigma0_2))
     return sigma2**2 / (sigma0_2 + sigma2)
 
 

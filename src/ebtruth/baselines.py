@@ -1,11 +1,13 @@
 """Black-box truth-discovery baselines producing one aggregated answer vector.
 
-Each baseline's ``aggregate`` method maps a (replicates, n, m) stack to
-(replicates, m); the single-matrix form is that method at batch size 1.
-Every base works over the stack in cache-sized row blocks
-(``ITERATION_BLOCK_BYTES``), so its temporaries stay block-sized: Median and
-DistanceWeighted in one pass (``by_row_blocks``), CRH and CATD iterating
-each block until its rows stop, each row on its own weights.  So no base's answer for a replicate depends on the batch around it.
+Each baseline's ``aggregate`` method is its formula on one (k, n, m) row
+block, giving (k, m) answers.  ``run_td_batch`` is the one place that splits
+a (replicates, n, m) stack into cache-sized row blocks
+(``ITERATION_BLOCK_BYTES``) and hands each block to ``aggregate``, so every
+base's temporaries stay block-sized; CRH and CATD iterate a block until its
+rows stop, each row on its own weights.  No base's answer for a replicate
+depends on the batch or block around it, and the single-matrix form
+(``run_td``) is the batch of one.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ DISTANCE_EPS = 1e-12
 DEFAULT_MAX_ITERATIONS = 14
 DEFAULT_CONVERGENCE_TOL = 1e-8
 
-# Bytes of replicates one CRH/CATD step (or one ψ block in ``analysis``)
-# works on at a time, so that a block and its temporaries stay in a core's L2
-# cache; it changes no value.
+# Bytes of replicates one base's ``aggregate`` (or one ψ block in
+# ``analysis``) works on at a time, so that a block and its temporaries stay
+# in a core's L2 cache; it changes no value.
 ITERATION_BLOCK_BYTES = 512 * 1024
 
 
@@ -64,48 +66,33 @@ def by_row_blocks(f, out: np.ndarray, Xb: np.ndarray, *rest) -> np.ndarray:
     return out
 
 
-def _answers(Xb: np.ndarray) -> np.ndarray:
-    """A new (r, m) array for the answers to a (r, n, m) stack."""
-    return np.empty((Xb.shape[0], Xb.shape[2]))
-
-
-def _iterate_batch(Xb: np.ndarray, weight_rule, alg) -> np.ndarray:
-    """CRH/CATD reweighting on a (r, n, m) batch, returning the (r, m) truths.
+def _iterate_rows(X: np.ndarray, weight_rule, alg) -> np.ndarray:
+    """CRH/CATD reweighting on one (k, n, m) row block, returning its (k, m)
+    truths.
 
     Every row stops on its own weights, so its truths do not depend on the
-    batch it runs in: a row stops after iteration i >= 1 when its largest
+    block it runs in: a row stops after iteration i >= 1 when its largest
     weight change max_j |w_j(i) - w_j(i-1)| is below ``convergence_tol``, and
-    keeps the truths of that iteration, or at ``max_iterations``.  The batch
-    runs in row blocks of ``block_rows``, each block to the stop of its last
-    row, so a block and its temporaries stay in cache.  A non-finite weight
-    in a row still iterating raises ``IterationDivergenceError``.
-    """
-    rows = block_rows(Xb)
-    t = _answers(Xb)
-    for lo in range(0, Xb.shape[0], rows):
-        _iterate_rows(Xb[lo:lo + rows], weight_rule, alg, t[lo:lo + rows])
-    return t
+    keeps the truths of that iteration, or at ``max_iterations``.  A
+    non-finite weight in a row still iterating raises
+    ``IterationDivergenceError``.
 
-
-def _iterate_rows(Xk: np.ndarray, weight_rule, alg, tk: np.ndarray) -> None:
-    """``_iterate_batch`` on one row block, writing its truths into ``tk``.
-
-    Until a row stops, the truths are iterated in ``tk`` itself.  From then
-    on they are iterated in a working copy whose rows ``live`` indexes in
-    ``tk``, and each row is written back into ``tk`` when it stops.  A
-    stopped row stays in the working arrays (marked in ``stopped``, its later
-    values unused) until gathering the rows still iterating pays: a gather
-    copies the block once, and an iteration passes over it about four times,
-    so it waits until the stopped rows times the iterations left reach a
-    quarter of the block.  Which rows are gathered when changes no value.
+    ``live`` maps the working rows to the block's rows, and each row is
+    written to the output when it stops.  A stopped row stays in the working
+    arrays (marked in ``stopped``, its later values unused) until gathering
+    the rows still iterating pays: a gather copies the block once, and an
+    iteration passes over it about four times, so it waits until the stopped
+    rows times the iterations left reach a quarter of the block.  Which rows
+    are gathered when changes no value.
     """
     tol = alg.convergence_tol
-    X, t, w_prev = Xk, Xk.mean(axis=1, out=tk), None
-    live = stopped = None
+    t, w_prev = X.mean(axis=1), None
+    out = np.empty_like(t)
+    live, stopped = np.arange(X.shape[0]), np.zeros(X.shape[0], dtype=bool)
     for i in range(alg.max_iterations):
         d = ((X - t[:, None, :]) ** 2).sum(axis=2) + DISTANCE_EPS
         w = weight_rule(d)
-        if not np.isfinite(w).all() and (stopped is None or not np.isfinite(w[~stopped]).all()):
+        if not np.isfinite(w).all() and not np.isfinite(w[~stopped]).all():
             raise IterationDivergenceError("non-finite weight during iteration")
         _weighted_mean(X, w, out=t)
         if i:
@@ -116,23 +103,18 @@ def _iterate_rows(Xk: np.ndarray, weight_rule, alg, tk: np.ndarray) -> None:
             # transposed copy makes the per-row maximum one pass over the
             # rows per worker, not one short reduction per row
             if X.shape[0] > 1 and change.min() < tol:
-                done = np.ascontiguousarray(change.T).max(axis=0) < tol
-                if stopped is not None:
-                    done &= ~stopped
+                done = ~stopped & (np.ascontiguousarray(change.T).max(axis=0) < tol)
                 if done.any():
-                    if live is None:  # the rows stopping now are already in tk
-                        live, stopped, t = np.arange(X.shape[0]), done, t.copy()
-                    else:
-                        tk[live[done]] = t[done]
-                        stopped |= done
-                    left = alg.max_iterations - 1 - i
-                    if 4 * left * np.count_nonzero(stopped) >= X.shape[0]:
+                    out[live[done]] = t[done]
+                    stopped |= done
+                    if stopped.all():
+                        return out
+                    if 4 * (alg.max_iterations - 1 - i) * np.count_nonzero(stopped) >= len(X):
                         keep = ~stopped
-                        X, t, w, live, stopped = (X[keep], t[keep], w[keep], live[keep],
-                                                  stopped[keep])
+                        X, t, w, live, stopped = (a[keep] for a in (X, t, w, live, stopped))
         w_prev = w
-    if live is not None:
-        tk[live[~stopped]] = t[~stopped]
+    out[live[~stopped]] = t[~stopped]
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,22 +145,18 @@ class Mean:
 @dataclass(frozen=True)
 class Median:
     def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        return by_row_blocks(_median_rows, _answers(Xb), Xb)
-
-
-def _median_rows(Xb: np.ndarray) -> np.ndarray:
-    # np.median's arithmetic on one sort, without its partition and mean
-    # passes: the middle answer, or the two middle answers added and halved.
-    # Its mean's sum starts at +0.0, so a -0.0 median is +0.0; NaNs sort
-    # last, and a lane holding one is NaN
-    s = np.sort(Xb, axis=1)
-    mid = s.shape[1] // 2
-    med = s[:, mid] + 0.0 if s.shape[1] % 2 else (s[:, mid - 1] + s[:, mid] + 0.0) / 2
-    last = s[:, -1]
-    nan = np.isnan(last)
-    if nan.any():
-        med[nan] = last[nan]
-    return med
+        # np.median's arithmetic on one sort, without its partition and mean
+        # passes: the middle answer, or the two middle answers added and
+        # halved.  Its mean's sum starts at +0.0, so a -0.0 median is +0.0;
+        # NaNs sort last, and a lane holding one is NaN
+        s = np.sort(Xb, axis=1)
+        mid = s.shape[1] // 2
+        med = s[:, mid] + 0.0 if s.shape[1] % 2 else (s[:, mid - 1] + s[:, mid] + 0.0) / 2
+        last = s[:, -1]
+        nan = np.isnan(last)
+        if nan.any():
+            med[nan] = last[nan]
+        return med
 
 
 @dataclass(frozen=True)
@@ -192,8 +170,8 @@ class CRH:
         if Xb.shape[1] == 1:
             # a lone worker's log-ratio weight is -log(1) = 0, which would
             # leave 0/0 truths; its answers are the aggregate
-            return Xb[:, 0, :]
-        return _iterate_batch(Xb, lambda d: -np.log(d / d.sum(axis=1, keepdims=True)), self)
+            return Xb[:, 0, :].copy()
+        return _iterate_rows(Xb, lambda d: -np.log(d / d.sum(axis=1, keepdims=True)), self)
 
 
 @dataclass(frozen=True)
@@ -206,7 +184,7 @@ class CATD:
     convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 
     def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        return _iterate_batch(Xb, _normalised_inverse, self)
+        return _iterate_rows(Xb, _normalised_inverse, self)
 
 
 def _normalised_inverse(d: np.ndarray) -> np.ndarray:
@@ -219,21 +197,17 @@ class DistanceWeighted:
     """Single-pass weights from average pairwise distance between workers."""
 
     def aggregate(self, Xb: np.ndarray) -> np.ndarray:
-        if Xb.shape[1] == 1:
-            return Xb[:, 0, :]  # a lone worker's answers are the aggregate
-        return by_row_blocks(_distance_weighted_rows, _answers(Xb), Xb)
-
-
-def _distance_weighted_rows(Xb: np.ndarray) -> np.ndarray:
-    # d[r, i] = mean over other workers of the mean squared disagreement,
-    # from the exact identity sum_j |x_i - x_j|^2 = n |x_i - xbar|^2 +
-    # sum_j |x_j - xbar|^2 (xbar the per-question mean over workers): no
-    # (r, n, n, m) intermediate, and, unlike a Gram expansion, no
-    # cancellation when every answer shares a large offset.
-    _, n, m = Xb.shape
-    s = ((Xb - Xb.mean(axis=1, keepdims=True)) ** 2).sum(axis=2)
-    d = (n * s + s.sum(axis=1, keepdims=True)) / ((n - 1) * m) + DISTANCE_EPS
-    return _weighted_mean(Xb, 1.0 / d)
+        _, n, m = Xb.shape
+        if n == 1:
+            return Xb[:, 0, :].copy()  # a lone worker's answers are the aggregate
+        # d[r, i] = mean over other workers of the mean squared disagreement,
+        # from the exact identity sum_j |x_i - x_j|^2 = n |x_i - xbar|^2 +
+        # sum_j |x_j - xbar|^2 (xbar the per-question mean over workers): no
+        # (r, n, n, m) intermediate, and, unlike a Gram expansion, no
+        # cancellation when every answer shares a large offset.
+        s = ((Xb - Xb.mean(axis=1, keepdims=True)) ** 2).sum(axis=2)
+        d = (n * s + s.sum(axis=1, keepdims=True)) / ((n - 1) * m) + DISTANCE_EPS
+        return _weighted_mean(Xb, 1.0 / d)
 
 
 TdAlgorithm = Blue | Mean | Median | CRH | CATD | DistanceWeighted
@@ -248,16 +222,21 @@ def blue_aggregate(X: ObservationMatrix, sigma2s) -> tuple[np.ndarray, float]:
 def run_td_batch(alg: TdAlgorithm, Xb: np.ndarray) -> np.ndarray:
     """Run a baseline on a (replicates, n, m) stack, returning (replicates, m).
 
-    An empty batch (replicates = 0) gives an empty (0, m) result; no workers
-    or no questions (n = 0 or m = 0) raise ``EmptyMatrixError``, as an
-    ``ObservationMatrix`` does.
+    The stack runs in row blocks of ``block_rows``, each through the base's
+    ``aggregate``, so every base's temporaries stay block-sized; a stack of
+    one block goes to ``aggregate`` whole.  An empty batch (replicates = 0)
+    gives an empty (0, m) result; no workers or no questions (n = 0 or m = 0)
+    raise ``EmptyMatrixError``, as an ``ObservationMatrix`` does.  The result
+    is a new array, never a view of ``Xb``.
     """
     Xb = np.asarray(Xb, dtype=float)
     if Xb.ndim != 3:
         raise ValueError(f"expected a (replicates, n, m) stack, got shape {Xb.shape}")
     if Xb.shape[1] == 0 or Xb.shape[2] == 0:
         raise EmptyMatrixError(f"expected workers and questions, got shape {Xb.shape}")
-    return alg.aggregate(Xb)
+    if 0 < Xb.shape[0] <= block_rows(Xb):
+        return alg.aggregate(Xb)
+    return by_row_blocks(alg.aggregate, np.empty((Xb.shape[0], Xb.shape[2])), Xb)
 
 
 def run_td(alg: TdAlgorithm, X: ObservationMatrix) -> np.ndarray:

@@ -39,7 +39,6 @@ from .analysis import (
     improvement_condition,
     risk_decomposition,
     check_deviation_inputs,
-    check_sigma2,
     sufficient_conditions,
     loss,
     report_record,
@@ -56,7 +55,7 @@ from .data import (
 )
 from .errors import EbtruthError, ParseError, ValidationError
 from .estimators import ebe
-from .model import dispersion, validate_matrix
+from .model import check_sigma2, dispersion, validate_matrix
 from .variance import Constant, HeuristicH, SampleScaled
 
 EXIT_OK = 0

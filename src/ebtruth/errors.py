@@ -17,7 +17,7 @@ class NonFiniteError(ValidationError):
 
 
 class NonFiniteParameterError(ValidationError):
-    """A generator spec with a NaN or infinite parameter."""
+    """A NaN or infinite parameter: of a generator spec, or a variance."""
 
 
 class EmptyMatrixError(ValidationError):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, NonPositiveVarianceError, ZeroNormInputError
-from .model import as_answer_vector, as_answers
+from .errors import LengthMismatchError, ZeroNormInputError
+from .model import as_answer_vector, as_answers, check_sigma2
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,9 @@ class ShrinkageResult:
 
 def _check_sigma2(sigma2, v: np.ndarray) -> np.ndarray:
     """Validated variances for v's rows (a scalar or one per row), shaped to broadcast."""
-    sigma2 = np.asarray(sigma2, dtype=float)
+    sigma2 = check_sigma2(sigma2)
     if sigma2.ndim and sigma2.shape != v.shape[:-1]:
         raise LengthMismatchError(f"{sigma2.shape} variances for answer rows {v.shape[:-1]}")
-    if np.count_nonzero(sigma2 <= 0):
-        raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
     return sigma2[..., None]
 
 
@@ -174,8 +172,6 @@ def bayes_posterior_mean(v, sigma2: float, mu0: float, sigma0_2: float) -> np.nd
     """
     v = as_answer_vector(v)
     sigma2 = _check_sigma2(float(sigma2), v)
-    sigma0_2 = float(sigma0_2)
-    if sigma0_2 <= 0:
-        raise NonPositiveVarianceError(f"sigma0_2 must be > 0, got {sigma0_2}")
+    sigma0_2 = float(check_sigma2(sigma0_2))
     w = sigma0_2 / (sigma0_2 + sigma2)
     return w * v + (1.0 - w) * mu0

@@ -10,6 +10,7 @@ from .errors import (
     EmptyMatrixError,
     LengthMismatchError,
     NonFiniteError,
+    NonFiniteParameterError,
     NonPositiveVarianceError,
 )
 
@@ -103,6 +104,18 @@ def validate_variances(values) -> np.ndarray:
     if np.count_nonzero(v <= 0):
         raise NonPositiveVarianceError("all variances must be > 0")
     return v
+
+
+def check_sigma2(sigma2) -> np.ndarray:
+    """``sigma2``, one variance or an array of them, as a float array.  A NaN
+    or infinite variance raises NonFiniteParameterError, and one <= 0
+    NonPositiveVarianceError."""
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if np.count_nonzero(np.isfinite(sigma2)) < sigma2.size:
+        raise NonFiniteParameterError(f"sigma2 must be finite, got {sigma2}")
+    if np.count_nonzero(sigma2 <= 0):
+        raise NonPositiveVarianceError(f"sigma2 must be > 0, got {sigma2}")
+    return sigma2
 
 
 def dispersion(v) -> DispersionStats:

@@ -1030,6 +1030,13 @@ class TestBayesGap:
         with pytest.raises(NonPositiveVarianceError):
             bayes_risk_gap(0.0, 1.0)
 
+    @pytest.mark.parametrize("sigma2, sigma0_2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                                  (1.0, np.inf)])
+    def test_a_non_finite_variance_raises(self, sigma2, sigma0_2):
+        # nan passed the old <= 0 test, and an infinite sigma0_2 gave a gap of 0
+        with pytest.raises(NonFiniteParameterError):
+            bayes_risk_gap(sigma2, sigma0_2)
+
     def test_monte_carlo_agreement(self):
         # posterior-mean oracle under a hierarchical generator: the identity
         # estimator's excess risk per coordinate is sigma^4/(sigma0^2+sigma^2)

@@ -221,6 +221,31 @@ class TestEmptyStacks:
             run_td_batch(alg, np.zeros(shape))
 
 
+def _base(name, n):
+    # the base named in BASE_IDS, with one Blue variance for each of n workers
+    return {"mean": Mean(), "median": Median(), "crh": CRH(), "catd": CATD(),
+            "distance": DistanceWeighted(), "blue": Blue(np.linspace(1.0, 2.0, n))}[name]
+
+
+class TestFreshAnswers:
+    """Every base's answers are a new, writeable array: CRH and
+    DistanceWeighted returned a read-only view of a lone worker's answers."""
+
+    @pytest.mark.parametrize("name", BASE_IDS)
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("block_rows", [4, 3], ids=["one-block", "blocks"])
+    def test_answers_share_no_memory_with_the_input(self, name, n, block_rows, monkeypatch):
+        alg = _base(name, n)
+        Xb = np.random.default_rng(n).normal(2.0, 1.0, size=(4, n, 5))
+        Xb.flags.writeable = False
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", block_rows * Xb[0].nbytes)
+        X = validate_matrix(Xb[0])
+        for answers, source in ((run_td_batch(alg, Xb), Xb), (run_td(alg, X), X.values),
+                                (eb_wrap(X, alg, HeuristicH()), X.values)):
+            assert answers.flags.writeable
+            assert not np.shares_memory(answers, source)
+
+
 def _unblocked_iterate(Xb, alg):
     # The per-row CRH/CATD rule over the whole batch at once, without row
     # blocks or gathering: every row iterates until its own largest weight
@@ -327,6 +352,38 @@ class TestRowBlocks:
         with np.errstate(all="raise"):
             got = run_td_batch(Median(), Xb)
         assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("replicates,block_rows", [(1, 1), (10, 1), (10, 3), (10, 4),
+                                                       (10, 10)])
+    def test_mean_and_blue_match_their_whole_batch_formulas(self, n, replicates, block_rows,
+                                                            monkeypatch):
+        rng = np.random.default_rng(n)
+        Xb = rng.normal(2.0, 1.0, size=(replicates, n, 8))
+        Xb *= rng.uniform(0.5, 2.0, size=(replicates, n, 1))
+        variances = np.linspace(0.5, 2.0, n)
+        w = 1.0 / variances
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", block_rows * Xb[0].nbytes)
+        assert _same_bits(run_td_batch(Mean(), Xb), Xb.mean(axis=1))
+        assert _same_bits(run_td_batch(Blue(variances), Xb),
+                          np.einsum("n,rnm->rm", w, Xb) / w.sum())
+
+    @pytest.mark.parametrize("alg", ALL_BASES, ids=BASE_IDS)
+    @pytest.mark.parametrize("replicates", [1, 3, 7])
+    def test_aggregate_never_gets_more_than_a_block(self, alg, replicates, monkeypatch):
+        Xb = np.random.default_rng(4).normal(size=(replicates, 2, 6))
+        monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", 3 * Xb[0].nbytes)
+        aggregate, rows = type(alg).aggregate, []
+
+        def spy(self, X):
+            rows.append(X.shape[0])
+            return aggregate(self, X)
+
+        monkeypatch.setattr(type(alg), "aggregate", spy)
+        want = aggregate(alg, Xb)
+        assert _same_bits(run_td_batch(alg, Xb), want)
+        assert max(rows) <= baselines.block_rows(Xb) == 3
+        assert sum(rows) == replicates
 
 
 class TestInvariances:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ebtruth import (
+    NonFiniteParameterError,
     NonPositiveVarianceError,
     ZeroNormInputError,
     bayes_posterior_mean,
     ebe,
     identity,
+    shrink_aggregate,
     shrink_batch,
     stein,
 )
@@ -125,6 +127,25 @@ class TestBayesPosteriorMean:
     def test_invalid_prior(self):
         with pytest.raises(NonPositiveVarianceError):
             bayes_posterior_mean([1.0], 1.0, 0.0, -1.0)
+
+
+class TestNonFiniteVariance:
+    """A NaN or infinite variance raises, as one <= 0 does: a NaN gave all-NaN
+    estimates, and ebe shrank all the way to the mean for inf."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", [
+        lambda v, s: ebe(v, s),
+        lambda v, s: ebe(np.stack([v, v]), [1.0, s]),
+        lambda v, s: stein(v, s),
+        lambda v, s: shrink_aggregate(v, s),
+        lambda v, s: bayes_posterior_mean(v, s, 0.0, 1.0),
+        lambda v, s: bayes_posterior_mean(v, 1.0, 0.0, s),
+    ], ids=["ebe", "ebe-batch", "stein", "shrink_aggregate", "posterior-sigma2",
+            "posterior-sigma0_2"])
+    def test_raises_a_typed_error(self, call, bad):
+        with pytest.raises(NonFiniteParameterError, match="sigma2 must be finite"):
+            call(np.arange(6.0), bad)
 
 
 class TestIdentityAndBatch:

@@ -15,6 +15,7 @@ from ebtruth import (
     InsufficientSignalError,
     Mean,
     Median,
+    NonFiniteParameterError,
     OracleReduced,
     SampleScaled,
     blue_aggregate,
@@ -154,6 +155,17 @@ class TestAlphaStar:
         aggregates = rng.normal(size=(40, 5))
         with pytest.raises(InsufficientSignalError):
             estimate_alpha_star(aggregates, np.zeros(40), np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_non_finite_variance_estimate_raises(self, bad):
+        # one NaN made the estimate NaN; zeros (psi on flat data) stay allowed
+        aggregates = np.random.default_rng(0).normal(size=(40, 5))
+        sigma2_hats = np.ones(40)
+        sigma2_hats[:3] = 0.0
+        assert np.isfinite(estimate_alpha_star(aggregates, sigma2_hats, np.zeros(5)))
+        sigma2_hats[7] = bad
+        with pytest.raises(NonFiniteParameterError):
+            estimate_alpha_star(aggregates, sigma2_hats, np.zeros(5))
 
     def test_recovers_default_multiplier_with_true_variance(self):
         # With the exact variance plugged in as a constant, the optimal
