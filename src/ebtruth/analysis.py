@@ -26,19 +26,21 @@ weights), so every consumer takes ``BLOCK_BYTES`` blocks.  ψ, ∂ψ and the
 Stein-gap terms run in row blocks (``baselines.block_rows``), so their
 temporaries stay block-sized.
 
-The condition checks read a stream's Stein-gap terms, ψ and ∂ψ, all (R,)
-arrays, from a ``ConditionTerms``.  One block pass makes them: it writes
-each block's terms next to its ψ and ∂ψ and then drops the block's
-aggregates and truths, so ``sample_condition_terms``, behind ``ebtruth
-conditions``, keeps no (R, m) array.  ``sample_aggregate_stream`` runs the
-same pass and also copies each block's answers and truths into (R, m)
-stores, for callers that read them; its ``AggregateStream`` is a
-``ConditionTerms``, so the checks take either and a row's terms are the
-same bits in both.  Each check builds s² once and only the plug-ins it
-reads.  Every array a request sizes (an improvement-ratio batch, the
-per-replicate condition arrays and stores, the Monte Carlo losses, each
-with one replicate block and its truths) is checked against
-``MAX_BATCH_BYTES`` before anything is allocated.
+The condition checks read a ``ConditionTerms``: one flat record of (R,)
+arrays indexed by replicate (the dispersion mask, ss, the covariance term,
+ψ and ∂ψ), with m and the seed.  ``_write_gap_terms`` is the one Stein-gap
+kernel: one block pass runs it on each block next to that block's ψ and ∂ψ
+and then drops the block's aggregates and truths, so
+``sample_condition_terms``, behind ``ebtruth conditions``, keeps no (R, m)
+array, and ``estimate_alpha_star`` runs it once on the stream it is given.
+``sample_aggregate_stream`` runs the same pass and also copies each block's
+answers and truths into (R, m) stores, for callers that read them; its
+``AggregateStream`` is a ``ConditionTerms``, so the checks take either and a
+row's terms are the same bits in both.  Each check builds s² once and only
+the plug-ins it reads, ψ²/ss included.  Every array a request sizes (an
+improvement-ratio batch, the per-replicate condition arrays and stores, the
+Monte Carlo losses, each with one replicate block and its truths) is checked
+against ``MAX_BATCH_BYTES`` before anything is allocated.
 
 The improvement ratio keeps the last synthetic sample batch it drew, read-only
 and only up to ``KEPT_BATCH_BYTES``, so calling ``improvement_ratio`` once per base
@@ -52,7 +54,7 @@ import concurrent.futures
 import contextvars
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -427,11 +429,13 @@ def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int,
 @dataclass(frozen=True)
 class ConditionTerms:
     """What the condition checks read of a replicate stream of one base
-    algorithm and variance estimator under an AWG generator: the
-    ``stein_gap_terms``, ψ and ∂ψ per replicate, the question count and the
-    seed."""
+    algorithm and variance estimator under an AWG generator: one entry per
+    replicate of each array (the Stein-gap terms that ``_write_gap_terms``
+    writes, ψ and ∂ψ), the question count and the seed."""
 
-    terms: tuple             # (ok, ss, cov, quad), as stein_gap_terms returns them
+    ok: np.ndarray           # (R,) bool: the replicate's aggregate has dispersion
+    ss: np.ndarray           # (R,) sum_j (xa_j - mean)^2
+    cov: np.ndarray          # (R,) covariance term; NaN where ok is False
     psis: np.ndarray         # (R,)
     derivative_dots: np.ndarray  # (R,) sum_j psi'_j (xa_j - mean)
     m: int
@@ -453,8 +457,7 @@ def sample_aggregate_stream(gen: AwgGenerator, base: TdAlgorithm,
     answers and truths into the ``aggregates`` and ``mu`` stores, so a
     thread holds one block of answers and one of truths.  Its checks are
     those of ``sample_condition_terms`` but for the one on m."""
-    return AggregateStream(**_terms_pass(gen, base, psi, replicates, seed, threads,
-                                         ("aggregates", "mu")))
+    return AggregateStream(**_terms_pass(gen, base, psi, replicates, seed, threads, True))
 
 
 def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
@@ -467,7 +470,7 @@ def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
     block's aggregates and truths are then dropped, so the pass keeps (R,)
     arrays only, and a thread holds one block with its truths.  A row's
     terms do not depend on its block, so they are the bits that
-    ``stein_gap_terms`` gives on the whole stream.  The chunks run on
+    ``_write_gap_terms`` gives on the whole stream.  The chunks run on
     ``threads`` threads, each writing its own rows, so the result does not
     depend on ``threads`` (see ``_each_chunk``).  Fewer than 2 replicates
     raise InsufficientReplicatesError, m <= 3, which every condition check
@@ -477,66 +480,52 @@ def sample_condition_terms(gen: AwgGenerator, base: TdAlgorithm,
     """
     if gen.m <= 3:
         raise InsufficientDataError("condition needs m > 3")
-    return ConditionTerms(**_terms_pass(gen, base, psi, replicates, seed, threads, ()))
+    return ConditionTerms(**_terms_pass(gen, base, psi, replicates, seed, threads, False))
 
 
-def _terms_pass(gen, base, psi, replicates, seed, threads, kept) -> dict:
-    """The fields of ``ConditionTerms`` from one block pass, and an (R, m)
-    store of the blocks' aggregates (``"aggregates"``) or truths (``"mu"``)
-    for each name in ``kept``."""
+def _terms_pass(gen, base, psi, replicates, seed, threads, keep: bool) -> dict:
+    """The fields of ``ConditionTerms`` from one block pass and, with
+    ``keep``, (R, m) stores of the blocks' aggregates and truths."""
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
-    # ψ, ∂ψ, ss, the covariance and quadratic terms, the mask, and the stores
-    _check_replicates(gen, replicates, 5 * 8 + 1 + 8 * gen.m * len(kept),
-                      ", ".join(("condition terms",) + kept))
-    stores = {name: np.empty((replicates, gen.m)) for name in kept}
+    # ψ, ∂ψ, ss, the covariance term, the mask, and the two stores
+    _check_replicates(gen, replicates, 4 * 8 + 1 + 16 * gen.m * keep,
+                      "condition terms, aggregates, mu" if keep else "condition terms")
+    stores = {name: np.empty((replicates, gen.m)) for name in ("aggregates", "mu") if keep}
     ok = np.empty(replicates, dtype=bool)
     ss, cov, psis, dots = (np.empty(replicates) for _ in range(4))
 
     def on_block(pos, X, mu, sig2):
         rows = slice(pos, pos + X.shape[0])
         xa = run_td_batch(base, X)
-        for name, block in (("aggregates", xa), ("mu", mu)):
-            if name in stores:
-                stores[name][rows] = block
+        if keep:
+            stores["aggregates"][rows], stores["mu"][rows] = xa, mu
         psis[rows] = psi_batch(psi, X, xa)
         dots[rows] = psi_derivative_dot_batch(psi, X, xa)
         _write_gap_terms(xa, psis[rows], mu, ok[rows], ss[rows], cov[rows])
 
     _each_chunk(gen, replicates, seed, threads, on_block)
-    return dict(terms=_kept_terms(ok, ss, cov, psis), psis=psis, derivative_dots=dots,
-                m=gen.m, seed=seed, **stores)
+    return dict(ok=ok, ss=ss, cov=cov, psis=psis, derivative_dots=dots, m=gen.m, seed=seed,
+                **stores)
 
 
 def _std_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / np.sqrt(x.shape[0]))
 
 
-def stein_gap_terms(aggregates: np.ndarray, psis: np.ndarray, mu: np.ndarray):
-    """Per-replicate terms of the Stein gap between a base and its wrap.
+def _write_gap_terms(aggregates, psis, mu, ok, ss, cov) -> None:
+    """Write the per-replicate terms of the Stein gap between a base and its
+    wrap into the (R,) arrays ``ok``, ``ss`` and ``cov``.
 
     ``aggregates`` and ``mu`` are (R, m) (``np.broadcast_to`` serves a truth
-    fixed across replicates) and ``psis`` is (R,).  Returns the mask of rows
+    fixed across replicates) and ``psis`` is (R,).  ``ok`` marks the rows
     with dispersion (a flat row, or one whose squared deviation norm ss
-    underflows to 0, has none) and, on those rows only, ss, the covariance
-    term sum_j (x_j - mu_j) psi (x_j - mean) / ss and the quadratic term
-    psi^2 / ss.
-
-    The rows are taken in blocks of ``baselines.block_rows``, each writing
-    its rows of (R,) outputs, so no (R, m) temporary is made; each row's
+    underflows to 0, has none), ``ss`` is that norm, and ``cov`` the
+    covariance term sum_j (x_j - mu_j) psi (x_j - mean) / ss, NaN on the rows
+    without dispersion.  The rows are taken in blocks of
+    ``baselines.block_rows``, so no (R, m) temporary is made; each row's
     arithmetic is the same in any block.
     """
-    r = aggregates.shape[0]
-    ok, ss, cov = np.empty(r, dtype=bool), np.empty(r), np.empty(r)
-    _write_gap_terms(aggregates, psis, mu, ok, ss, cov)
-    return _kept_terms(ok, ss, cov, psis)
-
-
-def _write_gap_terms(aggregates, psis, mu, ok, ss, cov) -> None:
-    """Write each row's dispersion mask, ss and covariance term (on rows
-    with dispersion) into the (R,) arrays ``ok``, ``ss`` and ``cov``, in
-    row blocks of ``baselines.block_rows``; the per-row arithmetic of
-    ``stein_gap_terms``."""
     rows = block_rows(aggregates)
     for lo in range(0, aggregates.shape[0], rows):
         k = slice(lo, lo + rows)
@@ -545,16 +534,9 @@ def _write_gap_terms(aggregates, psis, mu, ok, ss, cov) -> None:
         ssk = (dev**2).sum(axis=1, out=ss[k])
         okk = np.logical_and(~flat_rows(a)[:, 0], ssk > 0, out=ok[k])
         if not okk.all():
+            cov[k] = np.nan
             a, u, p, dev, ssk = a[okk], u[okk], p[okk], dev[okk], ssk[okk]
         cov[k][okk] = ((a - u) * p[:, None] * dev / ssk[:, None]).sum(axis=1)
-
-
-def _kept_terms(ok, ss, cov, psis):
-    """(ok, ss, cov, quad) with ss, cov and quad = psi^2 / ss on the rows
-    with dispersion only."""
-    if not ok.all():
-        ss, cov, psis = ss[ok], cov[ok], psis[ok]
-    return ok, ss, cov, psis**2 / ss
 
 
 def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
@@ -565,11 +547,12 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
     ``mu`` the known ground truth (synthetic benchmarks only: the covariances
     are taken around the truth); other shapes raise
     InsufficientReplicatesError.  The estimate is the mean covariance term
-    over the mean quadratic term of ``stein_gap_terms``; the risk in alpha is
-    a parabola maximized at that ratio.  Replicates with zero dispersion
-    (flat, or whose ss underflows) are left out.  No questions (m = 0) raise
-    EmptyMatrixError, and a NaN or infinite ``sigma2_hats`` entry
-    NonFiniteParameterError; an entry of 0 (ψ on flat data) is allowed.
+    of ``_write_gap_terms`` over the mean quadratic term psi^2 / ss; the risk
+    in alpha is a parabola maximized at that ratio.  Replicates with zero
+    dispersion (flat, or whose ss underflows) are left out.  No questions
+    (m = 0) raise EmptyMatrixError, and a NaN or infinite ``sigma2_hats``
+    entry NonFiniteParameterError; an entry of 0 (ψ on flat data) is
+    allowed.
     """
     aggregates = np.asarray(aggregates, dtype=float)
     sigma2_hats = np.asarray(sigma2_hats, dtype=float)
@@ -589,29 +572,28 @@ def estimate_alpha_star(aggregates: np.ndarray, sigma2_hats: np.ndarray,
         raise InsufficientReplicatesError(f"need >= 30 replicates, got {r}")
     if not np.isfinite(sigma2_hats).all():
         raise NonFiniteParameterError("sigma2_hats must be finite")
-    ok, _, cov, quad = stein_gap_terms(aggregates, sigma2_hats,
-                                       np.broadcast_to(mu, aggregates.shape))
-    if not np.any(ok) or quad.mean() == 0.0:
+    ok, ss, cov = np.empty(r, dtype=bool), np.empty(r), np.empty(r)
+    _write_gap_terms(aggregates, sigma2_hats, np.broadcast_to(mu, aggregates.shape), ok, ss, cov)
+    quad = sigma2_hats[ok]**2 / ss[ok]
+    if not ok.any() or quad.mean() == 0.0:
         raise InsufficientSignalError("no dispersion or zero variance estimates")
-    return float(cov.mean() / quad.mean())
+    return float(cov[ok].mean() / quad.mean())
 
 
-def _stream_terms(s: ConditionTerms):
-    """ss, covariance and quadratic terms (``s.terms``) of a stream all of
-    whose replicates have dispersion.  The checks need m > 3."""
+def _check_stream(s: ConditionTerms) -> None:
+    """Refuse a stream the checks cannot read, with InsufficientDataError:
+    m <= 3, or a replicate without dispersion."""
     if s.m <= 3:
         raise InsufficientDataError("condition needs m > 3")
-    ok, ss, cov, quad = s.terms
-    if not ok.all():
+    if not s.ok.all():
         raise InsufficientDataError("degenerate replicate with zero dispersion")
-    return ss, cov, quad
 
 
-def _plug_ins(s: ConditionTerms, ss: np.ndarray):
+def _plug_ins(s: ConditionTerms):
     """Yield a stream's s^2-normalised plug-ins psi^2/s^2, psi/s^2 and
     dot/((m-3) s^2) in turn, each a fresh (R,) array, with s^2 = ss/(m-1)
     built once."""
-    s2 = ss / (s.m - 1)
+    s2 = s.ss / (s.m - 1)
     yield s.psis**2 / s2
     yield s.psis / s2
     yield s.derivative_dots / ((s.m - 3) * s2)
@@ -619,16 +601,15 @@ def _plug_ins(s: ConditionTerms, ss: np.ndarray):
 
 def improvement_condition(s: ConditionTerms) -> ConditionReport:
     """Improvement condition for an unbiased base: twice the covariance term
-    must outweigh the quadratic term.  The per-replicate statistic equals the
-    paired loss difference base-minus-wrapped, so the sign doubles as a risk
-    comparison."""
-    _, cov_term, quad_term = _stream_terms(s)
+    must outweigh the quadratic term psi^2 / ss.  The per-replicate statistic
+    equals the paired loss difference base-minus-wrapped, so the sign doubles
+    as a risk comparison."""
+    _check_stream(s)
     alpha = s.m - 3
-    t = 2 * alpha * cov_term - alpha**2 * quad_term
-    se = _std_error(t)
+    t = 2 * alpha * s.cov - alpha**2 * (s.psis**2 / s.ss)
     lhs = float(t.mean())
     return ConditionReport(name="improvement_condition", lhs=lhs, rhs=0.0,
-                           direction=">", satisfied=lhs > 0.0, std_errors=(se,))
+                           direction=">", satisfied=lhs > 0.0, std_errors=(_std_error(t),))
 
 
 def risk_decomposition(s: ConditionTerms, sigma2: float) -> dict:
@@ -640,14 +621,13 @@ def risk_decomposition(s: ConditionTerms, sigma2: float) -> dict:
     standard errors of zero.
     """
     check_sigma2(sigma2)
-    ss, cov_term, _ = _stream_terms(s)
-    m = s.m
-    alpha = m - 3
-    e_psi2, e_psi, e_dot = _plug_ins(s, ss)
-    rhs_r = (alpha**2 / (m - 1)) * (e_psi2 - 2 * sigma2 * (e_psi + e_dot))
+    _check_stream(s)
+    alpha = s.m - 3
+    e_psi2, e_psi, e_dot = _plug_ins(s)
+    rhs_r = (alpha**2 / (s.m - 1)) * (e_psi2 - 2 * sigma2 * (e_psi + e_dot))
     del e_psi2, e_psi, e_dot
     # paired per-replicate gap via the exact algebraic expansion of the loss
-    lhs_r = -2 * alpha * cov_term + alpha**2 * s.psis**2 / ss
+    lhs_r = -2 * alpha * s.cov + alpha**2 * s.psis**2 / s.ss
     resid = lhs_r - rhs_r
     se = _std_error(resid)
     return {
@@ -683,32 +663,19 @@ def sufficient_conditions(s: ConditionTerms, sigma2: float,
     """
     check_sigma2(sigma2)
     check_deviation_inputs(eps, delta, bound)
-    ss, _, _ = _stream_terms(s)
+    _check_stream(s)
     # each plug-in's mean and standard error, one plug-in at a time
-    means, ses = [], []
-    for e in _plug_ins(s, ss):
-        means.append(e.mean())
-        ses.append(_std_error(e))
-    (m_psi2, m_psi, m_dot), (se_psi2, se_psi, se_dot) = means, ses
-    reports = []
-
-    denom6 = float(m_psi + m_dot)
-    lhs6 = float(m_psi2 / denom6) if denom6 != 0 else float("inf")
-    reports.append(ConditionReport(
-        name="general_ratio_condition", lhs=lhs6, rhs=2 * sigma2, direction="<",
-        satisfied=lhs6 < 2 * sigma2, std_errors=(se_psi2, se_psi, se_dot)))
-
-    denom7 = float(m_psi)
-    lhs7 = float(m_psi2 / denom7) if denom7 != 0 else float("inf")
-    reports.append(ConditionReport(
-        name="mean_adjusted_ratio_condition", lhs=lhs7, rhs=2 * sigma2, direction="<",
-        satisfied=lhs7 < 2 * sigma2, std_errors=(se_psi2, se_psi)))
-
+    (m_psi2, m_psi, m_dot), ses = zip(*[(e.mean(), _std_error(e)) for e in _plug_ins(s)])
+    # (name, lhs, std errors) of each condition that lhs < 2 sigma^2: the two
+    # ratios, and a data-independent estimator's constant guess
+    below = [(name, float(m_psi2 / float(denom)) if denom != 0 else float("inf"), se)
+             for name, denom, se in (("general_ratio_condition", m_psi + m_dot, ses),
+                                     ("mean_adjusted_ratio_condition", m_psi, ses[:2]))]
     if getattr(psi, "data_independent", False):
-        guess = float(s.psis[0])
-        reports.append(ConditionReport(
-            name="constant_guess_condition", lhs=guess, rhs=2 * sigma2, direction="<",
-            satisfied=guess < 2 * sigma2))
+        below.append(("constant_guess_condition", float(s.psis[0]), ()))
+    reports = [ConditionReport(name=name, lhs=lhs, rhs=2 * sigma2, direction="<",
+                               satisfied=lhs < 2 * sigma2, std_errors=se)
+               for name, lhs, se in below]
 
     if eps is not None and delta is None:
         reports.append(ConditionReport(
@@ -742,11 +709,14 @@ def blue_risks(m: int, sigma2s, tau2: float) -> dict:
     is τ² = 0) and fixed worker variances ``sigma2s``.  With
     σ² = 1/Σ 1/σ_i², blue's risk is mσ² and eb_blue's
     mσ² - (m-3)σ⁴/(τ²+σ²) (Efron & Morris, JASA 1973, 68:117), whatever μ0
-    is.  m <= 3 raises InsufficientDataError, and a variance <= 0 or
-    τ² < 0 NonPositiveVarianceError."""
+    is.  m <= 3 raises InsufficientDataError, a NaN or infinite variance
+    or τ² NonFiniteParameterError, and a variance <= 0 or τ² < 0
+    NonPositiveVarianceError."""
     if m <= 3:
         raise InsufficientDataError(f"eb_blue's risk needs m > 3, got m = {m}")
-    if not tau2 >= 0:
+    if not np.isfinite(tau2):
+        raise NonFiniteParameterError(f"tau2 must be finite, got {tau2!r}")
+    if tau2 < 0:
         raise NonPositiveVarianceError(f"tau2 must be >= 0, got {tau2!r}")
     sigma2 = 1.0 / float((1.0 / validate_variances(sigma2s)).sum())
     return {"blue": m * sigma2, "eb_blue": m * sigma2 - (m - 3) * sigma2**2 / (tau2 + sigma2)}
@@ -788,11 +758,12 @@ def improvement_ratios(source, bases, psi: VarianceEstimator, n: int, m: int,
     The batch depends on (source, n, m, samples, seed) only, so each result
     equals that base's own ``improvement_ratio``; a synthetic batch is kept
     for the next call on the same key (see ``_sample_batch``).  A batch over
-    ``MAX_BATCH_BYTES`` raises RequestTooLargeError before anything is drawn.
+    ``MAX_BATCH_BYTES`` raises RequestTooLargeError before anything is
+    drawn.  Fewer than one sample raises InsufficientDataError from the draw
+    (``data.gen_synthetic`` or ``data.subsample_indices``), which checks the
+    count before it allocates the batch.
     """
     alpha = check_alpha(alpha)
-    if samples < 1:
-        raise InsufficientDataError(f"need >= 1 samples, got {samples}")
     if n < 1 or m < 1:
         raise EmptyMatrixError(f"n and m must be >= 1, got n={n}, m={m}")
     _check_request(batch_bytes(n, m, samples), f"{samples} samples of {n}x{m}")
@@ -894,13 +865,6 @@ def _sample_batch(source, n: int, m: int, samples: int, seed: int):
 
 # ---------------------------------------------------------------------------
 # Report serialization
-
-
-def report_record(obj) -> dict:
-    rec = asdict(obj)
-    if "std_errors" in rec:
-        rec["std_errors"] = list(rec["std_errors"])
-    return rec
 
 
 def write_reports_csv(path_or_file, records: list[dict]) -> None:

@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .analysis import (
     check_deviation_inputs,
     sufficient_conditions,
     loss,
-    report_record,
 )
 from .baselines import CATD, CRH, DistanceWeighted, Mean, Median, blue_aggregate
 from .data import (
@@ -386,10 +386,9 @@ def cmd_conditions(cfg: dict) -> int:
     terms = sample_condition_terms(gen, base, psi, cfg["replicates"], seed,
                                    threads=_threads(cfg["threads"]))
 
-    records = [report_record(improvement_condition(terms))]
-    for rep in sufficient_conditions(terms, sigma2, psi, eps=cfg["eps"],
-                                     delta=cfg["delta"], bound=cfg["bound"]):
-        records.append(report_record(rep))
+    reports = [improvement_condition(terms), *sufficient_conditions(
+        terms, sigma2, psi, eps=cfg["eps"], delta=cfg["delta"], bound=cfg["bound"])]
+    records = [asdict(rep) for rep in reports]
     decomp = risk_decomposition(terms, sigma2)
     records.append({"name": "risk_decomposition", "lhs": decomp["lhs_gap"],
                     "rhs": decomp["rhs_formula"], "direction": "=",

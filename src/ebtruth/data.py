@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     DuplicateGroundTruthError,
     EmptyMatrixError,
+    InsufficientDataError,
     LengthMismatchError,
     NoGroundTruthError,
     NonFiniteParameterError,
@@ -314,7 +315,9 @@ def gen_synthetic(spec: SyntheticSpec, index: int = 0, samples: int | None = Non
     return their arrays: observations (samples, n, m), truths (samples, m)
     and worker variances (samples, n).  Sample i is bit-identical to the
     Dataset of ``gen_synthetic(spec, index + i)``, and a non-finite entry
-    raises NonFiniteError on both paths.
+    raises NonFiniteError on both paths.  ``samples`` < 1 raises
+    InsufficientDataError, and a negative ``index``, or one whose batch runs
+    past 2**64 - 1, ValidationError (see ``_sample_indices``).
     """
     if samples is not None:
         return _synthetic_batch(spec, index, samples)
@@ -324,11 +327,11 @@ def gen_synthetic(spec: SyntheticSpec, index: int = 0, samples: int | None = Non
 
 
 def _synthetic_batch(spec: SyntheticSpec, index: int, samples: int):
+    indices = _sample_indices(index, samples)
     n, m = spec.n, spec.m
     X = np.empty((samples, n, m))
     mu = np.empty((samples, m))
     sig2 = np.empty((samples, n))
-    indices = np.arange(index, index + samples, dtype=np.uint64)
     rngs = zip(streams(spec.seed, ROLE_GT, indices), streams(spec.seed, ROLE_SIGMA, indices),
                streams(spec.seed, ROLE_OBS, indices))
     for i, (gt_rng, sigma_rng, obs_rng) in enumerate(rngs):
@@ -398,21 +401,33 @@ def load_csv(path) -> Dataset:
     return Dataset(matrix=matrix, ground_truth=ground_truth)
 
 
+def _sample_indices(index: int, samples: int) -> np.ndarray:
+    """The stream indices index..index+samples-1 of a batch of samples, as
+    uint64, checked before the caller allocates the batch: ``samples`` < 1
+    raises InsufficientDataError, and an index outside [0, 2**64), which
+    ``stream_keys`` cannot address, ValidationError."""
+    if samples < 1:
+        raise InsufficientDataError(f"need >= 1 samples, got {samples}")
+    if not 0 <= index <= 2**64 - samples:
+        raise ValidationError(f"sample indices {index}..{index + samples - 1} not in [0, 2**64)")
+    return np.arange(index, index + samples, dtype=np.uint64)
+
+
 def subsample_indices(rows: int, cols: int, n: int, m: int, seed: int,
                       index: int = 0, samples: int | None = None):
     """Row and column indices of sample ``index`` of n workers and m questions
     from a rows x cols matrix: the first n of a permutation of the rows, then
     the first m of a permutation of the columns, both from the
     (seed, ROLE_SUBSAMPLE, index) stream.  With ``samples``, those of samples
-    index..index+samples-1 at once, as (samples, n) and (samples, m) arrays."""
+    index..index+samples-1 at once, as (samples, n) and (samples, m) arrays.
+    ``index`` and ``samples`` are checked as ``_sample_indices`` checks them."""
     if n < 1 or m < 1:
         raise EmptyMatrixError(f"n and m must be >= 1, got n={n}, m={m}")
     if n > rows or m > cols:
         raise RequestTooLargeError(f"requested {n}x{m} from a {rows}x{cols} dataset")
-    count = 1 if samples is None else samples
-    ri = np.empty((count, n), dtype=np.intp)
-    ci = np.empty((count, m), dtype=np.intp)
-    indices = np.arange(index, index + count, dtype=np.uint64)
+    indices = _sample_indices(index, 1 if samples is None else samples)
+    ri = np.empty((indices.size, n), dtype=np.intp)
+    ci = np.empty((indices.size, m), dtype=np.intp)
     for i, rng in enumerate(streams(seed, ROLE_SUBSAMPLE, indices)):
         ri[i] = rng.permutation(rows)[:n]
         ci[i] = rng.permutation(cols)[:m]

@@ -102,13 +102,13 @@ def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
 
 
 def check_alpha(alpha: float | None) -> float | None:
-    """``alpha`` as a float (None, meaning m - 3, passes); a negative or NaN
-    alpha raises ValueError."""
+    """``alpha`` as a float (None, meaning m - 3, passes); a negative, NaN
+    or infinite alpha raises ValueError."""
     if alpha is None:
         return None
     alpha = float(alpha)
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     return alpha
 
 

@@ -99,8 +99,13 @@ def as_answer_vector(values) -> np.ndarray:
 
 
 def validate_variances(values) -> np.ndarray:
-    """Coerce to a strictly positive 1-D variance vector."""
-    v = as_answer_vector(values)
+    """Coerce to a strictly positive 1-D variance vector: a NaN or infinite
+    entry raises NonFiniteParameterError, as ``check_sigma2`` does, and one
+    <= 0 NonPositiveVarianceError."""
+    try:
+        v = as_answer_vector(values)
+    except NonFiniteError as exc:
+        raise NonFiniteParameterError(f"variances must be finite, got {values}") from exc
     if np.count_nonzero(v <= 0):
         raise NonPositiveVarianceError("all variances must be > 0")
     return v

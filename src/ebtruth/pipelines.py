@@ -26,8 +26,8 @@ def shrink_aggregate(xa, sigma2_hat, alpha: float | None = None,
     """Aggregate in, shrunk aggregate out, for one aggregate or an (r, m)
     batch with one ``sigma2_hat`` per row; alpha=None means m - 3.  A zero
     variance estimate (legitimate on unanimous data) or alpha = 0 leaves the
-    aggregate unchanged rather than erroring; a negative or NaN alpha raises
-    ValueError either way."""
+    aggregate unchanged rather than erroring; a negative, NaN or infinite
+    alpha raises ValueError either way."""
     alpha = check_alpha(alpha)
     keep = np.asarray(sigma2_hat) == 0.0
     kept = np.count_nonzero(keep)

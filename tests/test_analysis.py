@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ from ebtruth import (
     write_reports_jsonl,
 )
 from ebtruth import analysis, baselines
-from ebtruth.analysis import ConditionTerms, psi_batch, report_record, shrink_aggregate
+from ebtruth.analysis import ConditionTerms, psi_batch, shrink_aggregate
 from ebtruth.data import ROLE_GT, ROLE_SIGMA
 
 
@@ -122,11 +123,13 @@ class TestMcRisk:
         assert blocks == []
 
     def test_eb_blue_rejects_a_negative_or_nan_alpha(self):
-        for alpha in (-1.0, float("nan")):
+        # an infinite alpha too, which named the pipeline eb_blue_alphainf
+        for alpha in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha must be >= 0"):
                 pipeline_eb_blue(alpha=alpha)
 
-    @pytest.mark.parametrize("alpha", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")],
+                             ids=["negative", "nan", "inf"])
     def test_eb_wrap_rejects_a_bad_alpha_before_drawing(self, monkeypatch, alpha):
         blocks = _count_blocks(monkeypatch)
         with pytest.raises(ValueError, match="alpha must be >= 0"):
@@ -363,7 +366,8 @@ class TestReplicateBlocks:
         assert s.aggregates.tobytes() == xa.tobytes()
         t = sample_condition_terms(gen, Mean(), HeuristicH(), 130, seed=4)
         psis = psi_batch(HeuristicH(), X, xa)
-        for got, want in zip(t.terms, analysis.stein_gap_terms(xa, psis, mu)):
+        assert t.psis.tobytes() == psis.tobytes()
+        for got, want in zip((t.ok, t.ss, t.cov), _gap_terms(xa, psis, mu)):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -539,9 +543,8 @@ class TestThreadedStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the (R, m) stores, and ψ, ∂ψ, ss, the covariance and quadratic
-        # terms and the mask
-        stores = replicates * (8 * 2 * m + 5 * 8 + 1)
+        # the (R, m) stores, and ψ, ∂ψ, ss, the covariance term and the mask
+        stores = replicates * (8 * 2 * m + 4 * 8 + 1)
         # the truths and aggregates go straight into the stores, so a thread
         # holds one block of noise and a few block-sized temporaries (at most
         # 3.9 blocks, whatever the base).  A chunk's own (CHUNK, m) truths or
@@ -574,10 +577,10 @@ class TestThreadedStream:
 
     @pytest.mark.parametrize("call, per_replicate", [
         (lambda r: sample_aggregate_stream(_gen(), Mean(), Constant(1.0), r, seed=0),
-         8 * 5 + 1 + 8 * 2 * 10),
+         8 * 4 + 1 + 8 * 2 * 10),
         (lambda r: sample_aggregate_stream(_gen(gt=GaussianGT(2.0, 1.0), fresh_gt=True), Mean(),
-                                           Constant(1.0), r, seed=0), 8 * 5 + 1 + 8 * 2 * 10),
-        (lambda r: sample_condition_terms(_gen(), Mean(), Constant(1.0), r, seed=0), 8 * 5 + 1),
+                                           Constant(1.0), r, seed=0), 8 * 4 + 1 + 8 * 2 * 10),
+        (lambda r: sample_condition_terms(_gen(), Mean(), Constant(1.0), r, seed=0), 8 * 4 + 1),
         (lambda r: mc_risk(_gen(), [pipeline_blue(), pipeline_eb_blue()], r, seed=0), 8 * 2),
     ], ids=["sample_aggregate_stream", "fresh_truths", "sample_condition_terms", "mc_risk"])
     def test_replicate_bound_is_checked_before_drawing(self, monkeypatch, call, per_replicate):
@@ -785,8 +788,10 @@ class TestConditions:
         # the rounded mean misses this constant row by an ulp, so ss ~ 1.9e-29
         aggregates = np.arange(24.0).reshape(4, 6)
         aggregates[2] = 13.691350663375637
-        terms = analysis.stein_gap_terms(aggregates, np.ones(4), np.zeros((4, 6)))
-        s = ConditionTerms(terms=terms, psis=np.ones(4), derivative_dots=np.zeros(4), m=6, seed=0)
+        ok, ss, cov = _gap_terms(aggregates, np.ones(4), np.zeros((4, 6)))
+        assert ok.tolist() == [True, True, False, True] and np.isnan(cov[2])
+        s = ConditionTerms(ok=ok, ss=ss, cov=cov, psis=np.ones(4), derivative_dots=np.zeros(4),
+                           m=6, seed=0)
         with pytest.raises(InsufficientDataError):
             improvement_condition(s)
         # the terms are kept, but every check still rejects the stream
@@ -810,7 +815,7 @@ class TestConditions:
         for a, u in ((aggregates, mu), (np.delete(aggregates, [2, 3, 7], axis=0),
                                         np.broadcast_to(mu[0], (9, 6)))):
             p = psis[:a.shape[0]]
-            got, want = analysis.stein_gap_terms(a, p, u), _unblocked_stein_gap_terms(a, p, u)
+            got, want = _gap_terms(a, p, u), _unblocked_stein_gap_terms(a, p, u)
             assert np.array_equal(got[0], want[0])
             assert got[0].sum() == 9
             for g, w in zip(got[1:], want[1:]):
@@ -842,10 +847,12 @@ class TestConditions:
                            fresh_sigmas=True)
         s = sample_aggregate_stream(gen, base, HeuristicH(), 200, seed=3, threads=threads)
         got = sample_condition_terms(gen, base, HeuristicH(), 200, seed=3, threads=threads)
-        want = analysis.stein_gap_terms(s.aggregates, s.psis, s.mu)
-        assert np.flatnonzero(~got.terms[0]).tolist() == [5, 91]
-        assert np.array_equal(got.terms[0], want[0])
-        for g, w in zip(got.terms[1:], want[1:]):
+        want = _gap_terms(s.aggregates, s.psis, s.mu)
+        assert np.flatnonzero(~got.ok).tolist() == [5, 91]
+        assert np.flatnonzero(np.isnan(got.cov)).tolist() == [5, 91]
+        for g, w in zip((got.ok, got.ss, got.cov), want):
+            assert g.tobytes() == w.tobytes()
+        for g, w in zip((s.ok, s.ss, s.cov), want):
             assert g.tobytes() == w.tobytes()
         assert got.psis.tobytes() == s.psis.tobytes()
         assert got.derivative_dots.tobytes() == s.derivative_dots.tobytes()
@@ -893,16 +900,19 @@ class TestConditions:
         assert peaks["decomposition"] < 7
 
     def test_checks_share_one_pass_over_the_stream(self, monkeypatch):
-        # the stream's block pass writes its terms: neither the stream nor a
-        # check computes them again over the stores
-        def no_stores(*args):
-            raise AssertionError("stein_gap_terms called")
-
-        monkeypatch.setattr(analysis, "stein_gap_terms", no_stores)
+        # the stream's block pass writes its terms, one kernel call a block:
+        # neither the stream nor a check computes them again over the stores
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", _block_bytes(1, 10, 64))
+        blocks = _count_blocks(monkeypatch)
+        calls = []
+        kernel = analysis._write_gap_terms
+        monkeypatch.setattr(analysis, "_write_gap_terms",
+                            lambda *args: calls.append(args[0].shape[0]) or kernel(*args))
         s = self._stream(Constant(1.0), reps=1000)
         assert isinstance(s, ConditionTerms)
         expected = (improvement_condition(s), risk_decomposition(s, sigma2=1.0),
                     sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0)))
+        assert len(blocks) == 16 and calls == blocks
         fresh = self._stream(Constant(1.0), reps=1000)
         assert expected == (improvement_condition(fresh), risk_decomposition(fresh, sigma2=1.0),
                             sufficient_conditions(fresh, sigma2=1.0, psi=Constant(1.0)))
@@ -984,7 +994,7 @@ def _whole_array_checks(s, sigma2, psi, eps, delta, bound):
     """The three condition checks on a stream as whole-array expressions,
     every plug-in built up front, with the checks' operation order."""
     m, alpha = s.m, s.m - 3
-    _, ss, cov, quad = s.terms
+    ss, cov, quad = s.ss, s.cov, s.psis**2 / s.ss
     s2 = ss / (m - 1)
     e_psi2, e_psi, e_dot = s.psis**2 / s2, s.psis / s2, s.derivative_dots / ((m - 3) * s2)
     se = analysis._std_error
@@ -1011,15 +1021,23 @@ def _whole_array_checks(s, sigma2, psi, eps, delta, bound):
     return improvement, decomposition, sufficient
 
 
+def _gap_terms(aggregates, psis, mu):
+    """``analysis._write_gap_terms`` on a whole stream: its (ok, ss, cov)."""
+    r = aggregates.shape[0]
+    ok, ss, cov = np.empty(r, dtype=bool), np.empty(r), np.empty(r)
+    analysis._write_gap_terms(aggregates, psis, mu, ok, ss, cov)
+    return ok, ss, cov
+
+
 def _unblocked_stein_gap_terms(aggregates, psis, mu):
-    # stein_gap_terms over the whole stream at once, as before the row blocks
+    # the Stein-gap terms over the whole stream at once, as before the row
+    # blocks: (ok, ss, cov), cov NaN on the rows without dispersion
     dev = aggregates - aggregates.mean(axis=1, keepdims=True)
     ss = (dev**2).sum(axis=1)
     ok = (aggregates.max(axis=1) != aggregates.min(axis=1)) & (ss > 0)
-    if not ok.all():
-        aggregates, mu, dev, ss, psis = aggregates[ok], mu[ok], dev[ok], ss[ok], psis[ok]
-    cov = ((aggregates - mu) * psis[:, None] * dev / ss[:, None]).sum(axis=1)
-    return ok, ss, cov, psis**2 / ss
+    cov = np.full(ss.shape, np.nan)
+    cov[ok] = ((aggregates[ok] - mu[ok]) * psis[ok, None] * dev[ok] / ss[ok, None]).sum(axis=1)
+    return ok, ss, cov
 
 
 class TestBayesGap:
@@ -1066,8 +1084,12 @@ class TestBlueRisks:
         ((3, [1.0], 1.0), InsufficientDataError),
         ((10, [1.0, 0.0], 1.0), NonPositiveVarianceError),
         ((10, [1.0], -1.0), NonPositiveVarianceError),
-        ((10, [1.0], float("nan")), NonPositiveVarianceError),
-    ], ids=["m3", "zero-variance", "negative-tau2", "nan-tau2"])
+        ((10, [1.0], float("nan")), NonFiniteParameterError),
+        ((10, [1.0], float("inf")), NonFiniteParameterError),
+        ((10, [1.0, float("nan")], 1.0), NonFiniteParameterError),
+        ((10, [1.0, float("inf")], 1.0), NonFiniteParameterError),
+    ], ids=["m3", "zero-variance", "negative-tau2", "nan-tau2", "inf-tau2", "nan-variance",
+            "inf-variance"])
     def test_validation(self, args, error):
         with pytest.raises(error):
             blue_risks(*args)
@@ -1365,7 +1387,8 @@ class TestSampleBatchMemo:
         assert Xb.nbytes + mub.nbytes > analysis.BLOCK_BYTES
         assert analysis._sample_batch(*key)[0] is Xb and draws == [1000]
 
-    @pytest.mark.parametrize("alpha", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")],
+                             ids=["negative", "nan", "inf"])
     def test_a_bad_alpha_is_rejected_before_drawing(self, draws, alpha):
         with pytest.raises(ValueError, match="alpha must be >= 0"):
             improvement_ratio((ConstantGT(2.0), GaussianSqSigmas()), CRH(), HeuristicH(),
@@ -1461,7 +1484,7 @@ class TestSerialization:
     def test_csv_and_jsonl_round_trip(self, tmp_path):
         gen = _gen(gt=GaussianGT(2.0, 1.0), fresh_gt=True)
         res = mc_risk(gen, [pipeline_blue(), pipeline_base(Mean())], 1000, seed=2)
-        records = [report_record(r) for r in res.reports.values()]
+        records = [asdict(r) for r in res.reports.values()]
         csv_path = tmp_path / "r.csv"
         jsonl_path = tmp_path / "r.jsonl"
         write_reports_csv(csv_path, records)
@@ -1481,7 +1504,7 @@ class TestSerialization:
     def test_condition_report_std_errors_serialized(self, tmp_path):
         gen = _gen()
         s = sample_aggregate_stream(gen, Mean(), Constant(1.0), 1000, seed=0)
-        rec = report_record(improvement_condition(s))
+        rec = asdict(improvement_condition(s))
         p = tmp_path / "c.csv"
         write_reports_csv(p, [rec])
         text = p.read_text()

@@ -94,6 +94,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "GaussianGT" in err and word in err
 
+    @pytest.mark.parametrize("spec", ["explicit:1,nan", "explicit:inf"])
+    def test_a_non_finite_worker_variance_is_rejected(self, tmp_path, capsys, spec):
+        code = main(["conditions", "--n", str(spec.count(",") + 1), "--sigmas", spec,
+                     "--sigma2", "1", "--replicates", "10", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "variances must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["conditions", "--m", "0"],
         ["conditions", "--n", "0", "--sigmas", "gaussian-sq"],
@@ -328,22 +335,30 @@ class TestOutputs:
         assert any(r["name"] == "risk_decomposition" for r in records)
 
     def test_conditions_computes_the_stein_gap_terms_once(self, tmp_path, monkeypatch):
-        # one terms pass per run, and the checks read its terms: nothing
-        # computes them again over stores
+        # one terms pass per run, which runs the Stein-gap kernel once a
+        # block, and the checks read its terms: nothing computes them again
         import ebtruth.cli as cli
 
-        def no_stores(*args):
-            raise AssertionError("stein_gap_terms called")
-
-        calls = []
+        calls, blocks, kernel_rows = [], [], []
         terms = cli.sample_condition_terms
-        monkeypatch.setattr(ebtruth.analysis, "stein_gap_terms", no_stores)
+        draw, kernel = ebtruth.analysis.iter_replicates, ebtruth.analysis._write_gap_terms
+
+        def counting(*args, **kwargs):
+            for block in draw(*args, **kwargs):
+                blocks.append(block[0].shape[0])
+                yield block
+
+        monkeypatch.setattr(ebtruth.analysis, "iter_replicates", counting)
+        monkeypatch.setattr(ebtruth.analysis, "_write_gap_terms",
+                            lambda *args: kernel_rows.append(args[0].shape[0]) or kernel(*args))
         monkeypatch.setattr(cli, "sample_condition_terms",
                             lambda *args, **kwargs: calls.append(1) or terms(*args, **kwargs))
+        monkeypatch.setattr(ebtruth.analysis, "BLOCK_BYTES", 8 * 4 * 10 * 100)  # 100 rows
         for run in (1, 2):
             assert main(["conditions", "--replicates", "500", "--m", "10", "--psi", "const:1",
                          "--out", str(tmp_path / "out")]) == EXIT_OK
             assert len(calls) == run
+            assert kernel_rows == blocks == [100] * 5 * run
 
     def test_conditions_constant_above_twice_variance_unsatisfied(self, tmp_path):
         out = tmp_path / "out"

@@ -14,6 +14,7 @@ from ebtruth import (
     GaussianGT,
     GaussianSqSigmas,
     IndexedSigmas,
+    InsufficientDataError,
     LengthMismatchError,
     NoGroundTruthError,
     NonFiniteError,
@@ -252,6 +253,48 @@ class TestSyntheticBatch:
             gen_synthetic(spec)
         with pytest.raises(NonFiniteError):
             gen_synthetic(spec, samples=4)
+
+
+class TestSampleAddresses:
+    """A negative sample index, or one past the 2**64 stream indices, raised
+    OverflowError and a negative sample count a bare ValueError; a count of 0
+    gave gen_synthetic an EmptyMatrixError naming a (0, m) shape and
+    subsample_indices empty arrays.  Both are now checked before the batch
+    is allocated."""
+
+    CALLS = {
+        "gen_synthetic": lambda index, samples: gen_synthetic(
+            _spec(n=10, m=50), index=index, samples=samples),
+        "subsample_indices": lambda index, samples: subsample_indices(
+            60, 500, 10, 50, 5, index=index, samples=samples),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("index, samples, error", [
+        (-1, None, ValidationError), (-1, 1000, ValidationError),
+        (2**64, None, ValidationError), (2**64 - 999, 1000, ValidationError),
+        (0, 0, InsufficientDataError), (3, -1, InsufficientDataError)],
+        ids=["negative-index", "negative-index-batch", "index-past-2**64",
+             "batch-past-2**64", "no-samples", "negative-samples"])
+    def test_a_bad_address_raises_before_allocating(self, name, index, samples, error):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=r"not in \[0, 2\*\*64\)|need >= 1 samples"):
+                self.CALLS[name](index, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a batch of 1000 samples of 10 x 50 takes 4 MB
+        assert peak < 2**16
+
+    def test_the_last_stream_indices_are_addressed(self):
+        ri, ci = subsample_indices(6, 30, 4, 10, 5, index=2**64 - 2, samples=2)
+        assert (ri[1].tolist(), ci[1].tolist()) == tuple(
+            a.tolist() for a in subsample_indices(6, 30, 4, 10, 5, index=2**64 - 1))
+        rng = stream(5, 3, 2**64 - 1)
+        assert ri[1].tolist() == rng.permutation(6)[:4].tolist()
 
 
 class TestSpecValidation:

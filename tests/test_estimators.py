@@ -70,6 +70,14 @@ class TestShrinkTowardMean:
         with pytest.raises(ValueError, match="alpha must be >= 0"):
             ebe(np.arange(6.0), 1.0, alpha=float("nan"))
 
+    def test_infinite_alpha_is_rejected(self):
+        # an infinite weight overflowed to the degenerate full-shrink path,
+        # which returned the mean
+        for call in (lambda: ebe(np.arange(5.0), 1.0, alpha=np.inf),
+                     lambda: shrink_aggregate(np.arange(5.0), 1.0, alpha=np.inf)):
+            with pytest.raises(ValueError, match="alpha must be >= 0 and finite, got inf"):
+                call()
+
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=4, max_size=20),
            st.floats(min_value=-50, max_value=50),
            st.floats(min_value=0.01, max_value=10))

@@ -5,15 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ebtruth import (
+    Blue,
     DispersionStats,
     EmptyMatrixError,
+    ExplicitSigmas,
     LengthMismatchError,
     Mean,
     NonFiniteError,
+    NonFiniteParameterError,
     NonPositiveVarianceError,
     ObservationMatrix,
+    OracleReduced,
     as_answer_vector,
+    blue_aggregate,
     dispersion,
+    eb_blue,
     run_td,
     validate_matrix,
     validate_variances,
@@ -89,6 +95,22 @@ class TestVectors:
             validate_variances([1.0, 0.0])
         with pytest.raises(NonPositiveVarianceError):
             validate_variances([-1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", [
+        validate_variances,
+        lambda s: blue_aggregate(validate_matrix(np.arange(16.0).reshape(4, 4)), s),
+        lambda s: eb_blue(validate_matrix(np.arange(16.0).reshape(4, 4)), s),
+        Blue,
+        OracleReduced,
+        ExplicitSigmas,
+    ], ids=["validate_variances", "blue_aggregate", "eb_blue", "Blue", "OracleReduced",
+            "ExplicitSigmas"])
+    def test_a_non_finite_worker_variance_is_a_parameter_error(self, call, bad):
+        # the error check_sigma2 gives a bad shrink variance, not the
+        # matrix's NonFiniteError with a row and column
+        with pytest.raises(NonFiniteParameterError, match="variances must be finite"):
+            call([1.0, 1.0, 1.0, bad])
 
 
 class TestDispersion:

@@ -62,7 +62,7 @@ class TestEstimatedCompetence:
         out = eb_wrap(X, Mean(), SampleScaled(0.0))  # scale 0 -> sigma-hat 0
         np.testing.assert_array_equal(out, [1.0, 2.0, 3.0, 4.0])
 
-    @pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("psi", [Constant(0.0), Constant(1.0)], ids=["zero", "one"])
     def test_bad_alpha_is_rejected_whatever_the_variance(self, psi, alpha):
         # an all-zero sigma-hat^2 used to return the aggregate before alpha was checked

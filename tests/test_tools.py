@@ -37,22 +37,42 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
                                                    ""]
 
 
-def test_the_benchmark_wraps_functions_the_package_has(monkeypatch):
-    # the benchmark times each layer by wrapping package functions it names;
-    # a name deleted or renamed in the package fails here, not in a
-    # benchmark run
+def _benchmark_modules(monkeypatch):
+    """The benchmark's ``workloads`` and ``tracing`` modules, imported for one
+    test and then dropped, so no later test sees the benchmark's modules."""
     monkeypatch.syspath_prepend(str(BENCH))
     own = ("workloads", "tracing", "metrics")
     loaded = [name for name in own if name in sys.modules]
     try:
-        workloads = importlib.import_module("workloads")
-        pairs = workloads.layer_wrappers(importlib.import_module("tracing").Tracer())
+        return importlib.import_module("workloads"), importlib.import_module("tracing")
     finally:
         for name in own:
             if name not in loaded:
                 sys.modules.pop(name, None)
+
+
+def test_the_benchmark_wraps_functions_the_package_has(monkeypatch):
+    # the benchmark times each layer by wrapping package functions it names;
+    # a name deleted or renamed in the package fails here, not in a
+    # benchmark run
+    workloads, tracing = _benchmark_modules(monkeypatch)
+    pairs = workloads.layer_wrappers(tracing.Tracer())
     assert pairs
     for original, wrapper in pairs:
         assert original.__module__.startswith("ebtruth."), original
         assert getattr(sys.modules[original.__module__], original.__name__) is original
         assert callable(wrapper)
+
+
+def test_a_traced_conditions_pass_moves_every_layer_it_runs(monkeypatch, tmp_path):
+    # the conditions workload's layers: the pass's ψ and ∂ψ kernels, the
+    # CRH base, the three checks and the report writers
+    workloads, tracing = _benchmark_modules(monkeypatch)
+    tracer = tracing.Tracer()
+    result = workloads.Conditions(1, str(tmp_path), replicates=300).run_pass(tracer=tracer)
+    assert result.failed == 0, result.messages
+    values = workloads.layer_metrics(tracer)
+    for name in ("analysis.psi_batch.busy_s", "analysis.psi_derivative_dot_batch.busy_s",
+                 "analysis.condition_checks.busy_s", "baselines.run_td_batch.crh.busy_s",
+                 "analysis.write_reports.bytes"):
+        assert values[name] > 0, name
