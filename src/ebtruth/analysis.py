@@ -19,7 +19,8 @@ Chunks are independent, so ``iter_replicates(..., chunks=)`` draws any of
 them alone.  ``mc_risk``, ``sample_aggregate_stream`` and
 ``sample_condition_terms`` share one chunk engine, ``_each_chunk``: each task
 draws one chunk and writes its rows of preallocated outputs, serially or
-side by side on a thread pool, so the numbers are the same at any thread
+side by side on the one thread pool, ``map_tasks`` (which also runs
+``ebtruth simulate``'s cells), so the numbers are the same at any thread
 count and a thread holds one chunk at a time.  Every base answers a
 replicate the same in any batch (CRH and CATD stop each row on its own
 weights), so every consumer takes ``BLOCK_BYTES`` blocks.  ψ, ∂ψ and the
@@ -112,7 +113,8 @@ TRUTH_ROLE = 101  # stream role for the fresh truths of those chunks
 
 # Most bytes one request may allocate: ``improvement_ratios``' sample batch
 # and its scoring (``batch_bytes``), or the per-replicate arrays of
-# ``sample_aggregate_stream``, ``sample_condition_terms`` or ``mc_risk`` with
+# ``sample_aggregate_stream``, ``sample_condition_terms`` or ``mc_risk`` (of
+# every cell of a simulate grid together, ``check_mc_request``), each with
 # one replicate block and its truths (``_check_replicates``).  It is
 # fixed, not read from the host or the thread count, so a request's exit
 # code does not depend on the machine; 1000 samples at n=10, m=50 take about
@@ -362,7 +364,7 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     for name in names:
         if names.count(name) > 1:
             raise ValidationError(f"pipeline name {name!r} is given twice")
-    _check_replicates(gen, replicates, 8 * len(pipelines), f"{len(pipelines)} pipelines' losses")
+    check_mc_request([gen], replicates, len(pipelines))
     losses = {p.name: np.empty(replicates) for p in pipelines}
 
     def on_block(pos, X, mu, sig2):
@@ -389,15 +391,10 @@ def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int,
     One task draws one chunk, through ``iter_replicates(..., chunks=[i])``,
     and drops it when it returns, so a thread never holds two chunks.
     ``on_block`` writes rows ``pos:pos + r`` of preallocated outputs, so the
-    outputs do not depend on ``threads``.  With one thread (or one chunk) the
-    chunks run in order in the caller's thread; otherwise they run on a pool
-    of ``threads`` threads, each task in a copy of the caller's context (so
-    under its ``np.errstate``).  A chunk that raises raises here, with its own
-    error, and the chunks not yet started are cancelled.  ``threads`` below 1
-    raises ValueError before anything is drawn.
+    outputs do not depend on ``threads``.  The chunks run through
+    ``map_tasks``, which raises ValueError for ``threads`` below 1 before
+    anything is drawn.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
     def run_chunk(chunk_index):
         pos = chunk_index * CHUNK
@@ -405,18 +402,31 @@ def _each_chunk(gen: AwgGenerator, replicates: int, seed: int, threads: int,
             on_block(pos, X, mu, sig2)
             pos += X.shape[0]
 
-    indices = range(n_chunks(replicates))
-    if min(threads, len(indices)) <= 1:
-        for chunk_index in indices:
-            run_chunk(chunk_index)
-        return
+    map_tasks(run_chunk, range(n_chunks(replicates)), threads)
+
+
+def map_tasks(fn, tasks, threads: int) -> list:
+    """``[fn(t) for t in tasks]``, on up to ``threads`` threads; the one
+    thread pool behind the chunk engine and ``ebtruth simulate``'s cells.
+
+    With one thread, or one task, the tasks run in order in the caller's
+    thread.  Otherwise they start in order on a pool of ``threads`` threads,
+    each in its own copy of the caller's context (so under its
+    ``np.errstate``).  A task that raises raises here, with its own error,
+    and the tasks not yet started are cancelled.  ``threads`` below 1 raises
+    ValueError before any task runs.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    tasks = list(tasks)
+    if min(threads, len(tasks)) <= 1:
+        return [fn(task) for task in tasks]
     context = contextvars.copy_context()
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         # a Context can be entered by one thread at a time: one copy per task
-        tasks = [pool.submit(context.copy().run, run_chunk, i) for i in indices]
+        futures = [pool.submit(context.copy().run, fn, task) for task in tasks]
         try:
-            for task in tasks:
-                task.result()
+            return [future.result() for future in futures]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -489,7 +499,7 @@ def _terms_pass(gen, base, psi, replicates, seed, threads, keep: bool) -> dict:
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
     # ψ, ∂ψ, ss, the covariance term, the mask, and the two stores
-    _check_replicates(gen, replicates, 4 * 8 + 1 + 16 * gen.m * keep,
+    _check_replicates([gen], replicates, 4 * 8 + 1 + 16 * gen.m * keep,
                       "condition terms, aggregates, mu" if keep else "condition terms")
     stores = {name: np.empty((replicates, gen.m)) for name in ("aggregates", "mu") if keep}
     ok = np.empty(replicates, dtype=bool)
@@ -642,10 +652,19 @@ def risk_decomposition(s: ConditionTerms, sigma2: float) -> dict:
 def check_deviation_inputs(eps: float | None = None, delta: float | None = None,
                            bound: float | None = None) -> None:
     """Raise ValidationError, naming the value, for a non-finite eps, delta or
-    bound, or for a delta, a probability, outside (0, 1]."""
+    bound, or for a delta, a probability, outside (0, 1].  A condition reads
+    eps alone or all three, so any other set of them, which no condition
+    would read, raises ValidationError too."""
+    given = []
     for name, value in (("eps", eps), ("delta", delta), ("bound", bound)):
-        if value is not None and not np.isfinite(value):
+        if value is None:
+            continue
+        if not np.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
+        given.append(name)
+    if given not in ([], ["eps"], ["eps", "delta", "bound"]):
+        raise ValidationError(f"eps is read alone or with both delta and bound, "
+                              f"got {' and '.join(given)} only")
     if delta is not None and not 0 < delta <= 1:
         raise ValidationError(f"delta must be in (0, 1], got {delta!r}")
 
@@ -657,7 +676,8 @@ def sufficient_conditions(s: ConditionTerms, sigma2: float,
     """Monte Carlo plug-ins for the sufficient improvement conditions.
 
     The deviation-bound conditions take eps/delta/bound as declared properties
-    of the supplied estimator and check the closed-form brackets; inputs that
+    of the supplied estimator and check the closed-form brackets: eps alone
+    the bounded deviation, all three the probabilistic bound; inputs that
     ``check_deviation_inputs`` refuses raise ValidationError, and so does a
     ``sigma2`` that ``check_sigma2`` refuses.
     """
@@ -677,12 +697,12 @@ def sufficient_conditions(s: ConditionTerms, sigma2: float,
                                satisfied=lhs < 2 * sigma2, std_errors=se)
                for name, lhs, se in below]
 
-    if eps is not None and delta is None:
+    if eps is not None and delta is None:  # eps alone
         reports.append(ConditionReport(
             name="bounded_deviation_condition", lhs=float(eps), rhs=sigma2, direction="<",
             satisfied=0 < eps < sigma2))
 
-    if eps is not None and delta is not None and bound is not None:
+    if delta is not None:  # with eps and bound
         b_cap = delta * sigma2**2 / (1 - delta) if delta < 1 else float("inf")
         reports.append(ConditionReport(
             name="probabilistic_bound_cap", lhs=float(bound), rhs=float(b_cap),
@@ -807,15 +827,26 @@ def _check_request(need: int, what: str) -> None:
             f"{MAX_BATCH_BYTES}-byte limit (analysis.MAX_BATCH_BYTES)")
 
 
-def _check_replicates(gen: AwgGenerator, replicates: int, per_replicate: int,
-                      what: str) -> None:
-    """``_check_request`` for a pass over ``replicates`` replicates of
-    ``gen`` that keeps ``per_replicate`` bytes a replicate: it counts those
-    and one replicate block with its truths (8·n·m and 8·m; a block holds at
-    least one replicate), once each, not once per thread.  ``what`` names
-    the per-replicate arrays."""
-    _check_request(replicates * per_replicate + 8 * gen.m * (gen.n + 1),
-                   f"{replicates} replicates of {gen.n}x{gen.m} ({what})")
+def _check_replicates(gens: list, replicates: int, per_replicate: int, what: str) -> None:
+    """``_check_request`` for passes over ``replicates`` replicates of each
+    generator in ``gens`` that keep ``per_replicate`` bytes a replicate: it
+    counts those and one replicate block with its truths (8·n·m and 8·m; a
+    block holds at least one replicate) once per pass, not once per thread.
+    ``what`` names the per-replicate arrays."""
+    shape = f"{gens[0].n}x{gens[0].m}" if len(gens) == 1 else f"each of {len(gens)} cells"
+    _check_request(sum(replicates * per_replicate + 8 * g.m * (g.n + 1) for g in gens),
+                   f"{replicates} replicates of {shape} ({what})")
+
+
+def check_mc_request(gens: list, replicates: int, pipelines: int) -> None:
+    """Raise RequestTooLargeError when ``mc_risk`` runs of ``pipelines``
+    pipelines over ``replicates`` replicates of each generator in ``gens``
+    would together need over ``MAX_BATCH_BYTES``: every run's losses, and
+    one replicate block with its truths a run (see ``_check_replicates``).
+    Every run counts, not just those a thread count lets run at once, so
+    the refusal does not depend on the machine; ``ebtruth simulate`` checks
+    its whole grid before any cell runs."""
+    _check_replicates(gens, replicates, 8 * pipelines, f"{pipelines} pipelines' losses")
 
 
 # The last synthetic batch ``_sample_batch`` kept, as (key, (Xb, mub)), or None.
@@ -845,7 +876,8 @@ def _sample_batch(source, n: int, m: int, samples: int, seed: int):
         slot = _last_batch  # read once: another thread may rebind it
         if built_in and slot is not None and slot[0] == key:
             return slot[1]
-        _last_batch = None
+        # the local reference too, or the old batch lives through the draw
+        _last_batch = slot = None
         Xb, mub, _ = gen_synthetic(spec, samples=samples)
         Xb.setflags(write=False)
         mub.setflags(write=False)

@@ -17,7 +17,6 @@ JSON object; 3 a failed demo-table1 self-check.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -31,7 +30,9 @@ from .analysis import (
     AwgGenerator,
     MEAN_SQUARED,
     SUM_SQUARED,
+    check_mc_request,
     improvement_ratios,
+    map_tasks,
     mc_risk,
     pipeline_blue,
     pipeline_eb_blue,
@@ -88,11 +89,17 @@ SIGMA_FORMS = ("'indexed', 'gaussian-sq[:MEAN,VARIANCE,FLOOR]' "
 PSI_FORMS = "'h', 's[:SCALE]' or 'const:VALUE'"
 
 
-def _numbers(text: str, rest: str, forms: str, count: int | None = None) -> list[float]:
-    """The comma-separated numbers after a spec's kind (``count`` of them if
-    given), or a ValidationError naming the spec and the forms it may take."""
+def _numbers(text: str, forms: str, count: int | None = None, default=None) -> list[float]:
+    """The comma-separated numbers after a spec's kind and ':' (``count`` of
+    them if given), or ``default`` for a spec without ':' (None: the numbers
+    are required).  Anything else, a kind that takes no numbers given some
+    or a ':' with none after it included, raises a ValidationError naming
+    the spec and the forms it may take."""
+    _, colon, rest = text.partition(":")
     parts = rest.split(",")
     try:
+        if not colon and default is not None:
+            return default
         if count is not None and len(parts) != count:
             raise ValueError
         return [float(x) for x in parts]
@@ -101,35 +108,33 @@ def _numbers(text: str, rest: str, forms: str, count: int | None = None) -> list
 
 
 def _parse_gt(text: str):
-    kind, _, rest = text.partition(":")
+    kind = text.partition(":")[0]
     if kind == "constant":
-        return ConstantGT(*_numbers(text, rest or "2", GT_FORMS, 1))
+        return ConstantGT(*_numbers(text, GT_FORMS, 1, [2.0]))
     if kind == "gaussian":
-        return GaussianGT(*_numbers(text, rest or "2,1", GT_FORMS, 2))
+        return GaussianGT(*_numbers(text, GT_FORMS, 2, [2.0, 1.0]))
     raise ValidationError(f"unknown ground-truth spec {text!r}; expected {GT_FORMS}")
 
 
 def _parse_sigmas(text: str):
-    kind, _, rest = text.partition(":")
+    kind = text.partition(":")[0]
     if kind == "indexed":
-        return IndexedSigmas()
+        return IndexedSigmas(*_numbers(text, SIGMA_FORMS, 0, []))
     if kind == "gaussian-sq":
-        if rest:
-            return GaussianSqSigmas(*_numbers(text, rest, SIGMA_FORMS, 3))
-        return GaussianSqSigmas()
+        return GaussianSqSigmas(*_numbers(text, SIGMA_FORMS, 3, []))
     if kind == "explicit":
-        return ExplicitSigmas(_numbers(text, rest, SIGMA_FORMS))
+        return ExplicitSigmas(_numbers(text, SIGMA_FORMS))
     raise ValidationError(f"unknown worker-sigma spec {text!r}; expected {SIGMA_FORMS}")
 
 
 def _parse_psi(text: str):
-    kind, _, rest = text.partition(":")
+    kind = text.partition(":")[0]
     if kind == "h":
-        return HeuristicH()
+        return HeuristicH(*_numbers(text, PSI_FORMS, 0, []))
     if kind == "s":
-        return SampleScaled(*_numbers(text, rest or "1", PSI_FORMS, 1))
+        return SampleScaled(*_numbers(text, PSI_FORMS, 1, [1.0]))
     if kind == "const":
-        return Constant(*_numbers(text, rest, PSI_FORMS, 1))
+        return Constant(*_numbers(text, PSI_FORMS, 1))
     raise ValidationError(f"unknown variance estimator {text!r}; expected {PSI_FORMS}")
 
 
@@ -214,19 +219,28 @@ def _seed(text: str) -> int:
     return seed
 
 
+# Most threads ``auto`` picks, and most ``--threads`` accepts.  A pool
+# starts up to min(threads, tasks) threads, each holding a 1 MiB replicate
+# block and its temporaries, and a large request has hundreds of chunks, so
+# the cap, not the request, bounds that memory (a few hundred MB at 64).
+AUTO_THREADS = 8
+MAX_THREADS = 64
+
+
 def _threads(value: str) -> int:
     if value == "auto":
         # the CPUs this process may run on, which an affinity mask can make
         # fewer than the host's
         if hasattr(os, "sched_getaffinity"):
-            return min(8, len(os.sched_getaffinity(0)))
-        return min(8, os.cpu_count() or 1)
+            return min(AUTO_THREADS, len(os.sched_getaffinity(0)))
+        return min(AUTO_THREADS, os.cpu_count() or 1)
     try:
         n = int(value)
     except ValueError:
         n = None
-    if n is None or n < 1:
-        raise ValidationError(f"--threads must be >= 1 or 'auto', got {value!r}")
+    if n is None or not 1 <= n <= MAX_THREADS:
+        raise ValidationError(f"--threads must be from 1 to {MAX_THREADS} or 'auto', "
+                              f"got {value!r}")
     return n
 
 
@@ -277,6 +291,9 @@ def cmd_demo_table1(cfg: dict) -> int:
 # simulate
 
 
+SIMULATE_PIPELINES = 3  # blue, eb_blue and stein_blue, in each cell
+
+
 def _simulate_cell(args_tuple):
     gen, replicates, seed, convention, threads = args_tuple
     pipelines = [pipeline_blue(), pipeline_eb_blue(), pipeline_stein_blue()]
@@ -294,22 +311,21 @@ def cmd_simulate(cfg: dict) -> int:
     n_grid = [int(x) for x in cfg["n_grid"].split(",")]
     m_grid = [int(x) for x in cfg["m_grid"].split(",")]
     threads = _threads(cfg["threads"])
-    grid = [(n, m) for n in n_grid for m in m_grid]
+    gens = [AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
+            for n in n_grid for m in m_grid]
+    # every cell's losses count, as if all ran at once, whatever the threads
+    check_mc_request(gens, cfg["replicates"], SIMULATE_PIPELINES)
     # threads the grid's cells leave over run each cell's chunks, so a grid
     # with fewer cells than threads still uses them all
-    chunk_threads = max(1, threads // len(grid))
-    cells = []
-    for ci, (n, m) in enumerate(grid):
-        gen = AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
-        # one independent seed per cell keeps results thread-order-free
-        cells.append((gen, cfg["replicates"], cfg["seed"] * 100_003 + ci, cfg["loss"],
-                      chunk_threads))
+    chunk_threads = max(1, threads // len(gens))
+    # one independent seed per cell keeps results thread-order-free
+    cells = [(gen, cfg["replicates"], cfg["seed"] * 100_003 + ci, cfg["loss"], chunk_threads)
+             for ci, gen in enumerate(gens)]
     # Largest cells (by n·m) start first, so the longest one does not run
     # alone at the end (Graham's longest-processing-time-first rule); the
     # sort is stable, and the rows go back into grid order before writing.
-    order = sorted(range(len(cells)), key=lambda ci: -cells[ci][0].n * cells[ci][0].m)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        per_cell = dict(zip(order, pool.map(_simulate_cell, [cells[ci] for ci in order])))
+    order = sorted(range(len(cells)), key=lambda ci: -gens[ci].n * gens[ci].m)
+    per_cell = dict(zip(order, map_tasks(_simulate_cell, [cells[ci] for ci in order], threads)))
     records = [row for ci in range(len(cells)) for row in per_cell[ci]]
     out_path = _write_report(cfg, "simulate.csv", records)
     print(f"wrote {out_path} ({len(records)} rows)")
@@ -321,7 +337,6 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    _threads(cfg["threads"])  # checked as in simulate and conditions; evaluate is serial
     if not cfg["data"]:
         raise ValidationError("evaluate requires --data")
     ds = load_csv(cfg["data"])
@@ -412,10 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ebtruth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads_help=None):
+    def common(p, threads=True):
         p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--threads", default="auto", help=threads_help)
+        if threads:
+            p.add_argument("--threads", default="auto")
         p.add_argument("--config", default=None,
                        help="JSON config file; file values win over flags")
 
@@ -433,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="improvement ratio on a dataset file")
-    common(p, threads_help="validated as in simulate and conditions; evaluate runs serially")
+    common(p, threads=False)  # evaluate runs serially
     p.add_argument("--data", default=None, help="dataset CSV path")
     p.add_argument("--bases", default="mean,median,crh,catd,distance")
     p.add_argument("--psi", default="h")

@@ -303,9 +303,10 @@ def test_criterion_8_byte_identical_reports(tmp_path):
         assert cli_main(["conditions", "--replicates", "2000", "--m", "10",
                          "--psi", "const:1", "--seed", "9", "--out", str(out),
                          "--threads", threads]) == 0
+        # evaluate runs serially and takes no --threads; its two runs' bytes are compared
         assert cli_main(["evaluate", "--data", str(data), "--bases", "mean,crh",
                          "--n", "4", "--m", "20", "--samples", "50", "--seed", "9",
-                         "--out", str(out), "--threads", threads]) == 0
+                         "--out", str(out)]) == 0
         blobs["simulate"].append((out / "simulate.csv").read_bytes())
         blobs["conditions"].append((out / "conditions.csv").read_bytes())
         blobs["evaluate"].append((out / "evaluate.csv").read_bytes())

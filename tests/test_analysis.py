@@ -613,6 +613,25 @@ def _poison_chunk(monkeypatch, chunk_index):
     monkeypatch.setattr(analysis, "iter_replicates", poisoned)
 
 
+class TestMapTasks:
+    """``map_tasks`` is the one thread pool: the chunk engine's and
+    ``ebtruth simulate``'s cells'."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_results_come_in_task_order(self, threads):
+        assert analysis.map_tasks(lambda x: x * x, range(7), threads) == [x * x for x in range(7)]
+
+    def test_one_thread_or_one_task_runs_in_the_callers_thread(self):
+        me = threading.get_ident()
+
+        def ident(_):
+            return threading.get_ident()
+
+        assert analysis.map_tasks(ident, range(3), 1) == [me] * 3
+        assert analysis.map_tasks(ident, [0], 4) == [me]
+        assert me not in analysis.map_tasks(ident, range(3), 2)
+
+
 class TestChunkEngine:
     """``mc_risk`` and ``sample_aggregate_stream`` share one chunk engine: one
     chunk per task, its rows of preallocated outputs, one chunk per thread."""
@@ -975,6 +994,22 @@ class TestConditions:
     def test_deviation_inputs_are_checked(self, kwargs, named):
         s = self._stream(Constant(1.0), reps=100)
         with pytest.raises(ValidationError, match=rf"^{named} must be"):
+            sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0), **kwargs)
+
+    @pytest.mark.parametrize("kwargs, got", [
+        (dict(delta=0.5), "delta"),
+        (dict(bound=3.0), "bound"),
+        (dict(eps=0.1, delta=0.5), "eps and delta"),
+        (dict(eps=0.1, bound=3.0), "eps and bound"),
+        (dict(delta=0.5, bound=3.0), "delta and bound"),
+    ])
+    def test_a_set_of_deviation_inputs_no_condition_reads_is_refused(self, kwargs, got):
+        # eps alone or all three: any other set would report no deviation condition
+        message = f"^eps is read alone or with both delta and bound, got {got} only$"
+        with pytest.raises(ValidationError, match=message):
+            analysis.check_deviation_inputs(**kwargs)
+        s = self._stream(Constant(1.0), reps=100)
+        with pytest.raises(ValidationError, match=message):
             sufficient_conditions(s, sigma2=1.0, psi=Constant(1.0), **kwargs)
 
     def test_delta_of_one_keeps_the_infinite_bound_cap(self):
@@ -1380,6 +1415,28 @@ class TestSampleBatchMemo:
         for _ in range(2):
             analysis._sample_batch(*MEMO_A)
         assert len(draws) == 4
+
+    def test_a_miss_drops_the_kept_batch_before_drawing(self):
+        # evaluate's high-variance source: at most one batch is alive, so a
+        # miss peaks at the new batch and the draw's temporaries (1.14 times
+        # the batch), not at the kept batch on top (2.14 times)
+        import tracemalloc
+
+        a = ((GaussianGT(2.0, 100.0), GaussianSqSigmas()), 5, 50, 1000, 0)
+        b = a[:-1] + (1,)
+        analysis._sample_batch(*b)  # so no first-call allocation is traced
+        analysis._last_batch = None
+        tracemalloc.start()
+        try:
+            Xa, mua = analysis._sample_batch(*a)
+            size = Xa.nbytes + mua.nbytes
+            del Xa, mua
+            tracemalloc.reset_peak()
+            analysis._sample_batch(*b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * size
 
     def test_evaluates_batch_is_kept_though_over_block_bytes(self, draws):
         key = ((ConstantGT(2.0), GaussianSqSigmas()), 10, 50, 1000, 1)

@@ -76,13 +76,29 @@ class TestExitCodes:
         ("--gt", "constant:two", "constant[:VALUE]"),
         ("--sigmas", "gaussian-sq:1,2", "gaussian-sq[:MEAN,VARIANCE,FLOOR]"),
         ("--sigmas", "explicit:", "explicit:VARIANCE[,VARIANCE...]"),
+        # a parameter the kind ignores, or a ':' with no parameter after it
+        ("--sigmas", "indexed:5", "'indexed'"),
+        ("--psi", "h:3", "'h'"),
+        ("--gt", "constant:", "constant[:VALUE]"),
+        ("--gt", "gaussian:", "gaussian[:MEAN,VARIANCE]"),
+        ("--sigmas", "gaussian-sq:", "gaussian-sq[:MEAN,VARIANCE,FLOOR]"),
+        ("--psi", "s:", "s[:SCALE]"),
     ])
-    def test_malformed_spec_names_its_form(self, tmp_path, capsys, flag, spec, form):
-        code = main(["simulate", flag, spec, "--replicates", "10",
-                     "--n-grid", "1", "--m-grid", "5", "--out", str(tmp_path)])
+    def test_malformed_spec_names_its_form(self, tmp_path, capsys, monkeypatch, flag, spec,
+                                           form):
+        import ebtruth.analysis as analysis
+
+        drawn = []
+        monkeypatch.setattr(analysis, "iter_replicates", lambda *a, **k: drawn.append(a))
+        # simulate takes no --psi; conditions takes all three specs
+        command = ["conditions"] if flag == "--psi" else ["simulate", "--n-grid", "1",
+                                                          "--m-grid", "5"]
+        code = main([*command, flag, spec, "--replicates", "10", "--out", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert repr(spec) in err and form in err
+        assert drawn == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec, word", [("gaussian:2,-1", "variance"),
@@ -281,6 +297,15 @@ class TestConfigFile:
         (["--sigma2", "inf"], "sigma2 must be finite, got inf"),
         (["--sigma2", "0"], "sigma2 must be > 0, got 0.0"),
         (["--psi", "s:inf"], "SampleScaled: c must be finite, got inf"),
+        # sets of eps, delta and bound that no condition reads
+        (["--delta", "0.5"], "eps is read alone or with both delta and bound, got delta only"),
+        (["--bound", "3"], "eps is read alone or with both delta and bound, got bound only"),
+        (["--eps", "0.1", "--delta", "0.5"],
+         "eps is read alone or with both delta and bound, got eps and delta only"),
+        (["--eps", "0.1", "--bound", "3"],
+         "eps is read alone or with both delta and bound, got eps and bound only"),
+        (["--delta", "0.5", "--bound", "3"],
+         "eps is read alone or with both delta and bound, got delta and bound only"),
     ])
     def test_bad_deviation_inputs_exit_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                       flags, message):
@@ -589,6 +614,33 @@ def test_simulate_starts_the_largest_cells_first(tmp_path, monkeypatch):
     assert cells[::4] == grid
 
 
+def test_a_failing_cell_cancels_the_cells_not_yet_started(tmp_path, capsys, monkeypatch):
+    import time
+
+    import ebtruth.cli as cli
+    from ebtruth.errors import IterationDivergenceError
+
+    started = []
+    simulate_cell = cli._simulate_cell
+
+    def failing_largest(cell):
+        shape = (cell[0].n, cell[0].m)
+        started.append(shape)
+        if shape == (8, 100):
+            raise IterationDivergenceError("cell n=8, m=100")
+        time.sleep(0.01)
+        return simulate_cell(cell)
+
+    monkeypatch.setattr(cli, "_simulate_cell", failing_largest)
+    out = tmp_path / "out"
+    assert main(["simulate", "--replicates", "20", "--threads", "2",
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: cell n=8, m=100\n"
+    # the largest cell starts first, and the 16-cell grid's others are cancelled
+    assert (8, 100) in started and len(started) < 16
+    assert not out.exists()
+
+
 def test_every_command_runs_with_scipy_blocked(tmp_path, dataset_csv):
     # a fresh interpreter whose first import finder refuses scipy and every
     # scipy submodule, so the package and its commands must be numpy-only
@@ -662,6 +714,47 @@ def test_too_many_replicates_exits_validation_promptly(tmp_path, command):
     assert proc.returncode == EXIT_VALIDATION
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error:") and "MAX_BATCH_BYTES" in proc.stderr
+
+
+def test_simulate_counts_every_cells_losses_before_any_cell_runs(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a cell's three loss arrays take 960 MB at 4e7 replicates, under the
+    # 1 GiB limit, and the default grid's 16 cells 15 GB
+    import ebtruth.cli as cli
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("ran a cell of a grid over the limit")
+
+    monkeypatch.setattr(cli, "mc_risk", no_cell)
+    out = tmp_path / "out"
+    assert main(["simulate", "--replicates", "40000000", "--threads", "1",
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_BATCH_BYTES" in err and len(err.splitlines()) == 1
+    assert "each of 16 cells" in err and not out.exists()
+
+
+def test_simulate_grid_limit_is_exact(tmp_path, capsys, monkeypatch):
+    # two cells, 1x5 and 2x5: 100 replicates' three losses each, and one
+    # replicate block with its truths each, 8*5*(1 + 1) and 8*5*(2 + 1) bytes
+    from ebtruth import analysis
+
+    need = 2 * 100 * 3 * 8 + 8 * 5 * 2 + 8 * 5 * 3
+    argv = ["simulate", "--replicates", "100", "--n-grid", "1,2", "--m-grid", "5",
+            "--threads", "1"]
+    monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need)
+    assert main([*argv, "--out", str(tmp_path / "ok")]) == EXIT_OK
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew replicates over the limit")
+
+    monkeypatch.setattr(analysis, "iter_replicates", no_draw)
+    monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need - 1)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_BATCH_BYTES" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -801,39 +894,61 @@ class TestThreads:
                      "--threads", flag, "--out", str(tmp_path)]) == EXIT_OK
         assert seen == want
 
-    @pytest.mark.parametrize("value", ["0", "foo"])
-    @pytest.mark.parametrize("command", ["simulate", "evaluate", "conditions"])
-    def test_every_command_rejects_a_bad_count(self, tmp_path, dataset_csv, capsys,
-                                               command, value):
-        self._rejects(tmp_path, dataset_csv, capsys, value,
-                      [command, "--threads", value, "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("value", ["0", "foo", "65"])
+    @pytest.mark.parametrize("command", ["simulate", "conditions"])
+    def test_every_command_rejects_a_bad_count(self, tmp_path, capsys, monkeypatch, command,
+                                               value):
+        self._rejects(tmp_path, capsys, monkeypatch, value, [command, "--threads", value])
 
-    @pytest.mark.parametrize("value", ["0", "foo"])
-    @pytest.mark.parametrize("command", ["simulate", "evaluate", "conditions"])
-    def test_a_bad_count_in_a_config_file_names_its_flag(self, tmp_path, dataset_csv, capsys,
+    @pytest.mark.parametrize("value", ["0", "foo", "65"])
+    @pytest.mark.parametrize("command", ["simulate", "conditions"])
+    def test_a_bad_count_in_a_config_file_names_its_flag(self, tmp_path, capsys, monkeypatch,
                                                          command, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"threads": value}))
-        self._rejects(tmp_path, dataset_csv, capsys, value,
-                      [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        self._rejects(tmp_path, capsys, monkeypatch, value, [command, "--config", str(cfg)])
 
     @staticmethod
-    def _rejects(tmp_path, dataset_csv, capsys, value, argv):
-        if argv[0] == "evaluate":
-            argv += ["--data", dataset_csv]
-        assert main(argv) == EXIT_VALIDATION
+    def _rejects(tmp_path, capsys, monkeypatch, value, argv):
+        import ebtruth.analysis as analysis
+
+        drawn = []
+        monkeypatch.setattr(analysis, "iter_replicates", lambda *a, **k: drawn.append(a))
+        # one chunk, so even a count that went unchecked would start no thread
+        out = tmp_path / "out"
+        assert main([*argv, "--replicates", "20", "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "--threads" in err[0] and repr(value) in err[0], err
-        assert not (tmp_path / "out").exists()
+        assert drawn == [] and not out.exists()
 
     def test_explicit_counts(self):
-        from ebtruth.cli import _threads
+        from ebtruth.cli import MAX_THREADS, _threads
         from ebtruth.errors import ValidationError
 
         assert _threads("3") == 3
-        with pytest.raises(ValidationError):
-            _threads("0")
+        assert _threads(str(MAX_THREADS)) == MAX_THREADS == 64
+        for value in ("0", str(MAX_THREADS + 1), "10000000000"):
+            with pytest.raises(ValidationError, match=f"--threads must be from 1 to 64 or "
+                                                      f"'auto', got '{value}'"):
+                _threads(value)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_evaluate_takes_no_thread_count(self, tmp_path, dataset_csv, capsys, source):
+        # evaluate runs serially, so a count would do nothing
+        argv = ["evaluate", "--data", dataset_csv, "--out", str(tmp_path / "out")]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"threads": 2}))
+            assert main(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == "error: config file: unknown key 'threads'\n"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", "2"])
+            assert exc.value.code == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == "error: unrecognized arguments: --threads 2"
+        assert not (tmp_path / "out").exists()
 
 
 # (improvement_ratio, base_risk, eb_risk) of every evaluate.csv row, frozen
