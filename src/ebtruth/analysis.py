@@ -296,13 +296,8 @@ def pipeline_blue() -> Pipeline:
 
 def pipeline_eb_blue(alpha: float | None = None, positive_part: bool = False) -> Pipeline:
     alpha = check_alpha(alpha)
-
-    def second(s):
-        a = (s[0].shape[-1] - 3) if alpha is None else alpha
-        return shrink_batch(*s, a, positive_part)
-
     name = "eb_blue" if alpha is None else f"eb_blue_alpha{alpha:g}"
-    return Pipeline(name, blue, second)
+    return Pipeline(name, blue, lambda s: shrink_batch(*s, alpha, positive_part))
 
 
 def pipeline_stein_blue() -> Pipeline:
@@ -353,13 +348,16 @@ def mc_risk(gen: AwgGenerator, pipelines, replicates: int, seed: int,
     takes its second step on its stage's output (see ``Pipeline``).  The
     chunks run on ``threads`` threads (see ``_each_chunk``), so the losses do
     not depend on ``threads``.  An unknown ``convention`` raises ValueError
-    before anything is drawn, and so does a pipeline name given twice
-    (ValidationError), since the losses are keyed by name.
+    before anything is drawn, and so do an empty pipeline list, which would
+    draw every replicate for no report, and a pipeline name given twice,
+    since the losses are keyed by name (both ValidationError).
     """
     _check_convention(convention)
     if replicates < 2:
         raise InsufficientReplicatesError(f"need >= 2 replicates, got {replicates}")
     pipelines = list(pipelines)
+    if not pipelines:
+        raise ValidationError("mc_risk needs at least one pipeline")
     names = [p.name for p in pipelines]
     for name in names:
         if names.count(name) > 1:

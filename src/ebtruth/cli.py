@@ -291,13 +291,14 @@ def cmd_demo_table1(cfg: dict) -> int:
 # simulate
 
 
-SIMULATE_PIPELINES = 3  # blue, eb_blue and stein_blue, in each cell
+def _simulate_pipelines() -> list:
+    """The pipelines each cell runs; the grid's request check counts them."""
+    return [pipeline_blue(), pipeline_eb_blue(), pipeline_stein_blue()]
 
 
 def _simulate_cell(args_tuple):
     gen, replicates, seed, convention, threads = args_tuple
-    pipelines = [pipeline_blue(), pipeline_eb_blue(), pipeline_stein_blue()]
-    result = mc_risk(gen, pipelines, replicates, seed, convention, threads=threads)
+    result = mc_risk(gen, _simulate_pipelines(), replicates, seed, convention, threads=threads)
     rows = [(name, rep.mean_loss, rep.std_error) for name, rep in result.reports.items()]
     rows.append(("gap_blue_minus_eb_blue", *result.diff("blue", "eb_blue")))
     return [{"n": gen.n, "m": gen.m, "pipeline": name, "mean_loss": mean_loss,
@@ -314,7 +315,7 @@ def cmd_simulate(cfg: dict) -> int:
     gens = [AwgGenerator(gt=gt, worker_sigmas=sigmas, n=n, m=m, fresh_gt=True)
             for n in n_grid for m in m_grid]
     # every cell's losses count, as if all ran at once, whatever the threads
-    check_mc_request(gens, cfg["replicates"], SIMULATE_PIPELINES)
+    check_mc_request(gens, cfg["replicates"], len(_simulate_pipelines()))
     # threads the grid's cells leave over run each cell's chunks, so a grid
     # with fewer cells than threads still uses them all
     chunk_threads = max(1, threads // len(gens))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, ZeroNormInputError
+from .errors import LengthMismatchError, NonFiniteParameterError, ZeroNormInputError
 from .model import as_answer_vector, as_answers, check_sigma2
 
 
@@ -61,13 +61,15 @@ def flat_rows(v: np.ndarray) -> np.ndarray:
 def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
     """Shrink-toward-mean kernel over the last axis of a float array.
 
-    ``sigma2`` and ``alpha`` broadcast against (..., 1).  Returns the estimate
-    and the per-row weight and degenerate flag, both (..., 1).  For m <= 3
-    rows are returned unchanged (weight 1).  A flat row, all of whose values
-    are equal, is returned as it is (weight 0).  ``flat_rows`` tests this
-    exactly: a spurious ss near 1e-29 would give a weight near -1e29.  The
-    weight is clipped at zero only with ``positive_part``: the risk
-    identities hold for the unclipped form.
+    ``sigma2`` and ``alpha`` broadcast against (..., 1); ``alpha=None`` means
+    m - 3, which is resolved here only.  Returns the estimate and the per-row
+    weight and degenerate flag, both (..., 1).  For m <= 3 rows are returned
+    unchanged (weight 1).  Two kinds of row are returned as they are, bit for
+    bit: a row whose alpha*sigma2 is 0 (weight exactly 1; Efron & Morris,
+    JASA 1973, 68:117), and a flat row, all of whose values are equal
+    (weight 0).  ``flat_rows`` tests the latter exactly: a spurious ss near
+    1e-29 would give a weight near -1e29.  The weight is clipped at zero only
+    with ``positive_part``: the risk identities hold for the unclipped form.
 
     Numerical contract: a finite row whose sum is finite never gets a
     non-finite estimate.  Where alpha*sigma2/ss would pass a quarter of the
@@ -86,7 +88,7 @@ def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
     mean = v.sum(axis=-1, keepdims=True) / m
     dev = v - mean
     ss = (dev**2).sum(axis=-1, keepdims=True)
-    num = alpha * sigma2
+    num = (m - 3 if alpha is None else alpha) * sigma2
     flat = flat_rows(v)
     degenerate = flat | (ss <= num * RATIO_GUARD)
     any_degenerate = np.count_nonzero(degenerate)
@@ -96,8 +98,9 @@ def _shrink(v: np.ndarray, sigma2, alpha, positive_part: bool):
     if positive_part:
         factor = np.maximum(factor, 0.0)
     estimate = mean + factor * dev
-    if any_degenerate:
-        estimate = np.where(flat, v, estimate)
+    if any_degenerate or np.count_nonzero(num) < num.size:
+        # flat rows, and rows whose weight is exactly 1, come back as they are
+        estimate = np.where(flat | (num == 0), v, estimate)
     return estimate, factor, degenerate
 
 
@@ -116,23 +119,25 @@ def ebe(v, sigma2, positive_part: bool = False, alpha: float | None = None) -> S
     """Shrink v toward its mean with weight 1 - alpha*sigma2/ss; None means m - 3.
 
     ``v`` is one answer vector or an (r, m) batch with one ``sigma2`` per
-    row.  For m <= 3 the estimator reduces to the identity (returned with
-    degenerate=True); a constant vector is returned as-is, i.e. fully shrunk
-    to its shared value.
+    row.  Every row follows ``_shrink``'s one rule: for m <= 3 the estimator
+    reduces to the identity (returned with degenerate=True), and at alpha = 0
+    or on a constant vector the row comes back as it is, bit for bit, in a
+    new array.
     """
     v = as_answers(v)
     alpha = check_alpha(alpha)
-    alpha = max(v.shape[-1] - 3, 0) if alpha is None else alpha
     return _result(*_shrink(v, _check_sigma2(sigma2, v), alpha, positive_part))
 
 
-def shrink_batch(V, sigma2, alpha, positive_part: bool = False) -> np.ndarray:
+def shrink_batch(V, sigma2, alpha=None, positive_part: bool = False) -> np.ndarray:
     """The shrink kernel on trusted (replicates, m) input, without validation.
 
-    ``sigma2`` and ``alpha`` are scalars or one value per row.
+    ``sigma2`` and ``alpha`` are scalars or one value per row; alpha=None
+    means m - 3.  A row whose alpha*sigma2 is 0 comes back as it is (see
+    ``_shrink``).
     """
     sigma2 = np.asarray(sigma2, dtype=float)[..., None]
-    alpha = np.asarray(alpha, dtype=float)[..., None]
+    alpha = None if alpha is None else np.asarray(alpha, dtype=float)[..., None]
     return _shrink(np.asarray(V, dtype=float), sigma2, alpha, positive_part)[0]
 
 
@@ -168,8 +173,11 @@ def bayes_posterior_mean(v, sigma2: float, mu0: float, sigma0_2: float) -> np.nd
     """Posterior mean per coordinate under a N(mu0, sigma0_2) prior.
 
     Under the hierarchical generator (truths drawn from the prior) this is the
-    Bayes-risk-optimal estimator, used as a validation oracle.
+    Bayes-risk-optimal estimator, used as a validation oracle.  A NaN or
+    infinite ``mu0`` raises NonFiniteParameterError, as a variance does.
     """
+    if not np.isfinite(mu0 := float(mu0)):
+        raise NonFiniteParameterError(f"mu0 must be finite, got {mu0}")
     v = as_answer_vector(v)
     sigma2 = _check_sigma2(float(sigma2), v)
     sigma0_2 = float(check_sigma2(sigma0_2))

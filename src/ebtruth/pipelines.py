@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import TdAlgorithm, blue_aggregate, run_td
-from .estimators import check_alpha, ebe
+from .estimators import ebe
 from .model import ObservationMatrix
 from .variance import VarianceEstimator
 
@@ -24,16 +24,14 @@ def eb_blue(X: ObservationMatrix, sigma2s, positive_part: bool = False) -> np.nd
 def shrink_aggregate(xa, sigma2_hat, alpha: float | None = None,
                      positive_part: bool = False) -> np.ndarray:
     """Aggregate in, shrunk aggregate out, for one aggregate or an (r, m)
-    batch with one ``sigma2_hat`` per row; alpha=None means m - 3.  A zero
-    variance estimate (legitimate on unanimous data) or alpha = 0 leaves the
-    aggregate unchanged rather than erroring; a negative, NaN or infinite
-    alpha raises ValueError either way."""
-    alpha = check_alpha(alpha)
+    batch with one ``sigma2_hat`` per row; alpha=None means m - 3.  Always a
+    new array.  A row whose alpha*sigma2_hat is 0 comes back as it is, bit for
+    bit, as in ``ebe``: a zero variance estimate (legitimate on unanimous
+    data) is not an error here.  A negative, NaN or infinite alpha raises
+    ValueError from ``ebe``."""
     keep = np.asarray(sigma2_hat) == 0.0
     kept = np.count_nonzero(keep)
-    if alpha == 0.0 or kept == keep.size:
-        return xa
-    if kept:
+    if kept:  # ebe takes sigma2 > 0 only, so those rows are shrunk with 1 and put back
         sigma2_hat = np.where(keep, 1.0, sigma2_hat)
     shrunk = ebe(xa, sigma2_hat, positive_part, alpha).estimate
     return np.where(keep[..., None], xa, shrunk) if kept else shrunk

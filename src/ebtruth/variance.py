@@ -122,11 +122,17 @@ def psi_value(est: VarianceEstimator, X: ObservationMatrix | None, x_a) -> float
     X's question count raises LengthMismatchError."""
     if not hasattr(est, "evaluate"):
         return float(est.value(X, x_a))
+    return float(est.evaluate(None if X is None else X.values, _aggregate(X, x_a)))
+
+
+def _aggregate(X: ObservationMatrix | None, x_a) -> np.ndarray:
+    """``x_a`` as an answer vector; one whose length is not X's question
+    count raises LengthMismatchError.  The one check of ``psi_value`` and
+    ``psi_derivative``."""
     x_a = as_answer_vector(x_a)
-    if X is not None and x_a.shape[0] != X.n_questions:
-        raise LengthMismatchError(
-            f"aggregate length {x_a.shape[0]} != question count {X.n_questions}")
-    return float(est.evaluate(None if X is None else X.values, x_a))
+    if X is not None and len(x_a) != X.n_questions:
+        raise LengthMismatchError(f"aggregate length {len(x_a)} != question count {X.n_questions}")
+    return x_a
 
 
 def psi_derivative(est: VarianceEstimator, v, j: int, X: ObservationMatrix | None = None) -> float:
@@ -134,9 +140,11 @@ def psi_derivative(est: VarianceEstimator, v, j: int, X: ObservationMatrix | Non
 
     Analytic where the estimator has a ``gradient``; otherwise a central
     finite difference with a step scaled to the coordinate magnitude (answer
-    scales vary by orders of magnitude across datasets).
+    scales vary by orders of magnitude across datasets).  An aggregate whose
+    length is not X's question count raises LengthMismatchError, as in
+    ``psi_value``.
     """
-    v = as_answer_vector(v)
+    v = _aggregate(X, v)
     m = v.shape[0]
     if not 0 <= j < m:
         raise IndexError(f"coordinate {j} out of range for length {m}")
@@ -163,7 +171,9 @@ def is_mean_adjusted(est: VarianceEstimator, v, X: ObservationMatrix | None = No
 
     True iff every below-mean coordinate has derivative <= tol and every
     above-mean coordinate has derivative >= -tol.  The defining property
-    quantifies over all inputs; this reports the instance at hand.
+    quantifies over all inputs; this reports the instance at hand.  An
+    aggregate whose length is not X's question count raises
+    LengthMismatchError, from ``psi_derivative``.
     """
     v = as_answer_vector(v)
     mean = v.mean()

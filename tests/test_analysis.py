@@ -101,8 +101,8 @@ class TestMcRisk:
         res = mc_risk(_gen(), [pipeline_blue(), pipeline_eb_blue(alpha=0.0)],
                       5000, seed=1)
         d, se = res.diff("blue", "eb_blue_alpha0")
-        # zero multiplier reproduces the aggregate up to mean-and-add rounding
-        assert abs(d) < 1e-14 and se < 1e-14
+        # a zero multiplier hands every aggregate back bit for bit
+        assert d == 0 and se == 0
 
     def test_deterministic_across_runs(self):
         a = mc_risk(_gen(), [pipeline_eb_blue()], 30_000, seed=3)
@@ -120,6 +120,14 @@ class TestMcRisk:
         with pytest.raises(ValidationError, match="'x'"):
             mc_risk(_gen(), [pipeline_base(Mean(), name="x"), pipeline_base(Median(), name="x")],
                     100, seed=0)
+        assert blocks == []
+
+    def test_an_empty_pipeline_list_is_rejected_before_drawing(self, monkeypatch):
+        # it drew every replicate and returned no report, and the request
+        # check counted 0 bytes a replicate for it
+        blocks = _count_blocks(monkeypatch)
+        with pytest.raises(ValidationError, match="at least one pipeline"):
+            mc_risk(_gen(), [], 100, seed=0)
         assert blocks == []
 
     def test_eb_blue_rejects_a_negative_or_nan_alpha(self):

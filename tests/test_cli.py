@@ -757,6 +757,23 @@ def test_simulate_grid_limit_is_exact(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_grid_check_counts_the_pipelines_the_cells_run(tmp_path, capsys, monkeypatch):
+    # the check and the cells read one list: with a fourth pipeline in it,
+    # the limit that fits three pipelines' losses refuses the grid
+    import ebtruth.cli as cli
+    from ebtruth import analysis
+
+    need = 2 * 100 * 3 * 8 + 8 * 5 * 2 + 8 * 5 * 3
+    pipelines = cli._simulate_pipelines
+    monkeypatch.setattr(cli, "_simulate_pipelines",
+                        lambda: [*pipelines(), analysis.pipeline_eb_blue(alpha=0.0)])
+    monkeypatch.setattr(analysis, "MAX_BATCH_BYTES", need)
+    out = tmp_path / "out"
+    assert main(["simulate", "--replicates", "100", "--n-grid", "1,2", "--m-grid", "5",
+                 "--threads", "1", "--out", str(out)]) == EXIT_VALIDATION
+    assert "4 pipelines' losses" in capsys.readouterr().err and not out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("simulate", ["--n-grid", "200", "--m-grid", "1000"]),
     ("simulate", ["--n-grid", "1", "--m-grid", "70000"]),

@@ -156,6 +156,13 @@ class TestNonFiniteVariance:
             call(np.arange(6.0), bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_posterior_mean_rejects_a_non_finite_prior_mean(bad):
+    # it returned NaN or infinite estimates
+    with pytest.raises(NonFiniteParameterError, match="mu0 must be finite"):
+        bayes_posterior_mean(np.arange(6.0), 1.0, bad, 1.0)
+
+
 class TestIdentityAndBatch:
     def test_identity_copies(self):
         v = np.array([1.0, 2.0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ebtruth import (
+    AwgGenerator,
     Constant,
     ConstantGT,
     ExplicitSigmas,
@@ -14,16 +15,22 @@ from ebtruth import (
     IndexedSigmas,
     OracleReduced,
     SampleScaled,
+    Mean,
     ZeroNormInputError,
     blue_aggregate,
     eb_blue,
+    eb_wrap,
     ebe,
     estimate_alpha_star,
     loss,
+    mc_risk,
     pipeline_blue,
+    pipeline_eb_blue,
     pipeline_stein_blue,
     psi_derivative,
     psi_value,
+    run_td,
+    shrink_aggregate,
     shrink_batch,
     stein,
     stream,
@@ -127,6 +134,38 @@ def test_psi_row_blocks_change_no_value(kernel, est, rows, monkeypatch):
     monkeypatch.setattr(baselines, "ITERATION_BLOCK_BYTES", rows * XB[0].nbytes)
     assert baselines.block_rows(XB) == rows
     assert np.array_equal(kernel(est, XB, xa), whole)
+
+
+def _mc_alpha0():
+    gen = AwgGenerator(gt=GaussianGT(2.0, 1.0), worker_sigmas=IndexedSigmas(), n=3, m=9)
+    res = mc_risk(gen, [pipeline_blue(), pipeline_eb_blue(alpha=0.0)], 500, seed=3)
+    return res.losses["blue"], res.losses["eb_blue_alpha0"]
+
+
+# Each entry of the second step, at alpha = 0 or with a zero sigma-hat^2:
+# (the rows that must come back, what the entry returns).  V's rows 1, 2 and
+# 4-9 are ones whose mean + 1 * (v - mean) misses v by an ulp.
+UNCHANGED = {
+    "ebe-vector-alpha0": lambda: (V[5], ebe(V[5], 1.0, alpha=0.0).estimate),
+    "ebe-batch-alpha0": lambda: (V, ebe(V, S2, alpha=0.0).estimate),
+    "shrink_batch-alpha0": lambda: (V, shrink_batch(V, S2, 0.0)),
+    "shrink_batch-sigma0": lambda: (V, shrink_batch(V, 0.0)),
+    "shrink_aggregate-alpha0": lambda: (V, shrink_aggregate(V, S2, 0.0)),
+    "shrink_aggregate-sigma0": lambda: (V, shrink_aggregate(V, np.zeros(len(V)))),
+    "shrink_aggregate-vector-sigma0": lambda: (V[5], shrink_aggregate(V[5], 0.0)),
+    "eb_wrap-alpha0": lambda: (run_td(Mean(), validate_matrix(XB[5])),
+                               eb_wrap(validate_matrix(XB[5]), Mean(), HeuristicH(), alpha=0.0)),
+    "eb_wrap-sigma0": lambda: (run_td(Mean(), validate_matrix(XB[5])),
+                               eb_wrap(validate_matrix(XB[5]), Mean(), Constant(0.0))),
+    "mc_risk-eb_blue-alpha0": _mc_alpha0,
+}
+
+
+@pytest.mark.parametrize("case", UNCHANGED.values(), ids=UNCHANGED.keys())
+def test_a_zero_alpha_sigma2_hands_every_row_back_bit_for_bit(case):
+    given, got = case()
+    assert got.shape == given.shape and got.tobytes() == given.tobytes()
+    assert not np.shares_memory(got, given)
 
 
 def test_shrink_degenerate_rows_flagged_per_row():

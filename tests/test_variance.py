@@ -75,6 +75,15 @@ class TestValues:
             psi_value(HeuristicH(), X, np.zeros(3))
         with pytest.raises(LengthMismatchError):
             psi_value(SampleScaled(1.0), None, np.array([1.0]))
+        # the derivative and the mean-adjustedness check run the same check:
+        # against one question a 4-long aggregate broadcast to a derivative
+        # of 0.0, and against two it raised numpy's bare ValueError
+        for questions in (1, 2):
+            X = validate_matrix(np.arange(3.0 * questions).reshape(3, questions))
+            with pytest.raises(LengthMismatchError, match="aggregate length 4"):
+                psi_derivative(HeuristicH(), np.arange(4.0), 0, X=X)
+            with pytest.raises(LengthMismatchError, match="aggregate length 4"):
+                is_mean_adjusted(HeuristicH(), np.arange(4.0), X=X)
 
     def test_residual_heuristic_value_needs_matrix(self):
         with pytest.raises(LengthMismatchError, match="needs the observation matrix"):
