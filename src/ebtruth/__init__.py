@@ -18,7 +18,6 @@ from .analysis import (
     MEAN_SQUARED,
     RiskReport,
     SUM_SQUARED,
-    bayes_risk_gap,
     blue_risks,
     estimate_alpha_star,
     sufficient_conditions,
@@ -93,9 +92,7 @@ from .errors import (
 )
 from .estimators import (
     ShrinkageResult,
-    bayes_posterior_mean,
     ebe,
-    identity,
     shrink_batch,
     stein,
 )

@@ -713,13 +713,6 @@ def sufficient_conditions(s: ConditionTerms, sigma2: float,
     return reports
 
 
-def bayes_risk_gap(sigma2: float, sigma0_2: float) -> float:
-    """Per-coordinate identity-minus-posterior-mean risk gap under the
-    hierarchical generator; both variances must pass ``check_sigma2``."""
-    check_sigma2((sigma2, sigma0_2))
-    return sigma2**2 / (sigma0_2 + sigma2)
-
-
 def blue_risks(m: int, sigma2s, tau2: float) -> dict:
     """Closed-form sum-squared risks of ``pipeline_blue`` and
     ``pipeline_eb_blue`` (α = m - 3) in ``simulate``'s setting:
@@ -897,21 +890,13 @@ def _sample_batch(source, n: int, m: int, samples: int, seed: int):
 # Report serialization
 
 
-def write_reports_csv(path_or_file, records: list[dict]) -> None:
-    """Flat CSV: union of record keys, in first-seen order."""
-    fields = list(dict.fromkeys(k for rec in records for k in rec))
-
-    def _emit(fh):
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({k: _fmt(v) for k, v in rec.items()})
-
-    if hasattr(path_or_file, "write"):
-        _emit(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="", encoding="utf-8") as fh:
-            _emit(fh)
+def write_reports_csv(fh, records: list[dict]) -> None:
+    """Flat CSV to the open text file ``fh``: union of record keys, in
+    first-seen order."""
+    writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(k for rec in records for k in rec)))
+    writer.writeheader()
+    for rec in records:
+        writer.writerow({k: _fmt(v) for k, v in rec.items()})
 
 
 def _fmt(v):

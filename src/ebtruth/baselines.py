@@ -201,7 +201,7 @@ class DistanceWeighted:
         if n == 1:
             return Xb[:, 0, :].copy()  # a lone worker's answers are the aggregate
         # d[r, i] = mean over other workers of the mean squared disagreement,
-        # from the exact identity sum_j |x_i - x_j|^2 = n |x_i - xbar|^2 +
+        # from the exact equation sum_j |x_i - x_j|^2 = n |x_i - xbar|^2 +
         # sum_j |x_j - xbar|^2 (xbar the per-question mean over workers): no
         # (r, n, n, m) intermediate, and, unlike a Gram expansion, no
         # cancellation when every answer shares a large offset.

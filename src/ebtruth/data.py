@@ -459,44 +459,30 @@ def concat_questions(a: Dataset, b: Dataset) -> Dataset:
     return Dataset(matrix=matrix, ground_truth=gt)
 
 
-def partition_questions(ds: Dataset, buckets: int, sort_by=None) -> list[Dataset]:
+def partition_questions(ds: Dataset, buckets: int) -> list[Dataset]:
     """Split questions into contiguous quantile groups of similar truth values.
 
-    Questions are sorted by ground truth (or by ``sort_by`` when no truth is
-    available, labeled as such in metadata) and split into ``buckets``
+    Questions are sorted by ground truth and split into ``buckets``
     contiguous groups; each output records its ground-truth sample variance.
-    Fewer than one bucket, or more buckets than questions (which would leave
-    a bucket empty), raise ValidationError.
+    A dataset without ground truth raises NoGroundTruthError.  Fewer than
+    one bucket, or more buckets than questions (which would leave a bucket
+    empty), raise ValidationError.
     """
     if buckets < 1:
         raise ValidationError(f"buckets must be >= 1, got {buckets}")
     if buckets > ds.matrix.n_questions:
         raise ValidationError(
             f"cannot split {ds.matrix.n_questions} questions into {buckets} buckets")
-    if ds.ground_truth is not None:
-        keys = ds.ground_truth
-        sort_label = "ground_truth"
-    elif sort_by is not None:
-        keys = as_answer_vector(sort_by)
-        if keys.shape[0] != ds.matrix.n_questions:
-            raise LengthMismatchError(
-                f"sort_by length {keys.shape[0]} != question count {ds.matrix.n_questions}")
-        sort_label = "aggregate_fallback"
-    else:
-        raise NoGroundTruthError("partitioning needs ground truth or an explicit sort key")
-    order = np.argsort(keys, kind="stable")
+    if ds.ground_truth is None:
+        raise NoGroundTruthError("partitioning needs ground truth")
     out = []
-    for group in np.array_split(order, buckets):
+    for group in np.array_split(np.argsort(ds.ground_truth, kind="stable"), buckets):
         matrix = ObservationMatrix(
             ds.matrix.values[:, group],
             ds.matrix.worker_ids,
             [ds.matrix.question_ids[j] for j in group],
         )
-        gt = ds.ground_truth[group] if ds.ground_truth is not None else None
-        meta = dict(ds.metadata)
-        meta["sorted_by"] = sort_label
-        meta["gt_sample_variance"] = (
-            dispersion(gt).sample_variance if gt is not None and gt.shape[0] >= 1 else None
-        )
+        gt = ds.ground_truth[group]
+        meta = dict(ds.metadata, gt_sample_variance=dispersion(gt).sample_variance)
         out.append(Dataset(matrix=matrix, ground_truth=gt, metadata=meta))
     return out

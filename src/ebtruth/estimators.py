@@ -1,4 +1,4 @@
-"""Answer-vector estimators: identity, shrink-toward-mean, Stein, Bayes posterior mean.
+"""Answer-vector estimators: shrink toward the mean, and Stein's toward the origin.
 
 The shrink-toward-mean estimator pulls every coordinate of an answer vector
 toward the vector's own mean with a data-driven weight; its generalized form
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, NonFiniteParameterError, ZeroNormInputError
-from .model import as_answer_vector, as_answers, check_sigma2
+from .errors import LengthMismatchError, ZeroNormInputError
+from .model import as_answers, check_sigma2
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class ShrinkageResult:
 
     ``shrink_factor`` is the bracketed weight 1 - alpha*sigma2/ss and may be
     negative unless the positive-part option clipped it.  ``degenerate`` marks
-    the m <= 3 (identity) path and the full-shrink path of a flat row or of
+    the m <= 3 (unchanged) path and the full-shrink path of a flat row or of
     an overflowing alpha*sigma2/ss, where the factor is not meaningful.  For
     an (r, m) batch both hold one entry per row.
     """
@@ -120,7 +120,7 @@ def ebe(v, sigma2, positive_part: bool = False, alpha: float | None = None) -> S
 
     ``v`` is one answer vector or an (r, m) batch with one ``sigma2`` per
     row.  Every row follows ``_shrink``'s one rule: for m <= 3 the estimator
-    reduces to the identity (returned with degenerate=True), and at alpha = 0
+    returns every row unchanged (with degenerate=True), and at alpha = 0
     or on a constant vector the row comes back as it is, bit for bit, in a
     new array.
     """
@@ -143,7 +143,7 @@ def shrink_batch(V, sigma2, alpha=None, positive_part: bool = False) -> np.ndarr
 
 def stein(v, sigma2) -> ShrinkageResult:
     """Shrink v (or each row of a batch) toward the origin with weight
-    1 - (m-2)*sigma2/||v||^2; identity for m <= 2.
+    1 - (m-2)*sigma2/||v||^2; unchanged for m <= 2.
 
     A row for which (m-2)*sigma2/||v||^2 would pass a quarter of the largest
     float64 is treated like the zero vector, by the rule of ``_shrink``'s
@@ -162,24 +162,3 @@ def stein(v, sigma2) -> ShrinkageResult:
                                  "toward the origin")
     factor = 1.0 - num / norm2
     return _result(factor * v, factor, np.zeros(rows, dtype=bool))
-
-
-def identity(v) -> np.ndarray:
-    """Return the answers unchanged."""
-    return as_answer_vector(v).copy()
-
-
-def bayes_posterior_mean(v, sigma2: float, mu0: float, sigma0_2: float) -> np.ndarray:
-    """Posterior mean per coordinate under a N(mu0, sigma0_2) prior.
-
-    Under the hierarchical generator (truths drawn from the prior) this is the
-    Bayes-risk-optimal estimator, used as a validation oracle.  A NaN or
-    infinite ``mu0`` raises NonFiniteParameterError, as a variance does.
-    """
-    if not np.isfinite(mu0 := float(mu0)):
-        raise NonFiniteParameterError(f"mu0 must be finite, got {mu0}")
-    v = as_answer_vector(v)
-    sigma2 = _check_sigma2(float(sigma2), v)
-    sigma0_2 = float(check_sigma2(sigma0_2))
-    w = sigma0_2 / (sigma0_2 + sigma2)
-    return w * v + (1.0 - w) * mu0

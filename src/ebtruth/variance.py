@@ -119,10 +119,12 @@ def psi_value(est: VarianceEstimator, X: ObservationMatrix | None, x_a) -> float
     """psi of one matrix (None for an estimator that does not read it) and
     its aggregate: ``evaluate`` on a batch of one, or ``value(X, x_a)`` for
     an estimator with no ``evaluate``.  An aggregate whose length is not
-    X's question count raises LengthMismatchError."""
+    X's question count raises LengthMismatchError, whichever of the two
+    the estimator has."""
+    x_a = _aggregate(X, x_a)
     if not hasattr(est, "evaluate"):
         return float(est.value(X, x_a))
-    return float(est.evaluate(None if X is None else X.values, _aggregate(X, x_a)))
+    return float(est.evaluate(None if X is None else X.values, x_a))
 
 
 def _aggregate(X: ObservationMatrix | None, x_a) -> np.ndarray:

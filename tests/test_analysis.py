@@ -1,6 +1,7 @@
 """Monte Carlo risk machinery, condition checks, and report serialization."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -39,7 +40,6 @@ from ebtruth import (
     ValidationError,
     SampleScaled,
     SUM_SQUARED,
-    bayes_risk_gap,
     blue_risks,
     estimate_alpha_star,
     sufficient_conditions,
@@ -1083,33 +1083,20 @@ def _unblocked_stein_gap_terms(aggregates, psis, mu):
     return ok, ss, cov
 
 
-class TestBayesGap:
-    def test_formula(self):
-        assert bayes_risk_gap(2.0, 3.0) == pytest.approx(4.0 / 5.0)
-
-    def test_validation(self):
-        with pytest.raises(NonPositiveVarianceError):
-            bayes_risk_gap(0.0, 1.0)
-
-    @pytest.mark.parametrize("sigma2, sigma0_2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
-                                                  (1.0, np.inf)])
-    def test_a_non_finite_variance_raises(self, sigma2, sigma0_2):
-        # nan passed the old <= 0 test, and an infinite sigma0_2 gave a gap of 0
-        with pytest.raises(NonFiniteParameterError):
-            bayes_risk_gap(sigma2, sigma0_2)
-
-    def test_monte_carlo_agreement(self):
-        # posterior-mean oracle under a hierarchical generator: the identity
-        # estimator's excess risk per coordinate is sigma^4/(sigma0^2+sigma^2)
-        from ebtruth import bayes_posterior_mean
-        rng = np.random.default_rng(0)
-        sigma2, sigma0_2, m, reps = 1.0, 2.0, 50, 20_000
-        mu = rng.normal(0.0, np.sqrt(sigma0_2), size=(reps, m))
-        X = mu + rng.normal(0.0, np.sqrt(sigma2), size=(reps, m))
-        post = np.array([bayes_posterior_mean(x, sigma2, 0.0, sigma0_2) for x in X[:4000]])
-        gap = (((X[:4000] - mu[:4000]) ** 2).sum(axis=1).mean()
-               - ((post - mu[:4000]) ** 2).sum(axis=1).mean()) / m
-        assert gap == pytest.approx(bayes_risk_gap(sigma2, sigma0_2), rel=0.1)
+def _stein_blue_risk(m, sigma2s, mu0, tau2):
+    """stein_blue's exact sum-squared risk under GaussianGT(mu0, tau2)
+    truths drawn afresh per replicate: with sigma^2 = 1/sum 1/sigma_i^2 it is
+    m sigma^2 - (m-2)^2 sigma^4/(tau^2+sigma^2) * E[1/chi'^2_m(lambda)],
+    lambda = m mu0^2/(tau^2+sigma^2) (Bock, Ann. Statist. 1975, 3:209).  The
+    expectation is the Poisson(lambda/2) mixture of 1/(m - 2 + 2k), summed
+    to 40 standard deviations past the Poisson mean."""
+    sigma2 = 1.0 / (1.0 / np.asarray(sigma2s)).sum()
+    half = m * mu0**2 / (tau2 + sigma2) / 2.0
+    k = np.arange(int(half + 40 * np.sqrt(half + 1.0)) + 40)
+    log_k_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+    pois = np.exp(-half + k * np.log(half) - log_k_factorial)  # mu0 != 0: half > 0
+    inv_chi2 = (pois / (m - 2 + 2 * k)).sum()
+    return m * sigma2 - (m - 2) ** 2 * sigma2**2 / (tau2 + sigma2) * inv_chi2
 
 
 class TestBlueRisks:
@@ -1146,11 +1133,15 @@ class TestBlueRisks:
                      "--out", str(tmp_path)]) == 0
         with open(tmp_path / "simulate.csv", newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.DictReader(line for line in fh if not line.startswith("#"))
-                    if row["pipeline"] in ("blue", "eb_blue")]
-        assert len(rows) == 32
+                    if row["pipeline"] in ("blue", "eb_blue", "stein_blue")]
+        assert len(rows) == 48
         for row in rows:
             n, m, name = int(row["n"]), int(row["m"]), row["pipeline"]
-            want = blue_risks(m, np.arange(1.0, n + 1) ** 2, 1.0)[name]
+            sigma2s = np.arange(1.0, n + 1) ** 2
+            if name == "stein_blue":
+                want = _stein_blue_risk(m, sigma2s, 2.0, 1.0)
+            else:
+                want = blue_risks(m, sigma2s, 1.0)[name]
             error = abs(float(row["mean_loss"]) - want)
             if name == "eb_blue" and m == 5:
                 # E[1/ss^2] is infinite for m - 1 <= 4, so this row's
@@ -1164,6 +1155,43 @@ class TestBlueRisks:
         res = mc_risk(gen, [pipeline_blue(), pipeline_eb_blue()], 40_000, seed=1)
         for name, want in blue_risks(10, [1.0, 4.0], 0.0).items():
             assert abs(res.risk(name) - want) <= 4 * res.reports[name].std_error, name
+
+
+def _mean_wrap_risks(n, m, s2, tau2):
+    """Exact sum-squared risks of the Mean base and of its wrap with
+    HeuristicH at alpha = m - 3, no positive part, for n workers of variance
+    s2 and truths of variance tau2 drawn afresh per replicate.  The residual
+    sum of squares is s2 chi^2_nu, nu = m(n - 1), independent of the column
+    means (Cochran), and psi_h is c times it, c = 1/(n(m - 1)); Stein's
+    lemma on the means of variance s2/n then gives the wrap's risk."""
+    sigma2, nu, c, alpha = s2 / n, m * (n - 1), 1.0 / (n * (m - 1)), m - 3
+    e_psi, e_psi2 = c * s2 * nu, c**2 * s2**2 * nu * (nu + 2)
+    wrap = m * sigma2 - ((2 * alpha * (m - 3) * sigma2 * e_psi - alpha**2 * e_psi2)
+                         / ((m - 3) * (tau2 + sigma2)))
+    return m * sigma2, wrap
+
+
+class TestMeanWrapRisk:
+    """The Mean base and its HeuristicH wrap, an estimated-variance second
+    step, against their closed-form risks."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("n, m, s2, gt, tau2", [
+        (4, 10, 1.0, GaussianGT(2.0, 1.0), 1.0),
+        (4, 50, 1.0, GaussianGT(2.0, 1.0), 1.0),
+        (10, 50, 2.0, GaussianGT(2.0, 0.5), 0.5),
+        (2, 20, 1.0, GaussianGT(2.0, 0.2), 0.2),
+        (4, 10, 1.0, ConstantGT(2.0), 0.0),
+    ], ids=["4x10", "4x50", "10x50", "2x20", "4x10-constant"])
+    def test_monte_carlo_matches_the_closed_form(self, n, m, s2, gt, tau2, seed):
+        gen = AwgGenerator(gt, ExplicitSigmas([s2] * n), n=n, m=m)
+        res = mc_risk(gen, [pipeline_base(Mean()), pipeline_eb_wrap(Mean(), HeuristicH())],
+                      40_000, seed=seed)
+        base, wrap = _mean_wrap_risks(n, m, s2, tau2)
+        for name, want in (("mean", base), ("eb_mean", wrap)):
+            assert abs(res.risk(name) - want) < 4 * res.reports[name].std_error, name
+        gap, gap_se = res.diff("mean", "eb_mean")
+        assert abs(gap - (base - wrap)) < 4 * gap_se
 
 
 class TestImprovementRatio:
@@ -1552,7 +1580,8 @@ class TestSerialization:
         records = [asdict(r) for r in res.reports.values()]
         csv_path = tmp_path / "r.csv"
         jsonl_path = tmp_path / "r.jsonl"
-        write_reports_csv(csv_path, records)
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            write_reports_csv(fh, records)
         write_reports_jsonl(jsonl_path, records)
 
         import csv as csvmod
@@ -1566,11 +1595,11 @@ class TestSerialization:
         lines = [json.loads(l) for l in jsonl_path.read_text().splitlines()]
         assert lines[0]["replicates"] == 1000
 
-    def test_condition_report_std_errors_serialized(self, tmp_path):
+    def test_condition_report_std_errors_serialized(self):
         gen = _gen()
         s = sample_aggregate_stream(gen, Mean(), Constant(1.0), 1000, seed=0)
         rec = asdict(improvement_condition(s))
-        p = tmp_path / "c.csv"
-        write_reports_csv(p, [rec])
-        text = p.read_text()
+        fh = io.StringIO()
+        write_reports_csv(fh, [rec])
+        text = fh.getvalue()
         assert "improvement_condition" in text

@@ -405,13 +405,10 @@ class TestPartition:
         (only,) = partition_questions(ds, 1)
         assert only.matrix.n_questions == ds.matrix.n_questions
 
-    def test_requires_truth_or_key(self):
+    def test_requires_truth(self):
         ds = Dataset(matrix=validate_matrix([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NoGroundTruthError):
             partition_questions(ds, 2)
-        parts = partition_questions(ds, 2, sort_by=[5.0, 1.0])
-        assert parts[0].metadata["sorted_by"] == "aggregate_fallback"
-        assert parts[0].matrix.question_ids == (1,)
 
     def test_bucket_count_validated(self):
         with pytest.raises(ValidationError):
@@ -422,11 +419,6 @@ class TestPartition:
         assert len(partition_questions(ds, 80)) == 80
         with pytest.raises(ValidationError, match="cannot split 80 questions into 81 buckets"):
             partition_questions(ds, 81)
-
-    def test_sort_key_of_the_wrong_length_is_a_length_mismatch(self):
-        ds = Dataset(matrix=validate_matrix([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(LengthMismatchError, match="sort_by length 3 != question count 2"):
-            partition_questions(ds, 2, sort_by=[5.0, 1.0, 0.0])
 
 
 def _ones_dataset(workers, questions, truth=None):

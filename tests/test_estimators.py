@@ -8,9 +8,7 @@ from ebtruth import (
     NonFiniteParameterError,
     NonPositiveVarianceError,
     ZeroNormInputError,
-    bayes_posterior_mean,
     ebe,
-    identity,
     shrink_aggregate,
     shrink_batch,
     stein,
@@ -121,22 +119,6 @@ class TestStein:
             stein([0.0, 0.0, 0.0], 1.0)
 
 
-class TestBayesPosteriorMean:
-    def test_formula(self):
-        v = np.array([1.0, 5.0])
-        out = bayes_posterior_mean(v, sigma2=1.0, mu0=3.0, sigma0_2=1.0)
-        np.testing.assert_allclose(out, 0.5 * v + 0.5 * 3.0)
-
-    def test_vanishing_noise_returns_data(self):
-        v = np.array([1.0, 5.0])
-        out = bayes_posterior_mean(v, sigma2=1e-12, mu0=100.0, sigma0_2=1.0)
-        np.testing.assert_allclose(out, v, atol=1e-9)
-
-    def test_invalid_prior(self):
-        with pytest.raises(NonPositiveVarianceError):
-            bayes_posterior_mean([1.0], 1.0, 0.0, -1.0)
-
-
 class TestNonFiniteVariance:
     """A NaN or infinite variance raises, as one <= 0 does: a NaN gave all-NaN
     estimates, and ebe shrank all the way to the mean for inf."""
@@ -147,29 +129,13 @@ class TestNonFiniteVariance:
         lambda v, s: ebe(np.stack([v, v]), [1.0, s]),
         lambda v, s: stein(v, s),
         lambda v, s: shrink_aggregate(v, s),
-        lambda v, s: bayes_posterior_mean(v, s, 0.0, 1.0),
-        lambda v, s: bayes_posterior_mean(v, 1.0, 0.0, s),
-    ], ids=["ebe", "ebe-batch", "stein", "shrink_aggregate", "posterior-sigma2",
-            "posterior-sigma0_2"])
+    ], ids=["ebe", "ebe-batch", "stein", "shrink_aggregate"])
     def test_raises_a_typed_error(self, call, bad):
         with pytest.raises(NonFiniteParameterError, match="sigma2 must be finite"):
             call(np.arange(6.0), bad)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_posterior_mean_rejects_a_non_finite_prior_mean(bad):
-    # it returned NaN or infinite estimates
-    with pytest.raises(NonFiniteParameterError, match="mu0 must be finite"):
-        bayes_posterior_mean(np.arange(6.0), 1.0, bad, 1.0)
-
-
-class TestIdentityAndBatch:
-    def test_identity_copies(self):
-        v = np.array([1.0, 2.0])
-        out = identity(v)
-        out[0] = 99.0
-        assert v[0] == 1.0
-
+class TestBatch:
     def test_batch_matches_scalar_path(self):
         rng = np.random.default_rng(0)
         V = rng.normal(size=(50, 8))

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 BENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "ebtruth"
 
 
 def _code_lines():
@@ -76,3 +78,49 @@ def test_a_traced_conditions_pass_moves_every_layer_it_runs(monkeypatch, tmp_pat
                  "analysis.condition_checks.busy_s", "baselines.run_td_batch.crh.busy_s",
                  "analysis.write_reports.bytes"):
         assert values[name] > 0, name
+
+
+# Exports that nothing but their own unit tests reaches, each kept for a reason.
+KEEP_UNREACHED = {
+    "blue_risks": "the exact oracle that TestBlueRisks holds simulate's report to",
+    "pipeline_base": "any base as an mc_risk pipeline, for simulate's planned base rows",
+    "pipeline_eb_wrap": "any base's wrap as an mc_risk pipeline, for simulate's planned wrap rows",
+}
+
+
+def _exports() -> set[str]:
+    """The names ``ebtruth/__init__.py`` imports from the package's modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names}
+
+
+def _uses(path: Path) -> set[str]:
+    """The names, attributes and import aliases a file's code refers to,
+    leaving out each top-level statement's references to what it defines."""
+    uses = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                own.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                own.add(node.attr)
+            elif isinstance(node, ast.alias):
+                own.update(filter(None, (node.name, node.asname)))
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.discard(stmt.name)
+        uses |= own
+    return uses
+
+
+def test_every_export_is_reached_by_a_command_a_criterion_or_the_benchmark():
+    # the package's own code, the acceptance criteria and the benchmark;
+    # a name only its unit tests call is dead weight, to be deleted with them
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    files += [ROOT / "tests" / "test_acceptance.py", *sorted(BENCH.glob("*.py"))]
+    exports = _exports()
+    reached = set().union(*map(_uses, files))
+    assert KEEP_UNREACHED.keys() <= exports
+    assert sorted(exports - reached - KEEP_UNREACHED.keys()) == []

@@ -84,6 +84,13 @@ class TestValues:
                 psi_derivative(HeuristicH(), np.arange(4.0), 0, X=X)
             with pytest.raises(LengthMismatchError, match="aggregate length 4"):
                 is_mean_adjusted(HeuristicH(), np.arange(4.0), X=X)
+        # a plug-in with only value(X, x_a) gets the same check: psi_value
+        # returned -3.5 for a 6-long aggregate against four questions
+        X = validate_matrix(np.arange(8.0).reshape(2, 4))
+        for call in (lambda: psi_value(FlippedSampleScaled(), X, np.arange(6.0)),
+                     lambda: psi_derivative(FlippedSampleScaled(), np.arange(6.0), 0, X=X)):
+            with pytest.raises(LengthMismatchError, match="aggregate length 6"):
+                call()
 
     def test_residual_heuristic_value_needs_matrix(self):
         with pytest.raises(LengthMismatchError, match="needs the observation matrix"):
