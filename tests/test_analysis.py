@@ -1089,13 +1089,17 @@ def _stein_blue_risk(m, sigma2s, mu0, tau2):
     m sigma^2 - (m-2)^2 sigma^4/(tau^2+sigma^2) * E[1/chi'^2_m(lambda)],
     lambda = m mu0^2/(tau^2+sigma^2) (Bock, Ann. Statist. 1975, 3:209).  The
     expectation is the Poisson(lambda/2) mixture of 1/(m - 2 + 2k), summed
-    to 40 standard deviations past the Poisson mean."""
+    to 40 standard deviations past the Poisson mean; at mu0 = 0 it is the
+    central 1/(m - 2)."""
     sigma2 = 1.0 / (1.0 / np.asarray(sigma2s)).sum()
-    half = m * mu0**2 / (tau2 + sigma2) / 2.0
-    k = np.arange(int(half + 40 * np.sqrt(half + 1.0)) + 40)
-    log_k_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
-    pois = np.exp(-half + k * np.log(half) - log_k_factorial)  # mu0 != 0: half > 0
-    inv_chi2 = (pois / (m - 2 + 2 * k)).sum()
+    if mu0 == 0:
+        inv_chi2 = 1.0 / (m - 2)
+    else:
+        half = m * mu0**2 / (tau2 + sigma2) / 2.0
+        k = np.arange(int(half + 40 * np.sqrt(half + 1.0)) + 40)
+        log_k_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+        pois = np.exp(-half + k * np.log(half) - log_k_factorial)
+        inv_chi2 = (pois / (m - 2 + 2 * k)).sum()
     return m * sigma2 - (m - 2) ** 2 * sigma2**2 / (tau2 + sigma2) * inv_chi2
 
 
@@ -1155,6 +1159,24 @@ class TestBlueRisks:
         res = mc_risk(gen, [pipeline_blue(), pipeline_eb_blue()], 40_000, seed=1)
         for name, want in blue_risks(10, [1.0, 4.0], 0.0).items():
             assert abs(res.risk(name) - want) <= 4 * res.reports[name].std_error, name
+
+
+class TestSteinBlueRisk:
+    """``pipeline_stein_blue``, the blue aggregate shrunk toward the origin,
+    against Bock's closed form off the default grid: central (mu0 = 0),
+    non-central, and constant truths (tau^2 = 0)."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("n, m, gt, mu0, tau2", [
+        (2, 10, GaussianGT(0.0, 1.0), 0.0, 1.0),
+        (3, 50, GaussianGT(0.5, 0.5), 0.5, 0.5),
+        (2, 10, ConstantGT(1.0), 1.0, 0.0),
+    ], ids=["2x10-central", "3x50", "2x10-constant"])
+    def test_monte_carlo_matches_the_closed_form(self, n, m, gt, mu0, tau2, seed):
+        gen = AwgGenerator(gt, IndexedSigmas(), n=n, m=m)
+        res = mc_risk(gen, [pipeline_stein_blue()], 40_000, seed=seed)
+        want = _stein_blue_risk(m, np.arange(1.0, n + 1) ** 2, mu0, tau2)
+        assert abs(res.risk("stein_blue") - want) < 4 * res.reports["stein_blue"].std_error
 
 
 def _mean_wrap_risks(n, m, s2, tau2):

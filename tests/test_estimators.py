@@ -128,8 +128,11 @@ class TestNonFiniteVariance:
         lambda v, s: ebe(v, s),
         lambda v, s: ebe(np.stack([v, v]), [1.0, s]),
         lambda v, s: stein(v, s),
+        lambda v, s: stein(np.stack([v, v]), [1.0, s]),
         lambda v, s: shrink_aggregate(v, s),
-    ], ids=["ebe", "ebe-batch", "stein", "shrink_aggregate"])
+        lambda v, s: shrink_aggregate(np.stack([v, v]), [1.0, s]),
+    ], ids=["ebe", "ebe-batch", "stein", "stein-batch", "shrink_aggregate",
+            "shrink_aggregate-batch"])
     def test_raises_a_typed_error(self, call, bad):
         with pytest.raises(NonFiniteParameterError, match="sigma2 must be finite"):
             call(np.arange(6.0), bad)

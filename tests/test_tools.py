@@ -124,3 +124,17 @@ def test_every_export_is_reached_by_a_command_a_criterion_or_the_benchmark():
     reached = set().union(*map(_uses, files))
     assert KEEP_UNREACHED.keys() <= exports
     assert sorted(exports - reached - KEEP_UNREACHED.keys()) == []
+
+
+def test_the_export_scan_counts_code_only(tmp_path):
+    # a name's own definition, an assignment target and a docstring do not
+    # reach it; a call, an attribute and an import (name or alias) do
+    path = tmp_path / "module.py"
+    path.write_text('def recursive(x):\n'
+                    '    """Calls named_in_a_docstring."""\n'
+                    '    return recursive(x - 1)\n'
+                    'from pkg import imported as renamed\n'
+                    'assigned = module.attribute_name(called())\n', encoding="utf-8")
+    uses = _uses(path)
+    assert not uses & {"recursive", "named_in_a_docstring", "assigned"}
+    assert {"imported", "renamed", "module", "attribute_name", "called"} <= uses
